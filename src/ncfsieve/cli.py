@@ -5,8 +5,10 @@ fixed-point counts, the structural bijections, and the verification sweep.
 Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification ran and found a mismatch,
-2 for bad input or a size over the enumeration guard. The guard defaults to
-n <= 12 and is raised through the NCF_SIEVE_MAX_N environment variable.
+2 for bad input, a size over a guard, or an arithmetic error (such as a
+division promised exact that left a remainder). The enumeration guard
+defaults to n <= 12 and is raised through the NCF_SIEVE_MAX_N environment
+variable; the q-polynomial commands are capped at n <= MAX_POLY_N.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .forest import NonCrossingForest
 
 ENV_MAX_N = "NCF_SIEVE_MAX_N"
 DEFAULT_MAX_N = 12
+MAX_POLY_N = 100
 
 
 def _size_guard(n: int) -> None:
@@ -37,6 +40,11 @@ def _size_guard(n: int) -> None:
             f"n = {n} exceeds the enumeration guard ({cap}); "
             f"set {ENV_MAX_N} higher to allow it"
         )
+
+
+def _poly_guard(n: int) -> None:
+    if n > MAX_POLY_N:
+        raise ValueError(f"n = {n} exceeds the q-polynomial bound ({MAX_POLY_N})")
 
 
 def _read_forest(path: str) -> NonCrossingForest:
@@ -69,6 +77,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_qpoly(args) -> int:
+    _poly_guard(args.n)
     poly = qpoly.forest_count_poly(args.n, args.k)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "coeffs": list(poly.coeffs)}))
@@ -80,6 +89,7 @@ def _cmd_qpoly(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _poly_guard(args.n)
     pv = sieving.poly_eval(args.n, args.k, args.d)
     cf = sieving.closed_form_eval(args.n, args.k, args.d)
     agree = pv == cf
@@ -120,6 +130,7 @@ def _cmd_fixed(args) -> int:
     if method == "closed":
         count = sieving.closed_form_eval(n, k, d)
     elif method == "poly":
+        _poly_guard(n)
         count = sieving.poly_eval(n, k, d)
     elif method == "filter":
         _size_guard(n)
@@ -320,7 +331,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,14 @@ polynomial are built as products followed by divisions that must leave a
 zero remainder, never through rational arithmetic. "Evaluation at a
 primitive d-th root of unity" is performed exactly as reduction modulo the
 d-th cyclotomic polynomial; no floating point anywhere.
+
+Products of dense polynomials go through Kronecker substitution: both
+coefficient vectors are packed into one integer each, CPython multiplies the
+two, and the product is unpacked slot by slot (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009). Large quotients are only ever taken by a q-integer [m]_q, which
+takes one pass over the coefficients; long division is left to small
+divisors such as cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -14,10 +22,83 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
+
+
+def _kron_offset(width: int, length: int) -> int:
+    """2**(8*width - 1) in each of `length` slots of `width` bytes."""
+    half = 1 << (8 * width - 1)
+    return int.from_bytes(half.to_bytes(width, "little") * length, "little")
+
+
+def _kron_pack(cs, width: int) -> int:
+    """The integer sum(c_i * 2**(8*width*i)) for signed coefficients c_i.
+
+    Each c_i is shifted up by half a slot so that its bytes can be laid out
+    directly; the shift is taken back off the packed integer in one
+    subtraction. A coefficient outside [-2**(8*width - 1), 2**(8*width - 1))
+    does not fit its slot and raises OverflowError.
+    """
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+    return int.from_bytes(raw, "little") - _kron_offset(width, len(cs))
+
+
+def _kron_unpack(value: int, width: int, length: int, bound: int) -> list[int]:
+    """Inverse of _kron_pack for `length` slots whose coefficients are
+    promised to lie in [-bound, bound].
+
+    Adding half a slot to every slot makes them all nonnegative, so the
+    bytes of the sum are the slots themselves. A slot that overflowed shows
+    as a sum outside the packed range or a coefficient past `bound`; both
+    raise OverflowError.
+    """
+    half = 1 << (8 * width - 1)
+    shifted = value + _kron_offset(width, length)
+    if shifted < 0 or shifted.bit_length() > 8 * width * length:
+        raise OverflowError(f"Kronecker product does not fit {length} slots of {width} bytes")
+    raw = shifted.to_bytes(width * length, "little")
+    out = [int.from_bytes(raw[i:i + width], "little") - half
+           for i in range(0, len(raw), width)]
+    if max(max(out), -min(out)) > bound:
+        raise OverflowError(f"Kronecker slot exceeds the coefficient bound {bound}")
+    return out
+
+
+def _mul_q_int(cs, m: int) -> list[int]:
+    """Coefficients of P(q) * [m]_q, where P has coefficients cs: entry j
+    is the sum of the window cs[j-m+1 .. j], read off prefix sums."""
+    prefix = [0] * m + list(accumulate(list(cs) + [0] * (m - 1)))
+    return list(map(sub, prefix[m:], prefix[:-m]))
+
+
+def _div_q_int(cs, m: int) -> list[int]:
+    """Coefficients of P(q) / [m]_q, insisting on a zero remainder.
+
+    From (1 - q) P = (1 - q^m) Q the quotient obeys
+    Q_j = P_j - P_(j-1) + Q_(j-m), so each residue class of j mod m is a
+    running sum of the first differences of P. Run over every j up to
+    deg P + 1, the recurrence must close: the entries past deg Q are the
+    remainder terms, and any nonzero one raises ExactDivisionError.
+    """
+    if m < 1:
+        raise ZeroDivisionError("division by [0]_q")
+    cs = list(cs)
+    diff = list(map(sub, cs + [0], [0] + cs))
+    quot = [0] * len(diff)
+    for r in range(m):
+        quot[r::m] = accumulate(diff[r::m])
+    size = max(len(cs) - m + 1, 0)
+    if any(quot[size:]):
+        raise ExactDivisionError(
+            f"degree-{len(cs) - 1} polynomial is not divisible by [{m}]_q"
+        )
+    return quot[:size]
 
 
 @dataclass(frozen=True)
@@ -62,17 +143,18 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product by Kronecker substitution. Every product coefficient is
+        bounded by max|a| * max|b| * min(len a, len b), and the slots are
+        one sign bit wider than that bound, so they cannot collide."""
         if isinstance(other, int):
             return QPoly(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(out)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = bound.bit_length() // 8 + 1
+        value = _kron_pack(a, width) * _kron_pack(b, width)
+        return QPoly(_kron_unpack(value, width, len(a) + len(b) - 1, bound))
 
     __rmul__ = __mul__
 
@@ -178,8 +260,12 @@ def q_factorial(a: int) -> QPoly:
 def q_binomial(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q, zero outside 0 <= b <= a.
 
-    Computed as [a]_q! divided exactly by [b]_q! [a-b]_q!; the division
-    leaving no remainder is checked, not assumed.
+    Built by the ratio recurrence
+    [a-b+i choose i]_q = [a-b+i choose i-1]_q * [a-b+i]_q / [i]_q for
+    i = 1 .. b, with b replaced by min(b, a - b). Every partial product is a
+    q-binomial, so coefficients stay as small as the answer's, and each
+    step is one multiplication and one division by a q-integer. Every
+    division is checked to leave no remainder, not assumed to.
 
     >>> q_binomial(4, 2).coeffs
     (1, 1, 2, 1, 1)
@@ -188,7 +274,11 @@ def q_binomial(a: int, b: int) -> QPoly:
         raise ValueError(f"q_binomial needs a >= 0, got {a}")
     if b < 0 or b > a:
         return QPoly(())
-    return q_factorial(a).exact_div(q_factorial(b) * q_factorial(a - b))
+    b = min(b, a - b)
+    cs = [1]
+    for i in range(1, b + 1):
+        cs = _div_q_int(_mul_q_int(cs, a - b + i), i)
+    return QPoly(cs)
 
 
 def forest_count(n: int, k: int) -> int:
@@ -216,7 +306,7 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     """
     _check_nk(n, k)
     num = q_binomial(n, k - 1) * q_binomial(3 * n - 2 * k - 1, n - k)
-    f = num.exact_div(q_int(2 * n - k))
+    f = QPoly(_div_q_int(num.coeffs, 2 * n - k))
     if any(c < 0 for c in f.coeffs):
         raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
     return f
@@ -245,7 +335,9 @@ class CyclotomicResidue:
     polynomial at a primitive d-th root of unity.
 
     Stored as the canonical remainder, so equality of residues is equality
-    of the represented algebraic numbers.
+    of the represented algebraic numbers. The coefficients are first folded
+    modulo q^d - 1, which the d-th cyclotomic divides, so the long division
+    only ever sees a polynomial of degree below d.
     """
 
     d: int
@@ -254,7 +346,8 @@ class CyclotomicResidue:
     def __init__(self, d: int, poly: QPoly):
         if d < 1:
             raise ValueError(f"root order must be >= 1, got {d}")
-        _, rem = divmod(poly, cyclotomic(d))
+        folded = QPoly(tuple(sum(poly.coeffs[r::d]) for r in range(d)))
+        _, rem = divmod(folded, cyclotomic(d))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "residue", rem)
 

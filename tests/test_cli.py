@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from ncfsieve.cli import main
+from ncfsieve import qpoly
+from ncfsieve.cli import MAX_POLY_N, main
 from ncfsieve.forest import NonCrossingForest
-from ncfsieve.qpoly import forest_count, forest_count_poly
+from ncfsieve.qpoly import ExactDivisionError, forest_count, forest_count_poly
 
 
 def run(capsys, *argv):
@@ -216,6 +217,37 @@ def test_default_size_guard(capsys):
     code, _, err = run(capsys, "enumerate", "13", "2")
     assert code == 2
     assert "12" in err
+
+
+def test_poly_bound(capsys):
+    over = str(MAX_POLY_N + 1)
+    for argv in (("qpoly", over, "1"), ("eval", over, "1", "1"),
+                 ("fixed", over, "1", "1", "--method", "poly")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "error:" in err and str(MAX_POLY_N) in err
+
+    at = str(MAX_POLY_N)
+    code, out, _ = run(capsys, "qpoly", at, at)
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, "fixed", at, at, "2", "--method", "poly")
+    assert code == 0 and out.strip() == "1"
+    # the closed form is not a q-polynomial route and stays unbounded
+    code, out, _ = run(capsys, "fixed", over, over, "1", "--method", "closed")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_arithmetic_error_exits_2(capsys, monkeypatch):
+    def inexact(n, k):
+        raise ExactDivisionError("remainder left")
+
+    monkeypatch.setattr(qpoly, "forest_count_poly", inexact)
+    code, out, err = run(capsys, "qpoly", "5", "2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: remainder left"
+    assert "Traceback" not in err
 
 
 def test_version(capsys):

@@ -2,6 +2,7 @@
 
 import doctest
 import math
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -32,6 +33,45 @@ def test_doctests():
     assert failures == 0
 
 
+# ------------------------------------------------------ reference oracles
+
+
+def _schoolbook_mul(a, b) -> QPoly:
+    """Reference product: the double loop over coefficient pairs."""
+    a, b = QPoly(tuple(a)).coeffs, QPoly(tuple(b)).coeffs
+    if not a or not b:
+        return QPoly(())
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return QPoly(out)
+
+
+@lru_cache(maxsize=None)
+def _ref_q_factorial(a: int) -> QPoly:
+    out = QPoly((1,))
+    for i in range(1, a + 1):
+        out = _schoolbook_mul(out.coeffs, (1,) * i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_q_binomial(a: int, b: int) -> QPoly:
+    """Reference q-binomial: [a]_q! divided by [b]_q! [a-b]_q! by long
+    division, which must leave no remainder."""
+    if b < 0 or b > a:
+        return QPoly(())
+    den = _schoolbook_mul(_ref_q_factorial(b).coeffs, _ref_q_factorial(a - b).coeffs)
+    return _ref_q_factorial(a).exact_div(den)
+
+
+def _ref_forest_count_poly(n: int, k: int) -> QPoly:
+    num = _schoolbook_mul(_ref_q_binomial(n, k - 1).coeffs,
+                          _ref_q_binomial(3 * n - 2 * k - 1, n - k).coeffs)
+    return num.exact_div(q_int(2 * n - k))
+
+
 # ---------------------------------------------------------------- QPoly core
 
 
@@ -53,6 +93,74 @@ def test_arithmetic_small():
 
 
 coeff_lists = st.lists(st.integers(-30, 30), min_size=0, max_size=12)
+wide_coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(10**30), 10**30),
+    st.integers(10**30 - 5, 10**30 + 5),
+    st.integers(-(10**30) - 5, -(10**30) + 5),
+)
+wide_lists = st.lists(wide_coeffs, min_size=0, max_size=40)
+
+
+@given(wide_lists, wide_lists)
+def test_kronecker_product_matches_schoolbook(a, b):
+    assert QPoly(tuple(a)) * QPoly(tuple(b)) == _schoolbook_mul(a, b)
+
+
+def test_kronecker_product_zero_and_units():
+    big = QPoly((10**30, -(10**30), 1))
+    assert (big * QPoly(())).is_zero()
+    assert (QPoly(()) * big).is_zero()
+    assert (big * QPoly((1,))) == big
+    assert (big * QPoly((-1,))) == -big
+
+
+def test_kronecker_unpack_rejects_overflowed_slot():
+    width = 1  # slots hold -128 .. 127
+    value = qp._kron_pack([100, 5], width)
+    assert qp._kron_unpack(value, width, 2, 100) == [100, 5]
+    with pytest.raises(OverflowError):
+        qp._kron_unpack(value, width, 2, 99)  # a slot past the promised bound
+    with pytest.raises(OverflowError):
+        qp._kron_unpack(value + 300, width, 2, 100)  # slot 0 carried into slot 1
+    with pytest.raises(OverflowError):
+        qp._kron_unpack(value << 8, width, 2, 127)  # spills past the last slot
+    with pytest.raises(OverflowError):
+        qp._kron_pack([128], width)
+
+
+@given(wide_lists, st.integers(1, 25))
+def test_div_q_int_inverts_mul_q_int(a, m):
+    p = QPoly(tuple(a))
+    prod = qp._mul_q_int(p.coeffs, m)
+    assert QPoly(prod) == _schoolbook_mul(p.coeffs, (1,) * m)
+    assert QPoly(qp._div_q_int(prod, m)) == p
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=20), st.integers(2, 25),
+       st.integers(0, 50), st.integers(-5, 5).filter(bool))
+def test_div_q_int_rejects_perturbation(a, m, pos, delta):
+    prod = qp._mul_q_int(a, m)
+    prod += [0] * (pos + 1 - len(prod))
+    prod[pos] += delta
+    with pytest.raises(ExactDivisionError):
+        qp._div_q_int(prod, m)
+
+
+def test_div_q_int_edges():
+    assert qp._div_q_int([], 4) == []
+    assert qp._div_q_int([3, 0, -2], 1) == [3, 0, -2]
+    with pytest.raises(ExactDivisionError):
+        qp._div_q_int([1, 1], 3)  # nonzero and of degree below that of [3]_q
+    with pytest.raises(ZeroDivisionError):
+        qp._div_q_int([1], 0)
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12))
+def test_folded_residue_matches_long_division(a, d):
+    p = QPoly(tuple(a))
+    _, rem = divmod(p, cyclotomic(d))
+    assert CyclotomicResidue(d, p).residue == rem
 
 
 @given(coeff_lists, coeff_lists)
@@ -278,6 +386,18 @@ def test_forest_count_frozen():
     assert forest_count(5, 1) == 55
     assert [forest_count(6, k) for k in range(1, 7)] == [273, 429, 275, 90, 15, 1]
     assert forest_count(12, 7) == 1106028
+
+
+@pytest.mark.parametrize("a", range(0, 30))
+def test_q_binomial_matches_factorial_quotient(a):
+    for b in range(0, a + 1):
+        assert q_binomial(a, b) == _ref_q_binomial(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_forest_count_poly_matches_reference(n):
+    for k in range(1, n + 1):
+        assert forest_count_poly(n, k) == _ref_forest_count_poly(n, k), (n, k)
 
 
 def test_forest_count_poly_frozen():

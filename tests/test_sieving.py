@@ -1,6 +1,7 @@
 """Fixed-point counts along every route, plus the closed-form case split."""
 
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,16 @@ def test_poly_eval_matches_closed_form_everywhere():
         for k in range(1, n + 1):
             for d in (dd for dd in range(1, n + 1) if n % dd == 0):
                 assert poly_eval(n, k, d) == closed_form_eval(n, k, d), (n, k, d)
+
+
+def test_poly_eval_matches_closed_form_n40():
+    n = 40
+    t0 = time.perf_counter()
+    for k in range(1, n + 1):
+        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
+            assert poly_eval(n, k, d) == closed_form_eval(n, k, d), (n, k, d)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0, f"poly route at n = 40 took {elapsed:.1f}s"
 
 
 def test_fixed_count_routes_agree_small():
