@@ -403,31 +403,3 @@ def _scan_window_start(forest: NonCrossingForest, d: int) -> int:
         if all((a in window) == (b in window) for a, b in forest.edges):
             return w
     raise BijectionError("no edge-closed window found; forest is not periodic")
-
-
-def _raycast_window_start(forest: NonCrossingForest, d: int) -> int:
-    """Independent derivation of decompose_periodic's window start.
-
-    The cut gaps that work are exactly the gaps lying in the same region of
-    the chord arrangement as the circle's center, so walk the scan order and
-    return the first gap no chord separates from the center. A chord (a, b)
-    pens a gap away from the center when the gap sits on the chord's minor
-    side. Used by the tests to cross-check the edge-closure scan.
-    """
-    n = forest.n
-    np_ = n // d
-    for t in range(np_):
-        w = (-t) % n + 1
-        trapped = False
-        for a, b in forest.edges:
-            span = b - a
-            if 2 * span == n:
-                raise BijectionError("diameter edge in the periodic regime")
-            inside = a < w <= b
-            minor_is_inside = 2 * span < n
-            if inside == minor_is_inside:
-                trapped = True
-                break
-        if not trapped:
-            return w
-    raise BijectionError("no gap shares the center's region")

@@ -205,6 +205,10 @@ def _cmd_verify(args) -> int:
         raise ValueError("give either n or --max-n, not both")
     if args.k is not None and args.n is None:
         raise ValueError("--k needs an explicit n")
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"n must be at least 1, got {args.n}")
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     ns = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
     for n in ns:
         _size_guard(n)
@@ -213,10 +217,12 @@ def _cmd_verify(args) -> int:
         cells = [(args.n, args.k, bij)]
     else:
         cells = [(n, k, bij) for n in ns for k in range(1, n + 1)]
-    if args.workers > 1:
+    # Never more processes than cores or cells, whatever was asked for.
+    workers = min(args.workers, os.cpu_count() or 1, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(sieving._verify_cell, cells))
     else:
         reports = [sieving._verify_cell(cell) for cell in cells]
@@ -315,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--no-bijection", action="store_true",
                    help="skip the bijection route")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per core and per cell")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,13 +1,27 @@
 """Exhaustive generation of non-crossing forests and their rotation-fixed
 subsets.
 
-The core is a backtracking walk over the chord list in lexicographic order:
-a chord may join the current selection only if it crosses none of the chords
-already chosen (precomputed crossing bitmasks) and does not close a cycle
-(union-find with an undo stack). Branches that can no longer reach the
-required edge count are cut. Forests stream out one at a time in
-lexicographic order of the sorted edge list; nothing is materialized unless
-the caller collects.
+The core is one backtracking walk over the chord list in lexicographic
+order, kept in bitmasks. A frame holds a single int: the chords that may
+still join the selection, which is ~(banned | closed) & ge(floor) with
+
+* banned: the OR of the precomputed crossing masks of the chosen chords,
+* closed: the chords whose two endpoints already lie in one component,
+* ge(floor): the chords after the last one chosen.
+
+Choosing chord i removes from the candidates the chords that cross it
+and, as i merges components A and B, the chords with one end in each:
+star[A] & star[B], where star[r] is the OR of the chords incident to the
+vertices of the component rooted at r. A union-find with an undo stack
+finds those two roots, once per chosen chord. A node with fewer
+candidates than chords still to choose is cut.
+
+At a node one chord short of a forest, every remaining candidate completes
+one, so the walk yields the prefix with its whole completing mask instead
+of visiting the leaves one by one. Enumeration expands the mask low bit
+first, which keeps the stream lexicographic and lazy; counting takes its
+popcount; the fixed-point filter tests the prefix once per rotation and
+reads the fixed completions off the mask.
 
 Rotation-fixed forests can additionally be generated directly by the same
 backtracking over whole chord orbits of the rotation subgroup, which stays
@@ -73,65 +87,78 @@ def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     )
 
 
-def _iter_index_sets(n: int, k: int):
-    """Yield the chord-index tuples of every forest in F(n, k), in strictly
-    increasing lexicographic order. Iterative to keep the per-leaf cost flat."""
+def _leaf_groups(n: int, k: int):
+    """Yield (prefix, completing) for every node of the walk that is one
+    chord short of a forest in F(n, k), for k < n.
+
+    prefix is the increasing list of chosen chord indices (one list, reused:
+    copy it to keep it) and completing the nonzero mask of chords j after
+    prefix[-1] such that prefix + [j] is a forest of F(n, k). Groups come in
+    lexicographic order of prefix, so expanding each mask low bit first
+    lists F(n, k) in lexicographic order.
+    """
     need = n - k
-    if need == 0:
-        yield ()
-        return
     chords = chord_table(n)
     cross = _cross_masks(n)
-    m = len(chords)
+    full = (1 << len(chords)) - 1
+    prefix: list[int] = []
+    if need == 1:
+        yield prefix, full
+        return
+    star = [0] * (n + 1)
+    for i, (u, v) in enumerate(chords):
+        star[u] |= 1 << i
+        star[v] |= 1 << i
     parent = list(range(n + 1))
     size = [1] * (n + 1)
-    chosen: list[int] = []
-    undo: list[tuple[int, int]] = []
-    # frame: [next candidate index, banned mask, owns a union record]
-    stack: list[list] = [[0, 0, False]]
+    undo: list[tuple[int, int, int]] = []
+    last = need - 2  # depth whose chosen chord leaves one to go
+    stack = [full]  # candidate mask per depth
     while stack:
-        frame = stack[-1]
-        i, banned = frame[0], frame[1]
-        pushed = False
-        while i < m and m - i >= need - len(chosen):
-            if banned >> i & 1:
-                i += 1
-                continue
+        depth = len(stack) - 1
+        cand = stack[-1]
+        if depth == last:
+            prefix.append(0)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                u, v = chords[i]
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                completing = cand & ~(cross[i] | star[u] & star[v])
+                if completing:
+                    prefix[last] = i
+                    yield prefix, completing
+            prefix.pop()
+        elif cand.bit_count() >= need - depth:
+            low = cand & -cand
+            cand ^= low
+            stack[-1] = cand
+            i = low.bit_length() - 1
             u, v = chords[i]
-            ru = u
-            while parent[ru] != ru:
-                ru = parent[ru]
-            rv = v
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
-                i += 1
-                continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            chosen.append(i)
-            if len(chosen) == need:
-                yield tuple(chosen)
-                size[ru] -= size[rv]
-                parent[rv] = rv
-                chosen.pop()
-                i += 1
-                continue
-            undo.append((rv, ru))
-            frame[0] = i + 1
-            stack.append([i + 1, banned | cross[i], True])
-            pushed = True
-            break
-        if pushed:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if size[u] < size[v]:
+                u, v = v, u
+            stack.append(cand & ~(cross[i] | star[u] & star[v]))
+            undo.append((v, u, star[u]))
+            parent[v] = u
+            size[u] += size[v]
+            star[u] |= star[v]
+            prefix.append(i)
             continue
         stack.pop()
-        if frame[2]:
-            rv, ru = undo.pop()
-            size[ru] -= size[rv]
-            parent[rv] = rv
-            chosen.pop()
+        if undo:
+            v, u, s = undo.pop()
+            parent[v] = v
+            size[u] -= size[v]
+            star[u] = s
+            prefix.pop()
 
 
 def enumerate_forests(n: int, k: int):
@@ -141,57 +168,83 @@ def enumerate_forests(n: int, k: int):
     duplicates, nothing materialized.
     """
     _check_nk(n, k)
+    if k == n:
+        yield NonCrossingForest._unchecked(n, ())
+        return
     chords = chord_table(n)
-    for idxs in _iter_index_sets(n, k):
-        yield NonCrossingForest._unchecked(n, tuple(chords[i] for i in idxs))
+    for prefix, completing in _leaf_groups(n, k):
+        head = tuple(chords[i] for i in prefix)
+        while completing:
+            low = completing & -completing
+            completing ^= low
+            yield NonCrossingForest._unchecked(
+                n, head + (chords[low.bit_length() - 1],)
+            )
 
 
 def count_forests(n: int, k: int) -> int:
-    """len() of the stream above, skipping object construction."""
+    """|F(n, k)| by the walk: the popcounts of the completing masks, with
+    no forest built."""
     _check_nk(n, k)
-    return sum(1 for _ in _iter_index_sets(n, k))
+    if k == n:
+        return 1
+    return sum(completing.bit_count() for _, completing in _leaf_groups(n, k))
 
 
 def count_invariant(n: int, k: int, d: int) -> int:
     """Brute-force count of the forests in F(n, k) fixed by the rotation of
-    order d: filter the full enumeration, checking each emitted forest under
-    the induced chord-index permutation."""
+    order d, read from invariant_counts."""
     _check_nk(n, k)
     _check_divisor(n, d)
-    if d == 1:
-        return count_forests(n, k)
-    perm = rotation_perm(n, n // d)
-    total = 0
-    for t in _iter_index_sets(n, k):
-        ts = set(t)
-        for i in t:
-            if perm[i] not in ts:
-                break
-        else:
-            total += 1
-    return total
+    return invariant_counts(n, k)[d]
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:
-    """Fixed-forest counts for every d | n in one enumeration pass.
+    """Fixed-forest counts for every d | n in one pass of the walk.
 
-    Same filter route as count_invariant, batched so a full sieving report
-    costs a single walk of F(n, k).
+    counts[1] sums the completing masks' popcounts. For d >= 2 let r be the
+    rotation of order d and S a group's prefix; a forest S + {j} is fixed
+    when r maps it onto itself. Since |r(S)| = |S|:
+
+    * r(S) = S: the fixed forests are those whose j is fixed by r itself,
+      completing & fixed_d;
+    * r(S) minus S is one chord j: only S + {j} can be fixed, and it is
+      when j completes S and r(j) is the one chord of S outside r(S);
+    * otherwise none is, and the test stops at the second chord of S whose
+      image is missing.
     """
     _check_nk(n, k)
-    perms = {d: rotation_perm(n, n // d) for d in divisors(n) if d >= 2}
+    if k == n:
+        return dict.fromkeys(divisors(n), 1)
     counts = dict.fromkeys(divisors(n), 0)
-    for t in _iter_index_sets(n, k):
-        counts[1] += 1
-        if not perms:
-            continue
-        ts = set(t)
-        for d, perm in perms.items():
-            for i in t:
-                if perm[i] not in ts:
-                    break
+    m = len(chord_table(n))
+    rots = []
+    for d in divisors(n)[1:]:
+        perm = rotation_perm(n, n // d)
+        fixed = sum(1 << i for i in range(m) if perm[i] == i)
+        rots.append((d, tuple(1 << j for j in perm), fixed))
+    leaves = 0
+    for prefix, completing in _leaf_groups(n, k):
+        leaves += completing.bit_count()
+        s = 0
+        for i in prefix:
+            s |= 1 << i
+        for d, rbit, fixed in rots:
+            missing = rs = 0
+            for i in prefix:
+                b = rbit[i]
+                rs |= b
+                if not s & b:
+                    if missing:
+                        break
+                    missing = b
             else:
-                counts[d] += 1
+                if not missing:
+                    counts[d] += (completing & fixed).bit_count()
+                elif completing & missing:
+                    if rbit[missing.bit_length() - 1] == s & ~rs:
+                        counts[d] += 1
+    counts[1] = leaves
     return counts
 
 

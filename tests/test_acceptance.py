@@ -16,13 +16,13 @@ from ncfsieve.bijections import (
     construct_periodic,
     decompose_diameter,
     decompose_periodic,
-    _raycast_window_start,
     _scan_window_start,
     tree_extents,
 )
 from ncfsieve.enumeration import count_forests, divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.qpoly import eval_at_root, forest_count, forest_count_poly, q_binomial, q_lucas
 from ncfsieve.sieving import check_fixed_count_identity, verify_csp
+from window_oracle import raycast_window_start
 
 
 def test_criterion_1_counts():
@@ -45,7 +45,7 @@ def test_criterion_2_csp_triple():
         assert report.all_agree, [r for r in report.rows if not r.agree]
         cells += len(report.rows)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 120.0, f"CSP sweep took {elapsed:.1f}s"
+    assert elapsed < 60.0, f"CSP sweep took {elapsed:.1f}s"
     print(f"PASS criterion 2: root-of-unity evaluations equal fixed-point "
           f"counts on {cells} cells, n<=10, {elapsed:.1f}s")
 
@@ -147,7 +147,7 @@ def test_criterion_7_structure():
                         assert set(diam[0]) <= set(sm[0].vertices)
                     else:
                         assert not sm and k % d == 0
-                        assert _scan_window_start(big, d) == _raycast_window_start(big, d)
+                        assert _scan_window_start(big, d) == raycast_window_start(big, d)
     elapsed = time.perf_counter() - t0
     print(f"PASS criterion 7: orbit structure of trees as expected on "
           f"{forests} invariant forests n<=12, {elapsed:.1f}s")

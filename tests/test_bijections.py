@@ -14,7 +14,6 @@ from ncfsieve.bijections import (
     BijectionError,
     Mark,
     _periodic_image,
-    _raycast_window_start,
     _scan_window_start,
     all_marks,
     classify_vertices,
@@ -26,6 +25,7 @@ from ncfsieve.bijections import (
 )
 from ncfsieve.enumeration import divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.forest import NonCrossingForest
+from window_oracle import raycast_window_start
 
 F12 = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
 F24 = NonCrossingForest(
@@ -226,7 +226,7 @@ def test_window_starts_agree_scan_vs_raycast():
         for k in range(1, n + 1):
             for d in (dd for dd in divisors(n) if dd >= 2 and k % dd == 0):
                 for big in enumerate_invariant(n, k, d):
-                    assert _scan_window_start(big, d) == _raycast_window_start(big, d)
+                    assert _scan_window_start(big, d) == raycast_window_start(big, d)
 
 
 def test_extent_window_contains_whole_trees():

@@ -193,6 +193,52 @@ def test_verify_arg_conflicts(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("0",), ("-2",), ("0", "--json"),
+                                  ("--max-n", "0"), ("--max-n", "-3"),
+                                  ("--max-n", "0", "--json")])
+def test_verify_rejects_empty_sweep(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cpus, argv, pool_size", [
+    (4, ("--max-n", "5"), 4),     # 15 cells: capped by the cores
+    (64, ("3",), 3),              # 3 cells: capped by the cells
+    (None, ("--max-n", "4"), None),  # core count unknown: serial, no pool
+    (8, ("4", "--k", "2"), None),    # one cell: serial, no pool
+])
+def test_verify_workers_clamped(capsys, monkeypatch, cpus, argv, pool_size):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process, so no worker
+        process is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "verify", *argv, "--workers", "100000", "--json")
+    assert code == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+    code, serial, _ = run(capsys, "verify", *argv, "--json")
+    assert json.loads(out) == json.loads(serial)
+
+
 def test_size_guard(capsys, monkeypatch):
     # the guard covers enumeration work, not the closed formula
     monkeypatch.setenv("NCF_SIEVE_MAX_N", "6")

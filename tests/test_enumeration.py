@@ -3,7 +3,8 @@
 The main oracle builds every subset of chords outright (2^m of them),
 filters with networkx for acyclicity and a direct pairwise loop for
 crossings, and compares censuses. A second, structurally different
-recursive generator covers n = 7 where 2^21 subsets would be too many.
+recursive generator covers n = 7 and 8, where 2^21 and 2^28 subsets would
+be too many. The fixed-point counts are pinned to a per-forest set filter.
 """
 
 from itertools import combinations
@@ -85,7 +86,7 @@ def _recursive_forests(n: int, k: int):
     yield from rec(0, [], roots0)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_matches_recursive_generator(n):
     for k in range(1, n + 1):
         ours = [f.edges for f in enumerate_forests(n, k)]
@@ -97,6 +98,12 @@ def test_counts_match_formula():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert count_forests(n, k) == forest_count(n, k), (n, k)
+
+
+def test_count_is_length_of_stream():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert count_forests(n, k) == len(list(enumerate_forests(n, k))), (n, k)
 
 
 def test_stream_is_lexicographic_and_duplicate_free():
@@ -142,13 +149,33 @@ def test_rotation_perm_is_a_bijection_of_period_d():
 # ------------------------------------------------------- invariant streams
 
 
+def _per_forest_filter(n: int, k: int) -> dict[int, int]:
+    """Reference fixed-point counts: map every forest's chord indices
+    through each rotation and test membership in a set, one forest at a
+    time."""
+    index = {c: i for i, c in enumerate(chord_table(n))}
+    perms = {d: rotation_perm(n, n // d) for d in divisors(n) if d >= 2}
+    counts = dict.fromkeys(divisors(n), 0)
+    for f in enumerate_forests(n, k):
+        t = [index[e] for e in f.edges]
+        counts[1] += 1
+        ts = set(t)
+        for d, perm in perms.items():
+            for i in t:
+                if perm[i] not in ts:
+                    break
+            else:
+                counts[d] += 1
+    return counts
+
+
 def test_invariant_counts_batches_single_d_counts():
-    for n in range(1, 9):
+    for n in range(1, 10):
         for k in range(1, n + 1):
             batch = invariant_counts(n, k)
-            assert set(batch) == set(divisors(n))
+            assert batch == _per_forest_filter(n, k), (n, k)
             for d in divisors(n):
-                assert batch[d] == count_invariant(n, k, d), (n, k, d)
+                assert count_invariant(n, k, d) == batch[d], (n, k, d)
 
 
 def test_invariant_methods_agree():
