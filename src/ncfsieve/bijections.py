@@ -26,13 +26,25 @@ d = 2, component count odd
 The decompositions rederive every canonical choice from scratch and raise
 BijectionError when the input is not actually in the image. Round trips
 through both directions are checked exhaustively by the test suite.
+
+enumerate_images is the bijection count route: it builds every fixed forest
+of one cell from the small side and insists the images are distinct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forest import Chord, NonCrossingForest, chord, check_vertex, rotate_label
+from .enumeration import enumerate_forests
+from .forest import (
+    Chord,
+    NonCrossingForest,
+    check_d,
+    check_n,
+    check_vertex,
+    chord,
+    rotate_label,
+)
 
 
 class BijectionError(ValueError):
@@ -123,11 +135,8 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     equal, or if the self-mapped trees violate the parity theory (at most
     one, only when d = 2 and the component count is odd).
     """
-    if d < 2:
-        raise ValueError(f"tree extents need d >= 2, got {d}")
     n = forest.n
-    if n % d:
-        raise ValueError(f"d = {d} must divide n = {n}")
+    check_d(d, n, least=2)
     if not forest.is_d_invariant(d):
         raise BijectionError(f"forest is not invariant under rotation of order {d}")
     s = n // d
@@ -215,8 +224,7 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
     the good vertex of v's region).
     """
     check_vertex(v, phi.n)
-    if d < 2:
-        raise ValueError(f"construct_periodic needs d >= 2, got {d}")
+    check_d(d, d * phi.n, least=2)
     classes = classify_vertices(phi)
     if v not in classes.good:
         raise BijectionError(
@@ -238,10 +246,7 @@ def decompose_periodic(forest: NonCrossingForest, d: int) -> tuple[NonCrossingFo
     candidates.
     """
     n = forest.n
-    if d < 2:
-        raise ValueError(f"decompose_periodic needs d >= 2, got {d}")
-    if n % d:
-        raise ValueError(f"d = {d} must divide n = {n}")
+    check_d(d, n, least=2)
     if not forest.is_d_invariant(d):
         raise BijectionError(f"forest is not invariant under rotation of order {d}")
     k = forest.component_count()
@@ -330,8 +335,6 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
     the lower endpoint's neighbors in that half.
     """
     n = forest.n
-    if n % 2:
-        raise ValueError(f"half-turn decomposition needs even n, got {n}")
     if not forest.is_d_invariant(2):
         raise BijectionError("forest is not invariant under the half turn")
     k = forest.component_count()
@@ -403,3 +406,29 @@ def _scan_window_start(forest: NonCrossingForest, d: int) -> int:
         if all((a in window) == (b in window) for a, b in forest.edges):
             return w
     raise BijectionError("no edge-closed window found; forest is not periodic")
+
+
+def enumerate_images(n: int, k: int, d: int):
+    """Stream the forests in F(n, k) fixed by the rotation of order d >= 2,
+    sorted canonically: the bijection route. Every forest is built from
+    the small side through the structural map of its regime, and two
+    inputs with one image raise BijectionError. Nothing is yielded when
+    neither map applies, which is the claim that no fixed forest exists."""
+    check_n(n, k)
+    check_d(d, n, least=2)
+    out = []
+    if k % d == 0:
+        for phi in enumerate_forests(n // d, k // d):
+            for v in sorted(classify_vertices(phi).good):
+                out.append(construct_periodic(phi, v, d))
+    elif d == 2 and k % 2 == 1:
+        for phi in enumerate_forests(n // 2, (k + 1) // 2):
+            for mark in all_marks(phi):
+                out.append(construct_diameter(phi, mark))
+    out.sort(key=lambda f: f.edges)
+    for a, b in zip(out, out[1:]):
+        if a.edges == b.edges:
+            raise BijectionError(
+                f"bijection route hit a duplicate image at n={n}, k={k}, d={d}"
+            )
+    yield from out

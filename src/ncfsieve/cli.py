@@ -6,9 +6,11 @@ Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification ran and found a mismatch,
 2 for bad input, a size over a guard, or an arithmetic error (such as a
-division promised exact that left a remainder). The enumeration guard
-defaults to n <= 12 and is raised through the NCF_SIEVE_MAX_N environment
-variable; the q-polynomial commands are capped at n <= MAX_POLY_N.
+division promised exact that left a remainder). The bounds on n live with
+the count routes in sieving.ROUTES: the enumeration guard defaults to
+n <= 12 and is raised through the NCF_SIEVE_MAX_N environment variable, the
+q-polynomial commands are capped at n <= MAX_POLY_N and the closed form at
+n <= MAX_CLOSED_N.
 """
 
 from __future__ import annotations
@@ -20,31 +22,7 @@ import sys
 
 from . import __version__, bijections, enumeration, qpoly, sieving
 from .forest import NonCrossingForest
-
-ENV_MAX_N = "NCF_SIEVE_MAX_N"
-DEFAULT_MAX_N = 12
-MAX_POLY_N = 100
-
-
-def _size_guard(n: int) -> None:
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        cap = DEFAULT_MAX_N
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
-    if n > cap:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration guard ({cap}); "
-            f"set {ENV_MAX_N} higher to allow it"
-        )
-
-
-def _poly_guard(n: int) -> None:
-    if n > MAX_POLY_N:
-        raise ValueError(f"n = {n} exceeds the q-polynomial bound ({MAX_POLY_N})")
+from .sieving import ROUTES, poly_guard, size_guard
 
 
 def _read_forest(path: str) -> NonCrossingForest:
@@ -57,10 +35,11 @@ def _read_forest(path: str) -> NonCrossingForest:
 
 
 def _cmd_count(args) -> int:
+    ROUTES["closed"].guard(args.n)
     count = qpoly.forest_count(args.n, args.k)
     brute = None
     if args.brute:
-        _size_guard(args.n)
+        size_guard(args.n)
         brute = enumeration.count_forests(args.n, args.k)
     if args.json:
         out = {"n": args.n, "k": args.k, "count": count}
@@ -77,7 +56,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_qpoly(args) -> int:
-    _poly_guard(args.n)
+    poly_guard(args.n)
     poly = qpoly.forest_count_poly(args.n, args.k)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "coeffs": list(poly.coeffs)}))
@@ -89,7 +68,7 @@ def _cmd_qpoly(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _poly_guard(args.n)
+    poly_guard(args.n)
     pv = sieving.poly_eval(args.n, args.k, args.d)
     cf = sieving.closed_form_eval(args.n, args.k, args.d)
     agree = pv == cf
@@ -106,13 +85,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _size_guard(args.n)
     if args.invariant is None:
+        size_guard(args.n)
         stream = enumeration.enumerate_forests(args.n, args.k)
     else:
-        stream = enumeration.enumerate_invariant(
-            args.n, args.k, args.invariant, method=args.method
-        )
+        route = ROUTES[args.method]
+        route.guard(args.n)
+        stream = route.stream(args.n, args.k, args.invariant)
     if args.count:
         print(sum(1 for _ in stream))
         return 0
@@ -126,23 +105,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_fixed(args) -> int:
     n, k, d = args.n, args.k, args.d
-    method = args.method
-    if method == "closed":
-        count = sieving.closed_form_eval(n, k, d)
-    elif method == "poly":
-        _poly_guard(n)
-        count = sieving.poly_eval(n, k, d)
-    elif method == "filter":
-        _size_guard(n)
-        count = sieving.fixed_count_brute(n, k, d)
-    elif method == "bijection":
-        _size_guard(n)
-        count = sieving.fixed_count_bijection(n, k, d)
-    else:
-        _size_guard(n)
-        count = sum(1 for _ in enumeration.enumerate_invariant(n, k, d, method="orbit"))
+    route = ROUTES[args.method]
+    route.guard(n)
+    count = route.count(n, k, d)
     if args.json:
-        print(json.dumps({"n": n, "k": k, "d": d, "method": method, "count": count}))
+        print(json.dumps(
+            {"n": n, "k": k, "d": d, "method": args.method, "count": count}
+        ))
     else:
         print(count)
     return 0
@@ -188,14 +157,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _row_line(r: sieving.CspRow) -> str:
-    parts = [
-        f"n={r.n:<3d} k={r.k:<3d} d={r.d:<3d}",
-        f"brute={r.brute} poly={r.poly} closed={r.closed}",
-    ]
-    if r.bijection is not None:
-        parts.append(f"bijection={r.bijection}")
-    parts.append("ok" if r.agree else "MISMATCH")
-    return "  ".join(parts)
+    counts = " ".join(f"{key}={c}" for key, c in r.columns.items())
+    verdict = "ok" if r.agree else "MISMATCH"
+    return f"n={r.n:<3d} k={r.k:<3d} d={r.d:<3d}  {counts}  {verdict}"
 
 
 def _cmd_verify(args) -> int:
@@ -211,7 +175,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     ns = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
     for n in ns:
-        _size_guard(n)
+        size_guard(n)
     bij = not args.no_bijection
     if args.k is not None:
         cells = [(args.n, args.k, bij)]
@@ -240,6 +204,13 @@ def _cmd_verify(args) -> int:
         verdict = "all routes agree" if ok else f"{bad} MISMATCHES"
         print(f"{len(rows)} cells checked: {verdict}")
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -277,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--invariant", type=int, metavar="D",
                    help="only forests fixed by the rotation of order D")
-    p.add_argument("--method", choices=("orbit", "filter", "bijection"),
-                   default="orbit", help="route for --invariant")
+    p.add_argument("--method", default="orbit", help="route for --invariant",
+                   choices=[name for name, r in ROUTES.items() if r.stream])
     p.add_argument("--dot", action="store_true", help="Graphviz output instead of JSON")
     p.add_argument("--count", action="store_true", help="print only how many")
     p.set_defaults(func=_cmd_enumerate)
@@ -287,9 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--method",
-                   choices=("orbit", "filter", "bijection", "closed", "poly"),
-                   default="orbit")
+    p.add_argument("--method", choices=list(ROUTES), default="orbit")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fixed)
 
@@ -321,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--no-bijection", action="store_true",
                    help="skip the bijection route")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at most one per core and per cell")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

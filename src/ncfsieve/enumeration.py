@@ -25,28 +25,25 @@ reads the fixed completions off the mask.
 
 Rotation-fixed forests can additionally be generated directly by the same
 backtracking over whole chord orbits of the rotation subgroup, which stays
-cheap at sizes where filtering the full stream is hopeless. The test suite
-pins the orbit route, the filter route, and the route through the structural
-bijections to one another.
+cheap at sizes where filtering the full stream is hopeless. This orbit
+route and the fixed-point filter are two of the count routes in
+sieving.ROUTES.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .forest import Chord, NonCrossingForest, chord, crosses, rotate_label
-
-
-def _check_nk(n: int, k: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
-
-
-def _check_divisor(n: int, d: int) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1 or n % d:
-        raise ValueError(f"d = {d!r} must be a positive divisor of n = {n}")
+from .forest import (
+    Chord,
+    NonCrossingForest,
+    check_d,
+    check_n,
+    chord,
+    crosses,
+    rotate_label,
+    union_edges,
+)
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -114,6 +111,7 @@ def _leaf_groups(n: int, k: int):
     undo: list[tuple[int, int, int]] = []
     last = need - 2  # depth whose chosen chord leaves one to go
     stack = [full]  # candidate mask per depth
+    # Inline union-find: a root-find call per chord made this walk 6% slower.
     while stack:
         depth = len(stack) - 1
         cand = stack[-1]
@@ -167,7 +165,7 @@ def enumerate_forests(n: int, k: int):
     Deterministic: lexicographic in the canonical sorted edge list, no
     duplicates, nothing materialized.
     """
-    _check_nk(n, k)
+    check_n(n, k)
     if k == n:
         yield NonCrossingForest._unchecked(n, ())
         return
@@ -185,18 +183,10 @@ def enumerate_forests(n: int, k: int):
 def count_forests(n: int, k: int) -> int:
     """|F(n, k)| by the walk: the popcounts of the completing masks, with
     no forest built."""
-    _check_nk(n, k)
+    check_n(n, k)
     if k == n:
         return 1
     return sum(completing.bit_count() for _, completing in _leaf_groups(n, k))
-
-
-def count_invariant(n: int, k: int, d: int) -> int:
-    """Brute-force count of the forests in F(n, k) fixed by the rotation of
-    order d, read from invariant_counts."""
-    _check_nk(n, k)
-    _check_divisor(n, d)
-    return invariant_counts(n, k)[d]
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:
@@ -213,7 +203,7 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
     * otherwise none is, and the test stops at the second chord of S whose
       image is missing.
     """
-    _check_nk(n, k)
+    check_n(n, k)
     if k == n:
         return dict.fromkeys(divisors(n), 1)
     counts = dict.fromkeys(divisors(n), 0)
@@ -252,10 +242,11 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
 def _orbit_table(n: int, d: int):
     """Chord orbits under rotation by n/d steps, dropping orbits whose own
     members cross each other (no invariant forest can use them). Each entry
-    is (member indices, edge count, union of crossing masks, member mask),
-    sorted by minimal member."""
+    is (member indices, edge count, union of crossing masks, member mask,
+    member chords), sorted by minimal member."""
     perm = rotation_perm(n, n // d)
     cross = _cross_masks(n)
+    chords = chord_table(n)
     m = len(perm)
     seen = [False] * m
     orbits = []
@@ -275,7 +266,9 @@ def _orbit_table(n: int, d: int):
             cmask |= cross[j]
         if cmask & omask:
             continue
-        orbits.append((tuple(sorted(orb)), len(orb), cmask, omask))
+        members = tuple(sorted(orb))
+        ends = tuple(chords[j] for j in members)
+        orbits.append((members, len(orb), cmask, omask, ends))
     orbits.sort()
     return tuple(orbits)
 
@@ -292,49 +285,25 @@ def _iter_invariant_index_sets(n: int, k: int, d: int):
     suffix = [0] * (t + 1)
     for j in range(t - 1, -1, -1):
         suffix[j] = suffix[j + 1] + orbits[j][1]
-    chords = chord_table(n)
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     taken: list[tuple[int, ...]] = []
     edges_in = 0
     undo: list[tuple[int, int]] = []
-    # frame: [next orbit, banned mask, unions owned, edges owned]
-    stack: list[list] = [[0, 0, 0, 0]]
+    # frame: [next orbit, banned mask, edges owned]; each edge is one union.
+    # A frame that completes a forest yields it and is popped next round.
+    stack: list[list] = [[0, 0, 0]]
     while stack:
         frame = stack[-1]
         j, banned = frame[0], frame[1]
-        pushed = False
-        while j < t and suffix[j] >= need - edges_in:
-            members, sz, cmask, omask = orbits[j]
+        while edges_in < need and j < t and suffix[j] >= need - edges_in:
+            members, sz, cmask, omask, ends = orbits[j]
+            j += 1
             if sz > need - edges_in or banned & omask:
-                j += 1
                 continue
-            made = 0
-            ok = True
-            for idx in members:
-                u, v = chords[idx]
-                ru = u
-                while parent[ru] != ru:
-                    ru = parent[ru]
-                rv = v
-                while parent[rv] != rv:
-                    rv = parent[rv]
-                if ru == rv:
-                    ok = False
-                    break
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-                undo.append((rv, ru))
-                made += 1
-            if not ok:
-                for _ in range(made):
-                    rv, ru = undo.pop()
-                    size[ru] -= size[rv]
-                    parent[rv] = rv
-                j += 1
-                continue
+            if union_edges(parent, size, undo, ends) < sz:
+                continue  # the orbit closes a cycle, and nothing was joined
+            frame[0] = j
             taken.append(members)
             edges_in += sz
             if edges_in == need:
@@ -342,84 +311,31 @@ def _iter_invariant_index_sets(n: int, k: int, d: int):
                 for mem in taken:
                     out.extend(mem)
                 yield tuple(sorted(out))
-                for _ in range(made):
+            stack.append([j, banned | cmask, sz])
+            break
+        else:
+            stack.pop()
+            if frame[2]:
+                for _ in range(frame[2]):
                     rv, ru = undo.pop()
                     size[ru] -= size[rv]
                     parent[rv] = rv
                 taken.pop()
-                edges_in -= sz
-                j += 1
-                continue
-            frame[0] = j + 1
-            stack.append([j + 1, banned | cmask, made, sz])
-            pushed = True
-            break
-        if pushed:
-            continue
-        stack.pop()
-        if frame[2]:
-            for _ in range(frame[2]):
-                rv, ru = undo.pop()
-                size[ru] -= size[rv]
-                parent[rv] = rv
-            taken.pop()
-            edges_in -= frame[3]
+                edges_in -= frame[2]
 
 
-def enumerate_invariant(n: int, k: int, d: int, method: str = "orbit"):
-    """Stream the d-invariant forests in F(n, k), sorted canonically.
-
-    Three interchangeable routes, kept separate on purpose so they can be
-    played against each other:
-
-    * "orbit": direct generation over chord orbits (the default; fast).
-    * "filter": filter the full enumerate_forests stream by is_d_invariant.
-    * "bijection": build the set from the small side through the structural
-      bijections, with duplicate detection.
-    """
-    _check_nk(n, k)
-    _check_divisor(n, d)
-    if method == "orbit":
-        if d == 1:
-            yield from enumerate_forests(n, k)
-            return
-        chords = chord_table(n)
-        sets = sorted(
-            tuple(chords[i] for i in t) for t in _iter_invariant_index_sets(n, k, d)
-        )
-        for es in sets:
-            yield NonCrossingForest._unchecked(n, es)
-    elif method == "filter":
-        for f in enumerate_forests(n, k):
-            if f.is_d_invariant(d):
-                yield f
-    elif method == "bijection":
-        yield from _invariant_by_bijection(n, k, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-
-def _invariant_by_bijection(n: int, k: int, d: int):
-    from . import bijections
-
+def enumerate_invariant(n: int, k: int, d: int):
+    """Stream the forests in F(n, k) fixed by the rotation of order d,
+    sorted canonically: the orbit route. They are generated directly over
+    the chord orbits of the rotation; d = 1 is the plain enumeration."""
+    check_n(n, k)
+    check_d(d, n)
     if d == 1:
         yield from enumerate_forests(n, k)
         return
-    out = []
-    if k % d == 0:
-        small_n, small_k = n // d, k // d
-        for phi in enumerate_forests(small_n, small_k):
-            for v in sorted(bijections.classify_vertices(phi).good):
-                out.append(bijections.construct_periodic(phi, v, d))
-    elif d == 2 and k % 2 == 1:
-        small_n, small_k = n // 2, (k + 1) // 2
-        for phi in enumerate_forests(small_n, small_k):
-            for mark in bijections.all_marks(phi):
-                out.append(bijections.construct_diameter(phi, mark))
-    out.sort(key=lambda f: f.edges)
-    for a, b in zip(out, out[1:]):
-        if a.edges == b.edges:
-            raise bijections.BijectionError(
-                f"bijection route hit a duplicate image at n={n}, k={k}, d={d}"
-            )
-    yield from out
+    chords = chord_table(n)
+    sets = sorted(
+        tuple(chords[i] for i in t) for t in _iter_invariant_index_sets(n, k, d)
+    )
+    for es in sets:
+        yield NonCrossingForest._unchecked(n, es)

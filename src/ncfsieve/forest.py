@@ -25,9 +25,63 @@ def chord(u: int, v: int) -> Chord:
     return (u, v) if u < v else (v, u)
 
 
+# The argument checks every module shares. A bool is rejected wherever an
+# int is asked for, so True never stands in for 1.
+
+
+def check_n(n: int, k: int | None = None) -> None:
+    """Raise ValueError unless n is a positive integer and, when k is
+    given, 1 <= k <= n."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if k is None:
+        return
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
+
+
+def check_d(d: int, n: int, least: int = 1) -> None:
+    """Raise ValueError unless d is a divisor of the (already checked) n
+    with d >= least."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < least or n % d:
+        raise ValueError(f"d = {d!r} must be a divisor of n = {n} with d >= {least}")
+
+
 def check_vertex(x: int, n: int) -> None:
     if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
         raise ValueError(f"vertex {x!r} out of range 1..{n}")
+
+
+def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
+                edges) -> int:
+    """Join the ends of each edge in turn in a union-find kept as parent and
+    size lists, the smaller tree under the larger, pushing (child, root) on
+    undo per join, and return len(edges). At the first edge whose ends
+    already share a root, take back this call's joins instead and return
+    that edge's index.
+
+    No path compression, so popping undo and resetting parent[child] and
+    size[root] takes a join back exactly.
+    """
+    made = 0
+    for u, v in edges:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            for _ in range(made):
+                child, root = undo.pop()
+                size[root] -= size[child]
+                parent[child] = child
+            break
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
+        undo.append((v, u))
+        made += 1
+    return made
 
 
 def crosses(e1: Chord, e2: Chord, n: int) -> bool:
@@ -78,8 +132,7 @@ class NonCrossingForest:
     edges: tuple[Chord, ...]
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"circle size must be a positive integer, got {n!r}")
+        check_n(n)
         norm = sorted(chord(u, v) for (u, v) in edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
@@ -106,16 +159,9 @@ class NonCrossingForest:
             for j in range(i + 1, len(edges)):
                 if crosses(edges[i], edges[j], n):
                     raise ValueError(f"chords {edges[i]} and {edges[j]} cross")
-        parent = list(range(n + 1))
-        for (u, v) in edges:
-            ru, rv = u, v
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
-                raise ValueError(f"edge {(u, v)} closes a cycle")
-            parent[ru] = rv
+        joined = union_edges(list(range(n + 1)), [1] * (n + 1), [], edges)
+        if joined < len(edges):
+            raise ValueError(f"edge {edges[joined]} closes a cycle")
 
     # -- structure ---------------------------------------------------------
 
@@ -174,8 +220,7 @@ class NonCrossingForest:
 
         Requires d | n; d = 1 is always true.
         """
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1 or self.n % d:
-            raise ValueError(f"d = {d!r} must be a positive divisor of n = {self.n}")
+        check_d(d, self.n)
         return self.rotate(self.n // d) == self
 
     # -- serialization -----------------------------------------------------

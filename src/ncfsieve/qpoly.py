@@ -25,6 +25,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
+from .forest import check_n
+
 
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
@@ -227,13 +229,6 @@ class QPoly:
         return " ".join(parts)
 
 
-def _check_nk(n: int, k: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
-
-
 @lru_cache(maxsize=None)
 def q_int(a: int) -> QPoly:
     """The q-integer [a]_q = 1 + q + ... + q^(a-1); [0]_q is zero.
@@ -284,7 +279,7 @@ def q_binomial(a: int, b: int) -> QPoly:
 def forest_count(n: int, k: int) -> int:
     """Number of non-crossing forests on n vertices with k components:
     C(n, k-1) * C(3n-2k-1, n-k) / (2n-k), checked to divide exactly."""
-    _check_nk(n, k)
+    check_n(n, k)
     num = math.comb(n, k - 1) * math.comb(3 * n - 2 * k - 1, n - k)
     q, r = divmod(num, 2 * n - k)
     if r:
@@ -292,7 +287,9 @@ def forest_count(n: int, k: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
+# typed: forest_count_poly(2.0, 1) or (True, 1) must reach the check, not
+# the cached entry of (2, 1) or (1, 1).
+@lru_cache(maxsize=None, typed=True)
 def forest_count_poly(n: int, k: int) -> QPoly:
     """q-analogue of the forest count: the q-binomial product divided
     exactly by [2n-k]_q.
@@ -304,7 +301,7 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     >>> forest_count_poly(3, 1).coeffs
     (1, 0, 1, 0, 1)
     """
-    _check_nk(n, k)
+    check_n(n, k)
     num = q_binomial(n, k - 1) * q_binomial(3 * n - 2 * k - 1, n - k)
     f = QPoly(_div_q_int(num.coeffs, 2 * n - k))
     if any(c < 0 for c in f.coeffs):

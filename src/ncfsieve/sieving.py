@@ -1,35 +1,70 @@
 """The cyclic sieving check: independent counts of rotation-fixed forests.
 
 For each divisor d of n the forests fixed by the rotation of order d are
-counted four ways:
+counted five ways:
 
-* brute: filter the full enumeration of F(n, k),
-* poly: evaluate the count q-polynomial at a primitive d-th root of unity,
-* closed: a product formula with a case split on how d meets k,
+* orbit: generate the fixed forests directly over the chord orbits of the
+  rotation,
+* filter: filter the full enumeration of F(n, k),
 * bijection (d >= 2 only): actually build every fixed forest from the small
-  side through the structural maps and count distinct images.
+  side through the structural maps and count distinct images,
+* closed: a product formula with a case split on how d meets k,
+* poly: evaluate the count q-polynomial at a primitive d-th root of unity.
 
-Sieving holds when every route lands on the same integer for every d. The
-routes are deliberately kept separate; nothing here shares intermediate
-results between them.
+ROUTES is the one table of them: for each route its count of one cell, its
+stream of fixed forests when it has one, and the bound on n the command
+line puts on it. verify_csp, `ncfsieve fixed` and `ncfsieve enumerate` all
+read it. Sieving holds when every route lands on the same integer for every
+d. The routes share argument validation (forest.check_n, forest.check_d) and
+nothing else: no route reads another's intermediate results.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from . import enumeration
+from . import bijections, enumeration
+from .forest import NonCrossingForest, check_d, check_n
 from .qpoly import eval_at_root, forest_count, forest_count_poly
 
+ENV_MAX_N = "NCF_SIEVE_MAX_N"
+DEFAULT_MAX_N = 12
+MAX_POLY_N = 100
+# Every count at n <= 2000 stays far below Python's 4300-digit limit on
+# int-to-str conversion, and takes well under a second.
+MAX_CLOSED_N = 2000
 
-def _check_args(n: int, k: int, d: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1 or n % d:
-        raise ValueError(f"d = {d!r} must be a positive divisor of n = {n}")
+
+def size_guard(n: int) -> None:
+    """Bound on n for the routes that enumerate: DEFAULT_MAX_N, or the value
+    of the NCF_SIEVE_MAX_N environment variable."""
+    raw = os.environ.get(ENV_MAX_N)
+    if raw is None:
+        cap = DEFAULT_MAX_N
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+    if n > cap:
+        raise ValueError(
+            f"n = {n} exceeds the enumeration guard ({cap}); "
+            f"set {ENV_MAX_N} higher to allow it"
+        )
+
+
+def poly_guard(n: int) -> None:
+    if n > MAX_POLY_N:
+        raise ValueError(f"n = {n} exceeds the q-polynomial bound ({MAX_POLY_N})")
+
+
+def closed_guard(n: int) -> None:
+    if n > MAX_CLOSED_N:
+        raise ValueError(f"n = {n} exceeds the closed-form bound ({MAX_CLOSED_N})")
 
 
 def closed_form_eval(n: int, k: int, d: int) -> int:
@@ -42,7 +77,8 @@ def closed_form_eval(n: int, k: int, d: int) -> int:
     diameter foldings, counted by the marked forests on n/2 vertices. No
     other case admits a fixed forest.
     """
-    _check_args(n, k, d)
+    check_n(n, k)
+    check_d(d, n)
     if d == 1:
         return forest_count(n, k)
     if k % d == 0:
@@ -57,52 +93,87 @@ def closed_form_eval(n: int, k: int, d: int) -> int:
 def poly_eval(n: int, k: int, d: int) -> int:
     """The count q-polynomial of F(n, k) evaluated at a primitive d-th root
     of unity, computed exactly in the cyclotomic quotient ring."""
-    _check_args(n, k, d)
+    check_n(n, k)
+    check_d(d, n)
     value = eval_at_root(forest_count_poly(n, k), d)
     return value.as_integer()
 
 
 def fixed_count_brute(n: int, k: int, d: int) -> int:
-    _check_args(n, k, d)
-    return enumeration.count_invariant(n, k, d)
+    """The filter route's count of one cell, read from invariant_counts."""
+    check_n(n, k)
+    check_d(d, n)
+    return enumeration.invariant_counts(n, k)[d]
 
 
 def fixed_count_bijection(n: int, k: int, d: int) -> int:
     """Count fixed forests by building them all from the small side and
     checking the images are distinct. Zero when neither structural map
     applies (which is the claim that no fixed forest exists)."""
-    _check_args(n, k, d)
-    if d < 2:
-        raise ValueError("the structural maps need d >= 2")
-    return sum(1 for _ in enumeration.enumerate_invariant(n, k, d, method="bijection"))
+    return sum(1 for _ in bijections.enumerate_images(n, k, d))
+
+
+class Route(NamedTuple):
+    """One count route. least_d is the smallest d verify_csp reports it for."""
+
+    count: Callable[[int, int, int], int]
+    stream: Callable[[int, int, int], Iterator[NonCrossingForest]] | None
+    guard: Callable[[int], None]
+    least_d: int
+
+
+# Each count and stream looks its function up by module-level name at call
+# time, so whatever is bound to that name (a tracer's wrapper, say) is what
+# runs. Order is the column order of the report. The orbit route at d = 1 is the plain
+# enumeration, so verify_csp leaves it to the filter route there.
+ROUTES: dict[str, Route] = {
+    "filter": Route(
+        lambda n, k, d: fixed_count_brute(n, k, d),
+        lambda n, k, d: (
+            f for f in enumeration.enumerate_forests(n, k) if f.is_d_invariant(d)
+        ),
+        size_guard, 1,
+    ),
+    "poly": Route(lambda n, k, d: poly_eval(n, k, d), None, poly_guard, 1),
+    "closed": Route(lambda n, k, d: closed_form_eval(n, k, d), None, closed_guard, 1),
+    "bijection": Route(
+        lambda n, k, d: fixed_count_bijection(n, k, d),
+        lambda n, k, d: bijections.enumerate_images(n, k, d),
+        size_guard, 2,
+    ),
+    "orbit": Route(
+        lambda n, k, d: sum(1 for _ in enumeration.enumerate_invariant(n, k, d)),
+        lambda n, k, d: enumeration.enumerate_invariant(n, k, d),
+        size_guard, 2,
+    ),
+}
+
+# The report has always called the filter route's column "brute".
+_REPORT_KEYS = {"filter": "brute"}
 
 
 @dataclass(frozen=True)
 class CspRow:
-    """One (n, k, d) cell: every count route and whether they agree."""
+    """One (n, k, d) cell: the count of every route run on it, keyed by
+    route name in ROUTES order."""
 
     n: int
     k: int
     d: int
-    brute: int
-    poly: int
-    closed: int
-    bijection: int | None
-    agree: bool
+    counts: dict[str, int]
+
+    @property
+    def agree(self) -> bool:
+        return len(set(self.counts.values())) == 1
+
+    @property
+    def columns(self) -> dict[str, int]:
+        """The counts under their report names."""
+        return {_REPORT_KEYS.get(name, name): c for name, c in self.counts.items()}
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "brute": self.brute,
-            "poly": self.poly,
-            "closed": self.closed,
-        }
-        if self.bijection is not None:
-            out["bijection"] = self.bijection
-        out["agree"] = self.agree
-        return out
+        return {"n": self.n, "k": self.k, "d": self.d, **self.columns,
+                "agree": self.agree}
 
 
 @dataclass(frozen=True)
@@ -123,29 +194,26 @@ class CspReport:
 
 
 def verify_csp(n: int, k: int | None = None, *, bijection: bool = True) -> CspReport:
-    """Run every count route over all divisors of n, for one k or all of
-    them, and report cell by cell.
+    """Run every route of ROUTES over all divisors of n, for one k or all
+    of them, and report cell by cell.
 
-    The brute counts for all divisors come from a single enumeration pass
+    The filter counts for all divisors come from a single enumeration pass
     per k. Bijection counts can be switched off for speed; they are on by
     default because they are the only route that exhibits the fixed forests
-    rather than just counting them.
+    through the structural maps rather than by search.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n):
-        raise ValueError(f"k must satisfy 1 <= k <= n, got {k!r}")
-    ks = (k,) if k is not None else tuple(range(1, n + 1))
+    check_n(n, k)
+    routes = {name: r for name, r in ROUTES.items() if bijection or name != "bijection"}
     rows = []
-    for kk in ks:
-        counts = enumeration.invariant_counts(n, kk)
+    for kk in (k,) if k is not None else range(1, n + 1):
+        filtered = enumeration.invariant_counts(n, kk)
         for d in enumeration.divisors(n):
-            brute = counts[d]
-            poly = poly_eval(n, kk, d)
-            closed = closed_form_eval(n, kk, d)
-            bij = fixed_count_bijection(n, kk, d) if bijection and d >= 2 else None
-            ok = brute == poly == closed and (bij is None or bij == brute)
-            rows.append(CspRow(n, kk, d, brute, poly, closed, bij, ok))
+            counts = {
+                name: filtered[d] if name == "filter" else r.count(n, kk, d)
+                for name, r in routes.items()
+                if d >= r.least_d
+            }
+            rows.append(CspRow(n, kk, d, counts))
     return CspReport(n, tuple(rows))
 
 
@@ -159,10 +227,7 @@ def check_fixed_count_identity(np_: int, kp: int) -> bool:
     """The binomial identity behind the diameter count:
     C(n', k'-1) * C(3n'-2k', n'-k') == (3n'-2k') * |F(n', k')|.
     Exact integer arithmetic on both sides."""
-    if not isinstance(np_, int) or isinstance(np_, bool) or np_ < 1:
-        raise ValueError(f"n' must be a positive integer, got {np_!r}")
-    if not isinstance(kp, int) or isinstance(kp, bool) or not 1 <= kp <= np_:
-        raise ValueError(f"k' must satisfy 1 <= k' <= n', got {kp!r}")
+    check_n(np_, kp)
     lhs = comb(np_, kp - 1) * comb(3 * np_ - 2 * kp, np_ - kp)
     rhs = (3 * np_ - 2 * kp) * forest_count(np_, kp)
     return lhs == rhs

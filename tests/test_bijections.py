@@ -21,6 +21,7 @@ from ncfsieve.bijections import (
     construct_periodic,
     decompose_diameter,
     decompose_periodic,
+    enumerate_images,
     tree_extents,
 )
 from ncfsieve.enumeration import divisors, enumerate_forests, enumerate_invariant
@@ -85,7 +86,7 @@ def test_golden_tree_extents():
 def test_golden_complete_small_fiber():
     # all four forests in F(4, 1) fixed by the half turn, via the marks of
     # the single forest in F(2, 1)
-    imgs = sorted(f.edges for f in enumerate_invariant(4, 1, 2, method="bijection"))
+    imgs = sorted(f.edges for f in enumerate_images(4, 1, 2))
     assert imgs == sorted(
         [
             ((1, 2), (1, 3), (3, 4)),

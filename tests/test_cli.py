@@ -6,9 +6,10 @@ import json
 import pytest
 
 from ncfsieve import qpoly
-from ncfsieve.cli import MAX_POLY_N, main
+from ncfsieve.cli import main
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import ExactDivisionError, forest_count, forest_count_poly
+from ncfsieve.sieving import MAX_CLOSED_N, MAX_POLY_N
 
 
 def run(capsys, *argv):
@@ -34,6 +35,22 @@ def test_count_bad_args(capsys):
     code, _, err = run(capsys, "count", "5", "9")
     assert code == 2
     assert "error:" in err
+
+
+def test_closed_bound(capsys):
+    over = str(MAX_CLOSED_N + 1)
+    for argv in (("count", over, "3"), ("count", "200000", "3000"),
+                 ("fixed", over, "1", "1", "--method", "closed")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_CLOSED_N) in err
+
+    at = str(MAX_CLOSED_N)
+    code, out, _ = run(capsys, "count", at, "700")
+    assert code == 0 and out.strip() == str(forest_count(MAX_CLOSED_N, 700))
+    code, out, _ = run(capsys, "fixed", at, at, "2", "--method", "closed")
+    assert code == 0 and out.strip() == "1"
 
 
 def test_qpoly_plain_and_pretty(capsys):
@@ -90,6 +107,17 @@ def test_enumerate_invariant(capsys):
     for line in lines:
         f = NonCrossingForest.from_json(json.loads(line))
         assert f.is_d_invariant(2)
+
+
+def test_enumerate_bijection_rejects_d_1(capsys):
+    # the same refusal as `fixed 6 2 1 --method bijection`
+    for argv in (("enumerate", "6", "2", "--invariant", "1", "--method", "bijection",
+                  "--count"),
+                 ("fixed", "6", "2", "1", "--method", "bijection")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "d >= 2" in err
 
 
 def test_enumerate_dot(capsys):
@@ -239,6 +267,22 @@ def test_verify_workers_clamped(capsys, monkeypatch, cpus, argv, pool_size):
     assert json.loads(out) == json.loads(serial)
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_verify_rejects_workers_below_1(capsys, monkeypatch, workers):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "--workers", workers])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
+
+
 def test_size_guard(capsys, monkeypatch):
     # the guard covers enumeration work, not the closed formula
     monkeypatch.setenv("NCF_SIEVE_MAX_N", "6")
@@ -279,7 +323,7 @@ def test_poly_bound(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "fixed", at, at, "2", "--method", "poly")
     assert code == 0 and out.strip() == "1"
-    # the closed form is not a q-polynomial route and stays unbounded
+    # the closed form is not a q-polynomial route and has its own bound
     code, out, _ = run(capsys, "fixed", over, over, "1", "--method", "closed")
     assert code == 0 and out.strip() == "1"
 

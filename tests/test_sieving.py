@@ -1,12 +1,24 @@
-"""Fixed-point counts along every route, plus the closed-form case split."""
+"""Fixed-point counts along every route, plus the closed-form case split,
+and the argument checks every public entry point shares."""
 
 import json
 import time
+from collections.abc import Iterator
 
 import pytest
 
-from ncfsieve.qpoly import forest_count
+from ncfsieve.bijections import decompose_periodic, enumerate_images, tree_extents
+from ncfsieve.enumeration import (
+    count_forests,
+    divisors,
+    enumerate_forests,
+    enumerate_invariant,
+    invariant_counts,
+)
+from ncfsieve.forest import NonCrossingForest
+from ncfsieve.qpoly import forest_count, forest_count_poly
 from ncfsieve.sieving import (
+    ROUTES,
     CspReport,
     CspRow,
     check_fixed_count_identity,
@@ -68,13 +80,23 @@ def test_poly_eval_matches_closed_form_n40():
     assert elapsed < 20.0, f"poly route at n = 40 took {elapsed:.1f}s"
 
 
-def test_fixed_count_routes_agree_small():
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_every_route_matches_closed_form(name):
+    # A stream of distinct, d-invariant forests of F(n, k) as long as the
+    # fixed set is that fixed set, so the streams of all routes agree too.
+    route = ROUTES[name]
     for n in range(1, 9):
         for k in range(1, n + 1):
-            for d in (dd for dd in range(2, n + 1) if n % dd == 0):
-                brute = fixed_count_brute(n, k, d)
-                assert brute == closed_form_eval(n, k, d)
-                assert brute == fixed_count_bijection(n, k, d)
+            for d in (dd for dd in divisors(n) if dd >= route.least_d):
+                expected = closed_form_eval(n, k, d)
+                assert route.count(n, k, d) == expected, (name, n, k, d)
+                if route.stream is None:
+                    continue
+                forests = list(route.stream(n, k, d))
+                assert len(forests) == expected, (name, n, k, d)
+                assert len({f.edges for f in forests}) == expected
+                for f in forests:
+                    assert f.is_d_invariant(d) and len(f.edges) == n - k, (name, f)
 
 
 def test_fixed_count_bijection_rejects_identity_rotation():
@@ -84,17 +106,17 @@ def test_fixed_count_bijection_rejects_identity_rotation():
 
 def test_verify_csp_frozen_4_2():
     report = verify_csp(4, 2)
-    by_d = {row.d: row.brute for row in report.rows}
+    by_d = {row.d: row.counts["filter"] for row in report.rows}
     assert by_d == {1: 14, 2: 2, 4: 0}
     assert report.all_agree
 
 
 def test_verify_csp_frozen_6():
     report = verify_csp(6)
-    got = {(r.k, r.d): r.brute for r in report.rows if r.d == 2}
+    got = {(r.k, r.d): r.counts["filter"] for r in report.rows if r.d == 2}
     assert got == {(1, 2): 21, (2, 2): 9, (3, 2): 15, (4, 2): 6,
                    (5, 2): 3, (6, 2): 1}
-    assert {r.brute for r in report.rows if r.k == 6} == {1}
+    assert {r.counts["filter"] for r in report.rows if r.k == 6} == {1}
     assert report.all_agree
 
 
@@ -105,16 +127,17 @@ def test_verify_csp_row_shape():
         assert isinstance(row, CspRow)
         assert row.n == 6 and row.k == 3
         assert row.agree
-        assert row.brute == row.poly == row.closed
         if row.d == 1:
-            assert row.bijection is None
+            assert list(row.counts) == ["filter", "poly", "closed"]
         else:
-            assert row.bijection == row.brute
+            assert list(row.counts) == list(ROUTES)
+        assert len(set(row.counts.values())) == 1
 
 
 def test_verify_csp_no_bijection_flag():
     report = verify_csp(6, 2, bijection=False)
-    assert all(row.bijection is None for row in report.rows)
+    assert all("bijection" not in row.counts for row in report.rows)
+    assert all("orbit" in row.counts for row in report.rows if row.d >= 2)
     assert report.all_agree
 
 
@@ -126,11 +149,11 @@ def test_report_json_layout():
     assert [r["d"] for r in rows] == [1, 2, 4]
     for r in rows:
         keys = list(r)
-        assert keys[-1] == "agree"
         if r["d"] == 1:
-            assert "bijection" not in r
+            assert keys == ["n", "k", "d", "brute", "poly", "closed", "agree"]
         else:
-            assert keys.index("bijection") < keys.index("agree")
+            assert keys == ["n", "k", "d", "brute", "poly", "closed",
+                            "bijection", "orbit", "agree"]
     json.dumps(doc)  # must be serializable as-is
 
 
@@ -140,3 +163,61 @@ def test_fixed_count_identity():
     for np_ in range(1, 21):
         for kp in range(1, np_ + 1):
             assert check_fixed_count_identity(np_, kp), (np_, kp)
+
+
+def _consume(result):
+    """Run a call to the point where it validates: streams check their
+    arguments when the first item is asked for."""
+    if isinstance(result, Iterator):
+        next(result, None)
+
+
+# Every public entry point that takes (n, k, d), (n, k) or n, by arity.
+ENTRY_POINTS = [
+    (fn.__name__, fn, 3)
+    for fn in (enumerate_invariant, enumerate_images, closed_form_eval, poly_eval,
+               fixed_count_brute, fixed_count_bijection)
+] + [
+    (f"ROUTES[{name!r}].{part}", getattr(route, part), 3)
+    for name, route in ROUTES.items()
+    for part in ("count", "stream")
+    if getattr(route, part) is not None
+] + [
+    (fn.__name__, fn, 2)
+    for fn in (enumerate_forests, count_forests, invariant_counts, forest_count,
+               forest_count_poly, verify_csp, check_fixed_count_identity)
+] + [("NonCrossingForest", NonCrossingForest, 1)]
+
+# Entry points that take d with a forest on n = 6 vertices.
+D_ENTRY_POINTS = [
+    ("is_d_invariant", lambda f, d: f.is_d_invariant(d)),
+    ("tree_extents", tree_extents),
+    ("decompose_periodic", decompose_periodic),
+]
+
+
+def _bad_calls():
+    for name, fn, arity in ENTRY_POINTS:
+        for n in (0, True, 2.0):
+            yield name, fn, (n, 1, 1)[:arity], "n must be a positive integer"
+        if arity >= 2:
+            for k in (0, 7):
+                yield name, fn, (6, k, 1)[:arity], "k must satisfy 1 <= k <= n"
+        if arity == 3:
+            yield name, fn, (6, 2, 4), "d = 4 must be a divisor of n = 6"
+    forest = NonCrossingForest(6, [(1, 4)])
+    for name, fn in D_ENTRY_POINTS:
+        yield name, fn, (forest, 4), "d = 4 must be a divisor of n = 6"
+
+
+BAD_CALLS = list(_bad_calls())
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [call[1:] for call in BAD_CALLS],
+    ids=[f"{call[0]}{call[2]!r}" for call in BAD_CALLS],
+)
+def test_entry_points_share_argument_checks(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        _consume(fn(*args))
