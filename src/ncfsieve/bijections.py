@@ -156,8 +156,8 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
                 f"tree {tree} partially overlaps its rotation image"
             )
         pre = {rotate_label(x, -s, n) for x in comp}
-        first = _entry_vertex(sorted(tset | pre), pre, tset)
-        last = _exit_vertex(sorted(tset | image), tset, image)
+        first = _handoff(pre, tset, "entry")[1]
+        last = _handoff(tset, image, "exit")[0]
         extents.append(TreeExtent(tree, first, last, False))
     k = len(comps)
     if self_mapped_count == 0:
@@ -172,28 +172,15 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     return tuple(extents)
 
 
-def _entry_vertex(seq: list[int], pre: set[int], tree: set[int]) -> int:
-    hits = [
-        seq[(i + 1) % len(seq)]
-        for i in range(len(seq))
-        if seq[i] in pre and seq[(i + 1) % len(seq)] in tree
-    ]
+def _handoff(src: set[int], dst: set[int], kind: str) -> tuple[int, int]:
+    """The unique step (u, w) in circular order over the vertices of src
+    and dst that goes from u in src to w in dst; kind names the step in the
+    error raised when there is not exactly one."""
+    seq = sorted(src | dst)
+    hits = [(u, w) for u, w in zip(seq, seq[1:] + seq[:1]) if u in src and w in dst]
     if len(hits) != 1:
         raise BijectionError(
-            f"expected one entry transition in circular order, found {len(hits)}"
-        )
-    return hits[0]
-
-
-def _exit_vertex(seq: list[int], tree: set[int], image: set[int]) -> int:
-    hits = [
-        seq[i]
-        for i in range(len(seq))
-        if seq[i] in tree and seq[(i + 1) % len(seq)] in image
-    ]
-    if len(hits) != 1:
-        raise BijectionError(
-            f"expected one exit transition in circular order, found {len(hits)}"
+            f"expected one {kind} transition in circular order, found {len(hits)}"
         )
     return hits[0]
 

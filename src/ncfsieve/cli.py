@@ -10,7 +10,8 @@ division promised exact that left a remainder). The bounds on n live with
 the count routes in sieving.ROUTES: the enumeration guard defaults to
 n <= 12 and is raised through the NCF_SIEVE_MAX_N environment variable, the
 q-polynomial commands are capped at n <= MAX_POLY_N and the closed form at
-n <= MAX_CLOSED_N.
+n <= MAX_CLOSED_N. A forest that construct or decompose reads, or that
+construct builds, has at most MAX_FOREST_N vertices.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from . import __version__, bijections, enumeration, qpoly, sieving
 from .forest import NonCrossingForest
 from .sieving import ROUTES, poly_guard, size_guard
 
+# Building a forest checks every pair of its edges: a glued forest on 2000
+# vertices with 1000 edges takes most of a second.
+MAX_FOREST_N = 2000
+
+
+def _forest_guard(n: int) -> None:
+    if n > MAX_FOREST_N:
+        raise ValueError(f"n = {n} exceeds the forest bound ({MAX_FOREST_N})")
+
 
 def _read_forest(path: str) -> NonCrossingForest:
     if path == "-":
@@ -31,6 +41,9 @@ def _read_forest(path: str) -> NonCrossingForest:
     else:
         with open(path) as fh:
             data = json.load(fh)
+    n = data.get("n") if isinstance(data, dict) else None
+    if isinstance(n, int):
+        _forest_guard(n)
     return NonCrossingForest.from_json(data)
 
 
@@ -122,10 +135,12 @@ def _cmd_construct(args) -> int:
     if args.vertex is not None:
         if args.d is None:
             raise ValueError("--vertex needs --d (the fold multiplicity)")
+        _forest_guard(args.d * phi.n)
         image = bijections.construct_periodic(phi, args.vertex, args.d)
     else:
         if args.d not in (None, 2):
             raise ValueError("--mark implies d = 2")
+        _forest_guard(2 * phi.n)
         edge = None
         if args.mark_edge is not None:
             edge = (args.mark_edge[0], args.mark_edge[1])

@@ -8,13 +8,12 @@ zero remainder, never through rational arithmetic. "Evaluation at a
 primitive d-th root of unity" is performed exactly as reduction modulo the
 d-th cyclotomic polynomial; no floating point anywhere.
 
-Products of dense polynomials go through Kronecker substitution: both
-coefficient vectors are packed into one integer each, CPython multiplies the
-two, and the product is unpacked slot by slot (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44, 2009). Large quotients are only ever taken by a q-integer [m]_q, which
-takes one pass over the coefficients; long division is left to small
-divisors such as cyclotomic polynomials.
+Every q-polynomial is built from one primitive: multiply or divide by a
+q-integer [m]_q, each one pass over the coefficients. A q-binomial is a
+ladder of such steps, and the forest polynomial carries the same ladder
+from its first q-binomial through the second before the last division by
+[2n-k]_q, so no two dense polynomials are ever multiplied. Long division is
+left to small divisors such as cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -30,46 +29,6 @@ from .forest import check_n
 
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
-
-
-def _kron_offset(width: int, length: int) -> int:
-    """2**(8*width - 1) in each of `length` slots of `width` bytes."""
-    half = 1 << (8 * width - 1)
-    return int.from_bytes(half.to_bytes(width, "little") * length, "little")
-
-
-def _kron_pack(cs, width: int) -> int:
-    """The integer sum(c_i * 2**(8*width*i)) for signed coefficients c_i.
-
-    Each c_i is shifted up by half a slot so that its bytes can be laid out
-    directly; the shift is taken back off the packed integer in one
-    subtraction. A coefficient outside [-2**(8*width - 1), 2**(8*width - 1))
-    does not fit its slot and raises OverflowError.
-    """
-    half = 1 << (8 * width - 1)
-    raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
-    return int.from_bytes(raw, "little") - _kron_offset(width, len(cs))
-
-
-def _kron_unpack(value: int, width: int, length: int, bound: int) -> list[int]:
-    """Inverse of _kron_pack for `length` slots whose coefficients are
-    promised to lie in [-bound, bound].
-
-    Adding half a slot to every slot makes them all nonnegative, so the
-    bytes of the sum are the slots themselves. A slot that overflowed shows
-    as a sum outside the packed range or a coefficient past `bound`; both
-    raise OverflowError.
-    """
-    half = 1 << (8 * width - 1)
-    shifted = value + _kron_offset(width, length)
-    if shifted < 0 or shifted.bit_length() > 8 * width * length:
-        raise OverflowError(f"Kronecker product does not fit {length} slots of {width} bytes")
-    raw = shifted.to_bytes(width * length, "little")
-    out = [int.from_bytes(raw[i:i + width], "little") - half
-           for i in range(0, len(raw), width)]
-    if max(max(out), -min(out)) > bound:
-        raise OverflowError(f"Kronecker slot exceeds the coefficient bound {bound}")
-    return out
 
 
 def _mul_q_int(cs, m: int) -> list[int]:
@@ -145,18 +104,20 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product by Kronecker substitution. Every product coefficient is
-        bounded by max|a| * max|b| * min(len a, len b), and the slots are
-        one sign bit wider than that bound, so they cannot collide."""
+        """Product by the double loop over coefficient pairs, or by an
+        integer scalar. The package itself only scales: its q-polynomials
+        are built by [m]_q steps, and this product serves callers and
+        tests."""
         if isinstance(other, int):
             return QPoly(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly(())
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = bound.bit_length() // 8 + 1
-        value = _kron_pack(a, width) * _kron_pack(b, width)
-        return QPoly(_kron_unpack(value, width, len(a) + len(b) - 1, bound))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return QPoly(out)
 
     __rmul__ = __mul__
 
@@ -241,39 +202,36 @@ def q_int(a: int) -> QPoly:
     return QPoly((1,) * a)
 
 
-@lru_cache(maxsize=None)
-def q_factorial(a: int) -> QPoly:
-    """[a]_q! = [1]_q [2]_q ... [a]_q."""
-    if a < 0:
-        raise ValueError(f"q_factorial needs a >= 0, got {a}")
-    if a <= 1:
-        return QPoly((1,))
-    return q_factorial(a - 1) * q_int(a)
+def _times_q_binomial(cs, a: int, b: int) -> list[int]:
+    """Coefficients of P(q) * [a choose b]_q, where P has coefficients cs;
+    empty outside 0 <= b <= a.
+
+    Built by the ratio recurrence
+    [a-b+i choose i]_q = [a-b+i-1 choose i-1]_q * [a-b+i]_q / [i]_q for
+    i = 1 .. b, with b replaced by min(b, a - b). Every partial product is
+    P times a q-binomial, so coefficients stay as small as the answer's, and
+    each step is one multiplication and one division by a q-integer. Every
+    division is checked to leave no remainder, not assumed to.
+    """
+    if b < 0 or b > a:
+        return []
+    b = min(b, a - b)
+    cs = list(cs)
+    for i in range(1, b + 1):
+        cs = _div_q_int(_mul_q_int(cs, a - b + i), i)
+    return cs
 
 
 @lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q, zero outside 0 <= b <= a.
 
-    Built by the ratio recurrence
-    [a-b+i choose i]_q = [a-b+i choose i-1]_q * [a-b+i]_q / [i]_q for
-    i = 1 .. b, with b replaced by min(b, a - b). Every partial product is a
-    q-binomial, so coefficients stay as small as the answer's, and each
-    step is one multiplication and one division by a q-integer. Every
-    division is checked to leave no remainder, not assumed to.
-
     >>> q_binomial(4, 2).coeffs
     (1, 1, 2, 1, 1)
     """
     if a < 0:
         raise ValueError(f"q_binomial needs a >= 0, got {a}")
-    if b < 0 or b > a:
-        return QPoly(())
-    b = min(b, a - b)
-    cs = [1]
-    for i in range(1, b + 1):
-        cs = _div_q_int(_mul_q_int(cs, a - b + i), i)
-    return QPoly(cs)
+    return QPoly(_times_q_binomial([1], a, b))
 
 
 def forest_count(n: int, k: int) -> int:
@@ -294,16 +252,19 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     """q-analogue of the forest count: the q-binomial product divided
     exactly by [2n-k]_q.
 
-    Polynomiality and nonnegativity of the coefficients are theorems about
-    this quotient; both are enforced here so any arithmetic regression
-    surfaces as a hard error.
+    The small factor [n choose k-1]_q comes from the q_binomial table and
+    the large one [3n-2k-1 choose n-k]_q is multiplied into it by [m]_q
+    steps, never tabled on its own; starting from the small factor keeps
+    every step's polynomial short. Polynomiality and nonnegativity of the
+    coefficients are theorems about this quotient; both are enforced here
+    so any arithmetic regression surfaces as a hard error.
 
     >>> forest_count_poly(3, 1).coeffs
     (1, 0, 1, 0, 1)
     """
     check_n(n, k)
-    num = q_binomial(n, k - 1) * q_binomial(3 * n - 2 * k - 1, n - k)
-    f = QPoly(_div_q_int(num.coeffs, 2 * n - k))
+    num = _times_q_binomial(q_binomial(n, k - 1).coeffs, 3 * n - 2 * k - 1, n - k)
+    f = QPoly(_div_q_int(num, 2 * n - k))
     if any(c < 0 for c in f.coeffs):
         raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
     return f

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncfsieve.bijections import (
     BijectionError,
     Mark,
+    _handoff,
     _periodic_image,
     _scan_window_start,
     all_marks,
@@ -217,6 +218,17 @@ def test_tree_extents_rejects_d_1_and_non_invariant():
         tree_extents(F24, 1)
     with pytest.raises(BijectionError):
         tree_extents(NonCrossingForest(6, [(1, 2)]), 2)
+
+
+def test_handoff_is_the_one_step_between_sets():
+    assert _handoff({1, 2}, {3, 4}, "entry") == (2, 3)
+    assert _handoff({5, 6}, {1, 2}, "exit") == (6, 1)  # wraps past n
+    assert _handoff({4}, {1}, "exit") == (4, 1)
+    for kind in ("entry", "exit"):
+        with pytest.raises(BijectionError, match=f"one {kind} transition.*found 2"):
+            _handoff({1, 3}, {2, 4}, kind)
+        with pytest.raises(BijectionError, match=f"one {kind} transition.*found 0"):
+            _handoff({1}, set(), kind)
 
 
 # ------------------------------------------------------- structural lemmas

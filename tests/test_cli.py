@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from ncfsieve import qpoly
-from ncfsieve.cli import main
+from ncfsieve import bijections, qpoly
+from ncfsieve.cli import MAX_FOREST_N, main
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import ExactDivisionError, forest_count, forest_count_poly
 from ncfsieve.sieving import MAX_CLOSED_N, MAX_POLY_N
@@ -178,6 +178,48 @@ def test_construct_bad_vertex_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "--vertex", "3", "--d", "2")
     assert code == 2
     assert "error:" in err
+
+
+def test_construct_forest_bound(capsys, monkeypatch, tmp_path):
+    # the glued size is refused before any gluing starts
+    def no_gluing(*args):
+        raise AssertionError("glued past the forest bound")
+
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps({"n": 4, "edges": [[1, 2], [1, 3]]}))
+    monkeypatch.setattr(bijections, "construct_periodic", no_gluing)
+    for d in (str(MAX_FOREST_N), str(MAX_FOREST_N // 4 + 1)):
+        code, out, err = run(capsys, "construct", "--vertex", "1", "--d", d, str(src))
+        assert code == 2, d
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_FOREST_N) in err
+
+    half = MAX_FOREST_N // 2
+    src.write_text(json.dumps({"n": half + 1, "edges": []}))
+    monkeypatch.setattr(bijections, "construct_diameter", no_gluing)
+    code, out, err = run(capsys, "construct", "--mark", "1", str(src))
+    assert code == 2 and out == "" and str(MAX_FOREST_N) in err
+    monkeypatch.undo()
+
+    # exactly at the bound both maps still run
+    src.write_text(json.dumps({"n": half, "edges": [[1, 2]]}))
+    for argv in (("--vertex", "1", "--d", "2"), ("--mark", "1")):
+        code, out, _ = run(capsys, "construct", *argv, str(src))
+        assert code == 0, argv
+        assert json.loads(out)["n"] == MAX_FOREST_N
+
+
+def test_read_forest_bound(capsys, monkeypatch):
+    # an input over the bound is refused before it is validated: these
+    # chords cross, and the message must name the bound, not the crossing
+    over = {"n": MAX_FOREST_N + 1, "edges": [[1, 3], [2, 4]]}
+    for argv in (("decompose", "--d", "3"), ("construct", "--vertex", "1", "--d", "2")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(over)))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_FOREST_N) in err
+        assert "cross" not in err
 
 
 def test_decompose_malformed_json(capsys, monkeypatch):

@@ -21,7 +21,6 @@ from ncfsieve.qpoly import (
     is_symmetric,
     is_unimodal,
     q_binomial,
-    q_factorial,
     q_int,
     q_int_root_check,
     q_lucas,
@@ -103,30 +102,16 @@ wide_lists = st.lists(wide_coeffs, min_size=0, max_size=40)
 
 
 @given(wide_lists, wide_lists)
-def test_kronecker_product_matches_schoolbook(a, b):
+def test_product_matches_schoolbook(a, b):
     assert QPoly(tuple(a)) * QPoly(tuple(b)) == _schoolbook_mul(a, b)
 
 
-def test_kronecker_product_zero_and_units():
+def test_product_zero_and_units():
     big = QPoly((10**30, -(10**30), 1))
     assert (big * QPoly(())).is_zero()
     assert (QPoly(()) * big).is_zero()
     assert (big * QPoly((1,))) == big
     assert (big * QPoly((-1,))) == -big
-
-
-def test_kronecker_unpack_rejects_overflowed_slot():
-    width = 1  # slots hold -128 .. 127
-    value = qp._kron_pack([100, 5], width)
-    assert qp._kron_unpack(value, width, 2, 100) == [100, 5]
-    with pytest.raises(OverflowError):
-        qp._kron_unpack(value, width, 2, 99)  # a slot past the promised bound
-    with pytest.raises(OverflowError):
-        qp._kron_unpack(value + 300, width, 2, 100)  # slot 0 carried into slot 1
-    with pytest.raises(OverflowError):
-        qp._kron_unpack(value << 8, width, 2, 127)  # spills past the last slot
-    with pytest.raises(OverflowError):
-        qp._kron_pack([128], width)
 
 
 @given(wide_lists, st.integers(1, 25))
@@ -145,6 +130,14 @@ def test_div_q_int_rejects_perturbation(a, m, pos, delta):
     prod[pos] += delta
     with pytest.raises(ExactDivisionError):
         qp._div_q_int(prod, m)
+
+
+@given(wide_lists, st.integers(0, 14), st.integers(-2, 16))
+def test_times_q_binomial_matches_product(a, top, b):
+    # any start polynomial, not only [1]: the ratio ladder must divide
+    # exactly whatever it is carried through
+    p = QPoly(tuple(a))
+    assert QPoly(qp._times_q_binomial(p.coeffs, top, b)) == p * q_binomial(top, b)
 
 
 def test_div_q_int_edges():
@@ -213,13 +206,6 @@ def test_q_int_telescopes():
         lhs = q_int(a) * QPoly((-1, 1))
         rhs = QPoly(tuple([-1] + [0] * (a - 1) + [1]))
         assert lhs == rhs
-
-
-def test_q_factorial_degree_and_value():
-    for a in range(8):
-        p = q_factorial(a)
-        assert p.degree == a * (a - 1) // 2
-        assert p(1) == math.factorial(a)
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[int]:
@@ -398,6 +384,13 @@ def test_q_binomial_matches_factorial_quotient(a):
 def test_forest_count_poly_matches_reference(n):
     for k in range(1, n + 1):
         assert forest_count_poly(n, k) == _ref_forest_count_poly(n, k), (n, k)
+
+
+@pytest.mark.parametrize("k", (1, 20, 40, 60))
+def test_forest_count_poly_n60(k):
+    p = forest_count_poly(60, k)
+    assert p(1) == forest_count(60, k)
+    assert is_symmetric(p)
 
 
 def test_forest_count_poly_frozen():
