@@ -26,7 +26,7 @@ from .enumeration import (
     enumerate_invariant,
     invariant_counts,
 )
-from .forest import NonCrossingForest, chord, crosses, distance, rotate_label
+from .forest import NonCrossingForest, chord, crosses, rotate_label
 from .qpoly import (
     CyclotomicResidue,
     ExactDivisionError,
@@ -36,8 +36,6 @@ from .qpoly import (
     eval_at_root,
     forest_count,
     forest_count_poly,
-    is_symmetric,
-    is_unimodal,
     q_binomial,
     q_int,
     q_int_root_check,
@@ -78,7 +76,6 @@ __all__ = [
     "cyclotomic",
     "decompose_diameter",
     "decompose_periodic",
-    "distance",
     "divisors",
     "enumerate_forests",
     "enumerate_images",
@@ -89,8 +86,6 @@ __all__ = [
     "forest_count",
     "forest_count_poly",
     "invariant_counts",
-    "is_symmetric",
-    "is_unimodal",
     "poly_eval",
     "q_binomial",
     "q_int",

@@ -25,8 +25,11 @@ from . import __version__, bijections, enumeration, qpoly, sieving
 from .forest import NonCrossingForest
 from .sieving import ROUTES, poly_guard, size_guard
 
-# Building a forest checks every pair of its edges: a glued forest on 2000
-# vertices with 1000 edges takes most of a second.
+# Checking a forest is one pass over its sorted chords: 4 ms for a
+# 2000-vertex star on one core of a 2-core x86 machine. What still grows
+# quadratically is bijections.classify_vertices, which construct and
+# decompose run on the small forest: 0.11 s on 2000 vertices with 1000
+# edges, 14 s on 20000.
 MAX_FOREST_N = 2000
 
 
@@ -36,11 +39,14 @@ def _forest_guard(n: int) -> None:
 
 
 def _read_forest(path: str) -> NonCrossingForest:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("forest JSON nested too deeply") from None
     n = data.get("n") if isinstance(data, dict) else None
     if isinstance(n, int):
         _forest_guard(n)

@@ -103,17 +103,6 @@ def crosses(e1: Chord, e2: Chord, n: int) -> bool:
     return (a < c < b) != (a < d < b)
 
 
-def distance(u: int, v: int, n: int) -> int:
-    """Number of vertices passed walking clockwise from u to v, endpoints
-    included: the unique value in {1..n} congruent to v - u + 1 mod n.
-
-    distance(1, 1, 5) == 1, distance(1, 2, 5) == 2, distance(4, 2, 5) == 4.
-    """
-    check_vertex(u, n)
-    check_vertex(v, n)
-    return (v - u) % n + 1
-
-
 def rotate_label(x: int, s: int, n: int) -> int:
     """Label of vertex x after rotating s clockwise steps."""
     return (x - 1 + s) % n + 1
@@ -133,7 +122,14 @@ class NonCrossingForest:
 
     def __init__(self, n: int, edges=()):
         check_n(n)
-        norm = sorted(chord(u, v) for (u, v) in edges)
+        norm = []
+        for (u, v) in edges:
+            # Labels are checked before chord() compares them, so a label of
+            # the wrong type is reported as such, not as a TypeError.
+            check_vertex(u, n)
+            check_vertex(v, n)
+            norm.append(chord(u, v))
+        norm.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         self._validate()
@@ -148,17 +144,28 @@ class NonCrossingForest:
         return self
 
     def _validate(self) -> None:
+        """Reject duplicate, crossing or cycle-closing chords; __init__ has
+        already checked the labels.
+
+        One pass over the chords sorted by (u, -v) keeps a stack of the
+        chords still open, innermost on top, after popping those that end at
+        or before u. Chord (u, v) crosses exactly when v passes the top's
+        right end: by the sort order, a top with the same left end is at
+        least as long. Equal chords come out adjacent.
+        """
         n, edges = self.n, self.edges
-        for (u, v) in edges:
-            check_vertex(u, n)
-            check_vertex(v, n)
-        for i in range(1, len(edges)):
-            if edges[i - 1] == edges[i]:
-                raise ValueError(f"duplicate edge {edges[i]}")
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if crosses(edges[i], edges[j], n):
-                    raise ValueError(f"chords {edges[i]} and {edges[j]} cross")
+        open_: list[Chord] = []
+        prev = None
+        for e in sorted(edges, key=lambda c: (c[0], -c[1])):
+            if e == prev:
+                raise ValueError(f"duplicate edge {e}")
+            prev = e
+            u, v = e
+            while open_ and open_[-1][1] <= u:
+                open_.pop()
+            if open_ and v > open_[-1][1]:
+                raise ValueError(f"chords {open_[-1]} and {e} cross")
+            open_.append(e)
         joined = union_edges(list(range(n + 1)), [1] * (n + 1), [], edges)
         if joined < len(edges):
             raise ValueError(f"edge {edges[joined]} closes a cycle")
@@ -167,35 +174,20 @@ class NonCrossingForest:
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, ordered by minimal label."""
-        adj: dict[int, list[int]] = {x: [] for x in range(1, self.n + 1)}
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        comps = []
-        seen: set[int] = set()
-        for x in range(1, self.n + 1):
-            if x in seen:
-                continue
-            comp = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for z in adj[y]:
-                    if z not in comp:
-                        comp.add(z)
-                        stack.append(z)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
+        n = self.n
+        parent = list(range(n + 1))
+        union_edges(parent, [1] * (n + 1), [], self.edges)
+        groups: dict[int, list[int]] = {}
+        for x in range(1, n + 1):
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(x)
+        return tuple(frozenset(g) for g in groups.values())
 
     def component_count(self) -> int:
-        """Number of connected components (equals n - |edges| for a forest)."""
-        return len(self.components())
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        check_vertex(x, self.n)
-        out = [v if u == x else u for (u, v) in self.edges if x in (u, v)]
-        return tuple(sorted(out))
+        """Number of connected components: n - |edges|, as for any forest."""
+        return self.n - len(self.edges)
 
     # -- symmetry ----------------------------------------------------------
 

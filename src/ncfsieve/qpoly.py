@@ -429,19 +429,3 @@ def q_int_root_check(a: int, b: int, d: int) -> QIntRootCheck:
 
     return QIntRootCheck(a, b, d, mult_a, mult_b, simple_zero_ok,
                          unit_value_ok, ratio_ok)
-
-
-def is_symmetric(p: QPoly) -> bool:
-    """Palindromic coefficient sequence."""
-    return p.coeffs == p.coeffs[::-1]
-
-
-def is_unimodal(p: QPoly) -> bool:
-    """Coefficients rise (weakly) then fall (weakly)."""
-    cs = p.coeffs
-    i = 0
-    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
-        i += 1
-    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
-        i += 1
-    return i >= len(cs) - 1

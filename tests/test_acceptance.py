@@ -80,6 +80,7 @@ def test_criterion_3_round_trips():
                     ) == (phi, mark)
                     small_checked += 1
     elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"round trips took {elapsed:.1f}s"
     print(f"PASS criterion 3: round trips exact both ways "
           f"({big_checked} invariant forests n<=12, {small_checked} "
           f"constructions from n'<=6), {elapsed:.1f}s")
@@ -149,5 +150,6 @@ def test_criterion_7_structure():
                         assert not sm and k % d == 0
                         assert _scan_window_start(big, d) == raycast_window_start(big, d)
     elapsed = time.perf_counter() - t0
+    assert elapsed < 15.0, f"orbit structure checks took {elapsed:.1f}s"
     print(f"PASS criterion 7: orbit structure of trees as expected on "
           f"{forests} invariant forests n<=12, {elapsed:.1f}s")

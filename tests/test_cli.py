@@ -229,6 +229,26 @@ def test_decompose_malformed_json(capsys, monkeypatch):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("label, shown", [("a", "'a'"), (None, "None"), ([1], "[1]")])
+def test_non_integer_label_exits_2(capsys, monkeypatch, label, shown):
+    doc = json.dumps({"n": 4, "edges": [[label, 3]]})
+    for argv in (("decompose", "--d", "2"), ("construct", "--vertex", "1", "--d", "2")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: vertex {shown} out of range 1..4\n"
+
+
+def test_deeply_nested_json_exits_2(capsys, monkeypatch):
+    for argv in (("decompose", "--d", "2"), ("construct", "--vertex", "1", "--d", "2")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: forest JSON nested too deeply\n"
+
+
 def test_verify_plain(capsys):
     code, out, _ = run(capsys, "verify", "6")
     assert code == 0

@@ -1,9 +1,12 @@
 """Chord-diagram model: validation, crossing geometry, rotation."""
 
 import json
+import time
+from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncfsieve.forest import (
@@ -11,7 +14,6 @@ from ncfsieve.forest import (
     chord,
     check_vertex,
     crosses,
-    distance,
     rotate_label,
 )
 
@@ -32,14 +34,6 @@ def test_check_vertex():
     for bad in (0, 5, -1, True, 1.0, "2"):
         with pytest.raises(ValueError):
             check_vertex(bad, 4)
-
-
-def test_distance_convention():
-    # clockwise walk length counting the arrival vertex
-    assert distance(1, 1, 4) == 1
-    assert distance(1, 2, 4) == 2
-    assert distance(2, 1, 4) == 4
-    assert distance(4, 1, 4) == 2
 
 
 def test_rotate_label_convention():
@@ -123,6 +117,93 @@ def test_rejects_out_of_range():
         NonCrossingForest(0, [])
 
 
+def _pair(n):
+    return st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+
+
+def _chord_lists(max_n=12):
+    """A circle size and a list of label pairs on it, in any orientation."""
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(_pair(n), max_size=8)))
+
+
+def _near_forests(max_n=12):
+    """A forest kept greedily from random pairs (each pair is kept when the
+    pairwise and networkx checks allow it), maybe with one more random pair
+    put in at a random place, so large valid and nearly valid inputs are
+    common."""
+    def keep(case):
+        n, pairs, extra, at = case
+        kept = []
+        graph = nx.Graph()
+        for u, v in pairs:
+            c = chord(u, v)
+            if graph.has_node(u) and graph.has_node(v) and nx.has_path(graph, u, v):
+                continue
+            if any(crosses(c, chord(*p), n) for p in kept):
+                continue
+            kept.append((u, v))
+            graph.add_edge(u, v)
+        if extra is not None:
+            kept.insert(at % (len(kept) + 1), extra)
+        return n, kept
+
+    return st.integers(2, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(_pair(n), min_size=n, max_size=4 * n),
+        st.none() | _pair(n),
+        st.integers(0, 4 * n),
+    )).map(keep)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_chord_lists(), _near_forests()))
+@example((6, [(1, 3), (1, 5), (2, 3)]))  # nested, shared left end: valid
+@example((6, [(1, 4), (1, 6), (2, 5)]))  # (1,4) and (2,5) cross
+@example((6, [(1, 5), (3, 5), (2, 4)]))  # (3,5) and (2,4) cross
+@example((5, [(1, 3), (3, 1)]))  # a reversed duplicate
+@example((5, [(2, 4), (1, 5), (2, 4)]))  # duplicate inside a chord
+@example((8, [(1, 8), (1, 2), (2, 8)]))  # cycle, no crossing
+def test_check_matches_pairwise_oracle(case):
+    # accepted exactly when the normalized chords are distinct, no pair
+    # crosses and networkx sees no cycle; components as networkx finds them
+    n, pairs = case
+    chords = [chord(u, v) for u, v in pairs]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, n + 1))
+    graph.add_edges_from(chords)
+    valid = (
+        len(set(chords)) == len(chords)
+        and not any(crosses(a, b, n) for a, b in combinations(chords, 2))
+        and nx.is_forest(graph)
+    )
+    try:
+        f = NonCrossingForest(n, iter(pairs))
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert f.edges == tuple(sorted(chords))
+    expected = sorted((frozenset(c) for c in nx.connected_components(graph)), key=min)
+    assert f.components() == tuple(expected)
+    assert f.component_count() == len(expected)
+
+
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_large_forest_builds_fast(shape):
+    # checking every pair of chords took about 2.4 s on each of these
+    n = 2000
+    if shape == "star":
+        edges = [(1, v) for v in range(2, n + 1)]
+    else:
+        edges = [(v, v + 1) for v in range(1, n)]
+    t0 = time.perf_counter()
+    f = NonCrossingForest(n, edges)
+    elapsed = time.perf_counter() - t0
+    assert f.component_count() == 1 and len(f.components()) == 1
+    assert elapsed < 0.5, f"{shape} on {n} vertices took {elapsed:.2f}s"
+
+
 def test_edges_sorted_canonically():
     f = NonCrossingForest(6, [(5, 6), (1, 2), (3, 4)])
     assert f.edges == ((1, 2), (3, 4), (5, 6))
@@ -139,15 +220,12 @@ def test_equality_and_hash():
 # ---------------------------------------------------------------- structure
 
 
-def test_components_and_neighbors():
+def test_components_by_least_label():
     f = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
-    comps = f.components()
-    assert comps[0] == frozenset({1, 2, 8})
-    assert frozenset({3, 4, 7}) in comps
-    assert frozenset({5}) in comps
+    assert f.components() == tuple(map(frozenset, (
+        {1, 2, 8}, {3, 4, 7}, {5}, {6}, {9, 11}, {10}, {12},
+    )))
     assert f.component_count() == 7
-    assert f.neighbors(1) == (2, 8)
-    assert f.neighbors(5) == ()
 
 
 def test_component_count_is_n_minus_edges():

@@ -18,8 +18,6 @@ from ncfsieve.qpoly import (
     eval_at_root,
     forest_count,
     forest_count_poly,
-    is_symmetric,
-    is_unimodal,
     q_binomial,
     q_int,
     q_int_root_check,
@@ -69,6 +67,22 @@ def _ref_forest_count_poly(n: int, k: int) -> QPoly:
     num = _schoolbook_mul(_ref_q_binomial(n, k - 1).coeffs,
                           _ref_q_binomial(3 * n - 2 * k - 1, n - k).coeffs)
     return num.exact_div(q_int(2 * n - k))
+
+
+def is_symmetric(p: QPoly) -> bool:
+    """Palindromic coefficient sequence."""
+    return p.coeffs == p.coeffs[::-1]
+
+
+def is_unimodal(p: QPoly) -> bool:
+    """Coefficients rise (weakly) then fall (weakly)."""
+    cs = p.coeffs
+    i = 0
+    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
+        i += 1
+    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
+        i += 1
+    return i >= len(cs) - 1
 
 
 # ---------------------------------------------------------------- QPoly core
