@@ -44,7 +44,6 @@ from .qpoly import (
 from .sieving import (
     CspReport,
     CspRow,
-    check_fixed_count_identity,
     closed_form_eval,
     fixed_count_bijection,
     fixed_count_brute,
@@ -65,7 +64,6 @@ __all__ = [
     "TreeExtent",
     "VertexClass",
     "all_marks",
-    "check_fixed_count_identity",
     "chord",
     "classify_vertices",
     "closed_form_eval",

@@ -43,6 +43,7 @@ from .forest import (
     check_n,
     check_vertex,
     chord,
+    innermost_chords,
     rotate_label,
 )
 
@@ -80,34 +81,26 @@ class TreeExtent:
     self_mapped: bool
 
 
-def _scan_key(n: int):
-    """Sort key for the canonical counterclockwise scan from vertex 1:
-    order 1, n, n-1, ..., 2."""
-    return lambda v: (1 - v) % n
-
-
 def classify_vertices(phi: NonCrossingForest) -> VertexClass:
     """Split the vertices of phi into good and bad.
 
     Two vertices are equivalent when no chord of phi separates the circular
     gap just before one from the gap just before the other; the classes are
-    the regions the chords cut the disk into. The good vertex of a region is
-    the first one the scan 1, n, n-1, ..., 2 meets. A forest with e edges
-    has exactly e + 1 good vertices.
+    the regions the chords cut the disk into, told apart by the innermost
+    chord over the gap. The good vertex of a region is the first one the
+    scan 1, n, n-1, ..., 2 meets. A forest with e edges has exactly e + 1
+    good vertices.
     """
     n = phi.n
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(1, n + 1):
-        sig = frozenset(
-            i for i, (a, b) in enumerate(phi.edges) if a < v <= b
-        )
-        groups.setdefault(sig, []).append(v)
-    if len(groups) != len(phi.edges) + 1:
+    inner = innermost_chords(n, phi.edges)
+    first: dict[Chord | None, int] = {}
+    for v in (1, *range(n, 1, -1)):
+        first.setdefault(inner[v - 1], v)
+    if len(first) != len(phi.edges) + 1:
         raise BijectionError(
-            f"expected {len(phi.edges) + 1} vertex regions, found {len(groups)}"
+            f"expected {len(phi.edges) + 1} vertex regions, found {len(first)}"
         )
-    key = _scan_key(n)
-    good = frozenset(min(vs, key=key) for vs in groups.values())
+    good = frozenset(first.values())
     return VertexClass(good=good, bad=frozenset(range(1, n + 1)) - good)
 
 
@@ -243,18 +236,13 @@ def decompose_periodic(forest: NonCrossingForest, d: int) -> tuple[NonCrossingFo
             "this is the diameter regime, not the periodic one"
         )
     np_ = n // d
+    # Each copy of phi's vertex x sits at a label congruent to x mod n/d.
     start = _scan_window_start(forest, d)
-    j1 = (1 - start) % n
-    if j1 >= np_:
-        raise BijectionError("canonical window drifted outside the first period")
-    v = (-j1) % np_ + 1
-    window = {(start - 1 + i) % n + 1 for i in range(np_)}
+    v = (start - 1) % np_ + 1
     edges = []
     for a, b in forest.edges:
-        if a in window and b in window:
-            qa = (a - start) % n
-            qb = (b - start) % n
-            edges.append(chord((v - 1 + qa) % np_ + 1, (v - 1 + qb) % np_ + 1))
+        if (a - start) % n < np_ and (b - start) % n < np_:
+            edges.append(chord((a - 1) % np_ + 1, (b - 1) % np_ + 1))
     if len(edges) * d != len(forest.edges):
         raise BijectionError(
             f"window holds {len(edges)} edges, expected {len(forest.edges)}/{d}"
@@ -354,18 +342,12 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
             qa, qc = qc, qa
         if (qa, qc) == (0, np_):
             continue
-        if 1 <= qa and qc <= np_ - 1:
+        if qc < np_:  # within the right half; lab(0) is v
             edges.append(chord(lab(qa), lab(qc)))
-        elif qa == 0 and qc <= np_ - 1:
-            edges.append(chord(v, lab(qc)))
-        elif 1 <= qa <= np_ - 1 and qc == np_:
+        elif qc == np_:  # from the right half to the lower end
             edges.append(chord(v, lab(qa)))
             lower_offsets.append(qa)
-        elif qa >= np_:
-            continue
-        elif qa in (0, np_) and qc >= np_ + 1:
-            continue
-        else:
+        elif 0 < qa < np_:  # from the right half to the left one
             raise BijectionError(
                 f"edge {(a, b)} joins the halves away from the diameter"
             )
@@ -383,14 +365,16 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
 
 def _scan_window_start(forest: NonCrossingForest, d: int) -> int:
     """First vertex w in scan order whose window of n/d consecutive vertices
-    no edge enters or leaves. Invariance puts a hit among the first n/d
-    candidates; running out means the forest was not actually periodic."""
+    no edge enters or leaves. An edge does so exactly when it separates the
+    gap before w from the gap before w + n/d, so the two gaps must share a
+    region. Invariance puts a hit among the first n/d candidates; running
+    out means the forest was not actually periodic."""
     n = forest.n
     np_ = n // d
+    inner = innermost_chords(n, forest.edges)
     for t in range(np_):
         w = (-t) % n + 1
-        window = {(w - 1 + i) % n + 1 for i in range(np_)}
-        if all((a in window) == (b in window) for a, b in forest.edges):
+        if inner[w - 1] == inner[(w - 1 + np_) % n]:
             return w
     raise BijectionError("no edge-closed window found; forest is not periodic")
 
@@ -400,7 +384,9 @@ def enumerate_images(n: int, k: int, d: int):
     sorted canonically: the bijection route. Every forest is built from
     the small side through the structural map of its regime, and two
     inputs with one image raise BijectionError. Nothing is yielded when
-    neither map applies, which is the claim that no fixed forest exists."""
+    neither map applies, which is the claim that no fixed forest exists.
+    The images are held and sorted because the sort is the distinctness
+    check; the enumeration guard bounds how many there are."""
     check_n(n, k)
     check_d(d, n, least=2)
     out = []

@@ -325,17 +325,16 @@ def _iter_invariant_index_sets(n: int, k: int, d: int):
 
 
 def enumerate_invariant(n: int, k: int, d: int):
-    """Stream the forests in F(n, k) fixed by the rotation of order d,
-    sorted canonically: the orbit route. They are generated directly over
-    the chord orbits of the rotation; d = 1 is the plain enumeration."""
+    """Stream the forests in F(n, k) fixed by the rotation of order d: the
+    orbit route. They are generated directly over the chord orbits of the
+    rotation and yielded as found, in the walk's deterministic order: by
+    orbit choice, each orbit taken or skipped in order of least member
+    chord. d = 1 is the plain enumeration, in lexicographic order."""
     check_n(n, k)
     check_d(d, n)
     if d == 1:
         yield from enumerate_forests(n, k)
         return
     chords = chord_table(n)
-    sets = sorted(
-        tuple(chords[i] for i in t) for t in _iter_invariant_index_sets(n, k, d)
-    )
-    for es in sets:
-        yield NonCrossingForest._unchecked(n, es)
+    for t in _iter_invariant_index_sets(n, k, d):
+        yield NonCrossingForest._unchecked(n, tuple(chords[i] for i in t))

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-BASE_VERTEX = 1
-
 Chord = tuple[int, int]
 
 
@@ -103,6 +101,40 @@ def crosses(e1: Chord, e2: Chord, n: int) -> bool:
     return (a < c < b) != (a < d < b)
 
 
+def innermost_chords(n: int, edges) -> list[Chord | None]:
+    """Entry g is the innermost chord (a, b) with a <= g < b, the closest
+    over the gap just before vertex g + 1, or None; edges are normalized
+    chords on 1..n. Chords over one gap nest, so two gaps share a region of
+    the disk exactly when their entries are equal.
+
+    The walk over g keeps the open chords on a stack, innermost on top. It
+    pops those that end by g and pushes those that start at g, longest
+    first, so a pushed chord crosses exactly when it ends past the top and
+    duplicates the top when equal to it; either raises ValueError.
+
+    >>> innermost_chords(6, [(1, 4), (2, 4), (5, 6)])
+    [None, (1, 4), (2, 4), (2, 4), None, (5, 6)]
+    """
+    todo = sorted(edges, key=lambda c: (c[0], -c[1]), reverse=True)
+    open_: list[Chord | None] = [None]
+    inner: list[Chord | None] = []
+    top = None
+    for g in range(n):
+        while top and top[1] <= g:
+            open_.pop()
+            top = open_[-1]
+        while todo and todo[-1][0] == g:
+            e = todo.pop()
+            if e == top:
+                raise ValueError(f"duplicate edge {e}")
+            if top and e[1] > top[1]:
+                raise ValueError(f"chords {top} and {e} cross")
+            open_.append(e)
+            top = e
+        inner.append(top)
+    return inner
+
+
 def rotate_label(x: int, s: int, n: int) -> int:
     """Label of vertex x after rotating s clockwise steps."""
     return (x - 1 + s) % n + 1
@@ -144,28 +176,10 @@ class NonCrossingForest:
         return self
 
     def _validate(self) -> None:
-        """Reject duplicate, crossing or cycle-closing chords; __init__ has
-        already checked the labels.
-
-        One pass over the chords sorted by (u, -v) keeps a stack of the
-        chords still open, innermost on top, after popping those that end at
-        or before u. Chord (u, v) crosses exactly when v passes the top's
-        right end: by the sort order, a top with the same left end is at
-        least as long. Equal chords come out adjacent.
-        """
+        """Reject duplicate and crossing chords by the chord sweep, then
+        cycle-closing ones by union-find; __init__ checked the labels."""
         n, edges = self.n, self.edges
-        open_: list[Chord] = []
-        prev = None
-        for e in sorted(edges, key=lambda c: (c[0], -c[1])):
-            if e == prev:
-                raise ValueError(f"duplicate edge {e}")
-            prev = e
-            u, v = e
-            while open_ and open_[-1][1] <= u:
-                open_.pop()
-            if open_ and v > open_[-1][1]:
-                raise ValueError(f"chords {open_[-1]} and {e} cross")
-            open_.append(e)
+        innermost_chords(n, edges)
         joined = union_edges(list(range(n + 1)), [1] * (n + 1), [], edges)
         if joined < len(edges):
             raise ValueError(f"edge {edges[joined]} closes a cycle")

@@ -221,13 +221,3 @@ def _verify_cell(cell: tuple[int, int, bool]) -> CspReport:
     """Module-level wrapper so process pools can map over (n, k) cells."""
     n, k, bijection = cell
     return verify_csp(n, k, bijection=bijection)
-
-
-def check_fixed_count_identity(np_: int, kp: int) -> bool:
-    """The binomial identity behind the diameter count:
-    C(n', k'-1) * C(3n'-2k', n'-k') == (3n'-2k') * |F(n', k')|.
-    Exact integer arithmetic on both sides."""
-    check_n(np_, kp)
-    lhs = comb(np_, kp - 1) * comb(3 * np_ - 2 * kp, np_ - kp)
-    rhs = (3 * np_ - 2 * kp) * forest_count(np_, kp)
-    return lhs == rhs

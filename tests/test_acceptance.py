@@ -21,7 +21,7 @@ from ncfsieve.bijections import (
 )
 from ncfsieve.enumeration import count_forests, divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.qpoly import eval_at_root, forest_count, forest_count_poly, q_binomial, q_lucas
-from ncfsieve.sieving import check_fixed_count_identity, verify_csp
+from ncfsieve.sieving import verify_csp
 from window_oracle import raycast_window_start
 
 
@@ -119,12 +119,12 @@ def test_criterion_6_identity():
     t0 = time.perf_counter()
     for np_ in range(1, 51):
         for kp in range(1, np_ + 1):
-            assert check_fixed_count_identity(np_, kp), (np_, kp)
             lhs = math.comb(np_, kp - 1) * math.comb(3 * np_ - 2 * kp, np_ - kp)
             assert lhs == (3 * np_ - 2 * kp) * forest_count(np_, kp) or (
                 3 * np_ - 2 * kp == 0 and lhs == 0
             )
     elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"identity sweep took {elapsed:.1f}s"
     print(f"PASS criterion 6: marked-count identity holds for all n'<=50, "
           f"{elapsed:.1f}s")
 

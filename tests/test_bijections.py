@@ -6,6 +6,8 @@ labels, scan order 1, n, n-1, ..., 2) and are frozen here; any drift in a
 convention breaks these before anything subtle does.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from ncfsieve.bijections import (
 )
 from ncfsieve.enumeration import divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.forest import NonCrossingForest
-from window_oracle import raycast_window_start
+from window_oracle import raycast_window_start, signature_good_vertices
 
 F12 = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
 F24 = NonCrossingForest(
@@ -303,6 +305,59 @@ def test_random_periodic_round_trip(phi, d):
     for v in classify_vertices(phi).good:
         big = construct_periodic(phi, v, d)
         assert decompose_periodic(big, d) == (phi, v)
+
+
+@st.composite
+def _glued_case(draw, max_np=80, max_n=400):
+    """A forest phi on up to max_np vertices, kept greedily from random
+    chords (mostly short ones, so that many fit), with a good vertex and a
+    fold d that glue it to at most max_n vertices."""
+    np_ = draw(st.integers(1, max_np))
+    d = draw(st.integers(2, max(2, max_n // np_)))
+    spans = st.integers(1, 3) | st.integers(1, max(1, np_ - 1))
+    starts = draw(st.lists(st.tuples(st.integers(1, np_), spans),
+                           min_size=np_, max_size=3 * np_))
+    edges = []
+    for u, span in starts:
+        try:
+            NonCrossingForest(np_, edges + [(u, (u - 1 + span) % np_ + 1)])
+        except ValueError:
+            continue
+        edges.append((u, (u - 1 + span) % np_ + 1))
+    phi = NonCrossingForest(np_, edges)
+    v = draw(st.sampled_from(sorted(signature_good_vertices(phi))))
+    return phi, v, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_glued_case())
+def test_sweep_regions_match_oracles_on_glued_forests(case):
+    phi, v, d = case
+    big = construct_periodic(phi, v, d)
+    for f in (phi, big):
+        good = classify_vertices(f).good
+        assert good == signature_good_vertices(f)
+        assert len(good) == len(f.edges) + 1
+    assert _scan_window_start(big, d) == raycast_window_start(big, d)
+    assert decompose_periodic(big, d) == (phi, v)
+
+
+def test_regions_of_a_large_glued_forest_are_fast():
+    # with one frozenset of enclosing chords per vertex, classifying this
+    # forest took 13.5 s and cutting it in halves, which classifies the
+    # 10000-vertex half, 3.3 s (one core of a 2-core x86 machine)
+    v = min(classify_vertices(F8).good)
+    big = construct_periodic(F8, v, 2500)
+    half = construct_periodic(F8, v, 1250)
+    assert big.n == 20000 and len(big.edges) == 10000
+    t0 = time.perf_counter()
+    good = classify_vertices(big).good
+    t1 = time.perf_counter()
+    assert decompose_periodic(big, 2) == (half, 1)
+    t2 = time.perf_counter()
+    assert len(good) == 10001
+    assert t1 - t0 < 0.5, f"classify_vertices took {t1 - t0:.2f}s"
+    assert t2 - t1 < 0.5, f"decompose_periodic took {t2 - t1:.2f}s"
 
 
 @settings(max_examples=60, deadline=None)

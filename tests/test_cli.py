@@ -180,6 +180,17 @@ def test_construct_bad_vertex_exits_2(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_construct_vertex_rejects_mark_edge(capsys, monkeypatch):
+    # a marked edge means nothing to the periodic gluing; it used to be dropped
+    phi = NonCrossingForest(4, [(1, 2), (1, 3)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi.to_json())))
+    code, out, err = run(capsys, "construct", "--vertex", "1", "--d", "2",
+                         "--mark-edge", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--mark-edge" in err
+
+
 def test_construct_forest_bound(capsys, monkeypatch, tmp_path):
     # the glued size is refused before any gluing starts
     def no_gluing(*args):

@@ -14,6 +14,7 @@ from ncfsieve.forest import (
     chord,
     check_vertex,
     crosses,
+    innermost_chords,
     rotate_label,
 )
 
@@ -166,7 +167,8 @@ def _near_forests(max_n=12):
 @example((8, [(1, 8), (1, 2), (2, 8)]))  # cycle, no crossing
 def test_check_matches_pairwise_oracle(case):
     # accepted exactly when the normalized chords are distinct, no pair
-    # crosses and networkx sees no cycle; components as networkx finds them
+    # crosses and networkx sees no cycle; components as networkx finds them,
+    # and the sweep's entry for v the shortest chord (a, b) with a < v <= b
     n, pairs = case
     chords = [chord(u, v) for u, v in pairs]
     graph = nx.Graph()
@@ -187,6 +189,11 @@ def test_check_matches_pairwise_oracle(case):
     expected = sorted((frozenset(c) for c in nx.connected_components(graph)), key=min)
     assert f.components() == tuple(expected)
     assert f.component_count() == len(expected)
+    assert innermost_chords(n, f.edges) == [
+        min((c for c in chords if c[0] < v <= c[1]), key=lambda c: c[1] - c[0],
+            default=None)
+        for v in range(1, n + 1)
+    ]
 
 
 @pytest.mark.parametrize("shape", ["star", "path"])

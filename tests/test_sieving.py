@@ -4,6 +4,7 @@ and the argument checks every public entry point shares."""
 import json
 import time
 from collections.abc import Iterator
+from math import comb
 
 import pytest
 
@@ -21,7 +22,6 @@ from ncfsieve.sieving import (
     ROUTES,
     CspReport,
     CspRow,
-    check_fixed_count_identity,
     closed_form_eval,
     fixed_count_bijection,
     fixed_count_brute,
@@ -157,6 +157,13 @@ def test_report_json_layout():
     json.dumps(doc)  # must be serializable as-is
 
 
+def check_fixed_count_identity(np_: int, kp: int) -> bool:
+    """The binomial identity behind the diameter count:
+    C(n', k'-1) * C(3n'-2k', n'-k') == (3n'-2k') * |F(n', k')|."""
+    lhs = comb(np_, kp - 1) * comb(3 * np_ - 2 * kp, np_ - kp)
+    return lhs == (3 * np_ - 2 * kp) * forest_count(np_, kp)
+
+
 def test_fixed_count_identity():
     assert check_fixed_count_identity(2, 1)
     assert check_fixed_count_identity(6, 3)
@@ -185,7 +192,7 @@ ENTRY_POINTS = [
 ] + [
     (fn.__name__, fn, 2)
     for fn in (enumerate_forests, count_forests, invariant_counts, forest_count,
-               forest_count_poly, verify_csp, check_fixed_count_identity)
+               forest_count_poly, verify_csp)
 ] + [("NonCrossingForest", NonCrossingForest, 1)]
 
 # Entry points that take d with a forest on n = 6 vertices.

@@ -1,13 +1,29 @@
-"""Test-only oracle for the window start of the periodic decomposition.
+"""Test-only oracles for the regions of the periodic decomposition.
 
-decompose_periodic finds its window by scanning for an edge-closed run of
-n/d vertices. The function here derives the same vertex from a different
-fact about the chord arrangement, so the tests can play the two against
-each other.
+The library reads which gaps share a region off one chord sweep. The
+functions here derive the same facts another way, so the tests can play the
+two against each other: the window start from which gaps share the
+center's region, and the good vertices from the set of chords enclosing
+each gap.
 """
 
 from ncfsieve.bijections import BijectionError
 from ncfsieve.forest import NonCrossingForest
+
+
+def signature_good_vertices(forest: NonCrossingForest) -> frozenset[int]:
+    """Independent derivation of classify_vertices(forest).good.
+
+    Group the vertices by the set of chords (a, b) with a < v <= b, the
+    chords that enclose the gap just before v, and keep the first vertex of
+    each group in scan order 1, n, n-1, ..., 2.
+    """
+    n = forest.n
+    groups: dict[frozenset, list[int]] = {}
+    for v in range(1, n + 1):
+        sig = frozenset(e for e in forest.edges if e[0] < v <= e[1])
+        groups.setdefault(sig, []).append(v)
+    return frozenset(min(vs, key=lambda v: (1 - v) % n) for vs in groups.values())
 
 
 def raycast_window_start(forest: NonCrossingForest, d: int) -> int:
