@@ -30,15 +30,12 @@ from .forest import NonCrossingForest, chord, crosses, rotate_label
 from .qpoly import (
     CyclotomicResidue,
     ExactDivisionError,
-    QIntRootCheck,
     QPoly,
     cyclotomic,
     eval_at_root,
     forest_count,
     forest_count_poly,
     q_binomial,
-    q_int,
-    q_int_root_check,
     q_lucas,
 )
 from .sieving import (
@@ -59,7 +56,6 @@ __all__ = [
     "ExactDivisionError",
     "Mark",
     "NonCrossingForest",
-    "QIntRootCheck",
     "QPoly",
     "TreeExtent",
     "VertexClass",
@@ -86,8 +82,6 @@ __all__ = [
     "invariant_counts",
     "poly_eval",
     "q_binomial",
-    "q_int",
-    "q_int_root_check",
     "q_lucas",
     "rotate_label",
     "tree_extents",

@@ -204,7 +204,7 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
     the good vertex of v's region).
     """
     check_vertex(v, phi.n)
-    check_d(d, d * phi.n, least=2)
+    check_d(d, phi.n, least=2, glue=True)
     classes = classify_vertices(phi)
     if v not in classes.good:
         raise BijectionError(

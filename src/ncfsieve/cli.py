@@ -199,11 +199,10 @@ def _cmd_verify(args) -> int:
     ns = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
     for n in ns:
         size_guard(n)
-    bij = not args.no_bijection
     if args.k is not None:
-        cells = [(args.n, args.k, bij)]
+        cells = [(args.n, args.k)]
     else:
-        cells = [(n, k, bij) for n in ns for k in range(1, n + 1)]
+        cells = [(n, k) for n in ns for k in range(1, n + 1)]
     # Never more processes than cores or cells, whatever was asked for.
     workers = min(args.workers, os.cpu_count() or 1, len(cells))
     if workers > 1:
@@ -311,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--k", type=int)
     p.add_argument("--max-n", type=int, help="sweep n = 1 .. MAX_N instead")
-    p.add_argument("--no-bijection", action="store_true",
-                   help="skip the bijection route")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at most one per core and per cell")
     p.add_argument("--json", action="store_true")

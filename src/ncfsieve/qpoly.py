@@ -12,8 +12,10 @@ Every q-polynomial is built from one primitive: multiply or divide by a
 q-integer [m]_q, each one pass over the coefficients. A q-binomial is a
 ladder of such steps, and the forest polynomial carries the same ladder
 from its first q-binomial through the second before the last division by
-[2n-k]_q, so no two dense polynomials are ever multiplied. Long division is
-left to small divisors such as cyclotomic polynomials.
+[2n-k]_q, so no two dense polynomials are ever multiplied. The cyclotomic
+polynomials are built by the same steps, from q-integers over the
+squarefree divisors of d. The one long division left is the remainder
+modulo a cyclotomic polynomial that evaluates at a root of unity.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ def _div_q_int(cs, m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QPoly:
-    """Dense integer polynomial in q.
+    """Dense integer polynomial in q, a value: its coefficients with
+    trailing zeros trimmed.
 
-    >>> (q_int(3) * q_int(2)).coeffs
-    (1, 2, 2, 1)
-    >>> QPoly((1, 0, -1)).exact_div(QPoly((1, 1))).coeffs
-    (1, -1)
+    >>> QPoly((1, 2, 0, 0)).coeffs
+    (1, 2)
+    >>> QPoly((1, 0, 1))(2)
+    5
     """
 
     coeffs: tuple[int, ...]
@@ -88,85 +91,12 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product by the double loop over coefficient pairs, or by an
-        integer scalar. The package itself only scales: its q-polynomials
-        are built by [m]_q steps, and this product serves callers and
-        tests."""
-        if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point (Horner)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __divmod__(self, other) -> tuple["QPoly", "QPoly"]:
-        """Long division over the integers.
-
-        Raises ExactDivisionError as soon as a quotient coefficient would
-        leave the integers (never happens for monic divisors).
-        """
-        if isinstance(other, int):
-            other = QPoly((other,))
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        dcs = other.coeffs
-        dlead = dcs[-1]
-        dd = len(dcs) - 1
-        rem = list(self.coeffs)
-        if len(rem) <= dd:
-            return QPoly(()), QPoly(rem)
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            t, r = divmod(c, dlead)
-            if r:
-                raise ExactDivisionError(
-                    f"coefficient {c} not divisible by leading coefficient {dlead}"
-                )
-            quot[i - dd] = t
-            for j, oc in enumerate(dcs):
-                rem[i - dd + j] -= t * oc
-        return QPoly(quot), QPoly(rem)
-
-    def exact_div(self, other) -> "QPoly":
-        """Divide, insisting on a zero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ExactDivisionError(
-                f"remainder {r.coeffs} dividing degree-{self.degree} polynomial"
-            )
-        return q
 
     def pretty(self, var: str = "q") -> str:
         """Human-readable form, ascending powers: '1 + q^2 + q^4'."""
@@ -188,18 +118,6 @@ class QPoly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-
-@lru_cache(maxsize=None)
-def q_int(a: int) -> QPoly:
-    """The q-integer [a]_q = 1 + q + ... + q^(a-1); [0]_q is zero.
-
-    >>> q_int(3).coeffs
-    (1, 1, 1)
-    """
-    if a < 0:
-        raise ValueError(f"q_int needs a >= 0, got {a}")
-    return QPoly((1,) * a)
 
 
 def _times_q_binomial(cs, a: int, b: int) -> list[int]:
@@ -272,19 +190,51 @@ def forest_count_poly(n: int, k: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> QPoly:
-    """The d-th cyclotomic polynomial, by exact division of q^d - 1 by the
-    cyclotomics of the proper divisors of d. cyclotomic(1) = q - 1.
+    """The d-th cyclotomic polynomial; cyclotomic(1) = q - 1.
+
+    For d >= 2 it is the product of [d/e]_q^mu(e) over the squarefree
+    divisors e of d: Moebius inversion of q^m - 1 = (q - 1) [m]_q, whose
+    factors q - 1 cancel because the mu(e) sum to zero. For example
+    Phi_6 = [6]_q [1]_q / ([3]_q [2]_q). Every multiplication by a
+    q-integer comes first, then every division, each checked to leave no
+    remainder.
 
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
     """
     if d < 1:
         raise ValueError(f"cyclotomic needs d >= 1, got {d}")
-    p = QPoly((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            p = p.exact_div(cyclotomic(e))
-    return p
+    if d == 1:
+        return QPoly((-1, 1))
+    # ups holds d/e for the e with an even number of prime factors, downs
+    # for those with an odd number.
+    ups, downs = [d], []
+    rest = d
+    for p in range(2, d + 1):
+        if rest % p == 0:  # p is prime: its smaller prime factors are gone
+            ups, downs = ups + [m // p for m in downs], downs + [m // p for m in ups]
+            while rest % p == 0:
+                rest //= p
+    cs = [1]
+    for m in ups:
+        cs = _mul_q_int(cs, m)
+    for m in downs:
+        cs = _div_q_int(cs, m)
+    return QPoly(cs)
+
+
+def _rem_monic(cs: list[int], divisor: tuple[int, ...]) -> QPoly:
+    """Remainder of the polynomial with coefficients cs on long division by
+    a monic divisor: each leading term is cancelled by a shifted copy of
+    the divisor, from the top degree down to deg divisor."""
+    cs = list(cs)
+    top = len(divisor) - 1
+    for i in range(len(cs) - 1, top - 1, -1):
+        c = cs[i]
+        if c:
+            for j, x in enumerate(divisor):
+                cs[i - top + j] -= c * x
+    return QPoly(cs[:top])
 
 
 @dataclass(frozen=True)
@@ -295,7 +245,7 @@ class CyclotomicResidue:
     Stored as the canonical remainder, so equality of residues is equality
     of the represented algebraic numbers. The coefficients are first folded
     modulo q^d - 1, which the d-th cyclotomic divides, so the long division
-    only ever sees a polynomial of degree below d.
+    by the monic cyclotomic only ever sees a polynomial of degree below d.
     """
 
     d: int
@@ -304,10 +254,9 @@ class CyclotomicResidue:
     def __init__(self, d: int, poly: QPoly):
         if d < 1:
             raise ValueError(f"root order must be >= 1, got {d}")
-        folded = QPoly(tuple(sum(poly.coeffs[r::d]) for r in range(d)))
-        _, rem = divmod(folded, cyclotomic(d))
+        folded = [sum(poly.coeffs[r::d]) for r in range(d)]
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "residue", rem)
+        object.__setattr__(self, "residue", _rem_monic(folded, cyclotomic(d).coeffs))
 
     def is_zero(self) -> bool:
         return self.residue.is_zero()
@@ -320,11 +269,6 @@ class CyclotomicResidue:
                 "of unity is not an integer"
             )
         return self.residue.coeffs[0] if self.residue.coeffs else 0
-
-    def __mul__(self, c: int) -> "CyclotomicResidue":
-        return CyclotomicResidue(self.d, self.residue * c)
-
-    __rmul__ = __mul__
 
 
 def eval_at_root(p: QPoly, d: int) -> CyclotomicResidue:
@@ -342,90 +286,5 @@ def q_lucas(a: int, b: int, d: int) -> CyclotomicResidue:
         raise ValueError(f"q_lucas needs a, b >= 0, got a={a}, b={b}")
     if d < 2:
         raise ValueError(f"q_lucas needs d >= 2, got {d}")
-    return math.comb(a // d, b // d) * eval_at_root(q_binomial(a % d, b % d), d)
-
-
-def _phi_multiplicity(p: QPoly, d: int) -> int:
-    """Multiplicity of the d-th cyclotomic as a factor of p."""
-    phi = cyclotomic(d)
-    m = 0
-    while not p.is_zero():
-        q, r = divmod(p, phi)
-        if not r.is_zero():
-            break
-        m += 1
-        p = q
-    return m
-
-
-@dataclass(frozen=True)
-class QIntRootCheck:
-    """Report of the root-of-unity facts about q-integers for one (a, b, d).
-
-    mult_a / mult_b witness the cyclotomic multiplicities found in [a]_q and
-    [b]_q. Checks with an empty premise are None.
-    """
-
-    a: int
-    b: int
-    d: int
-    mult_a: int
-    mult_b: int
-    simple_zero_ok: bool
-    unit_value_ok: bool | None
-    ratio_ok: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.simple_zero_ok and self.unit_value_ok is not False \
-            and self.ratio_ok is not False
-
-
-def q_int_root_check(a: int, b: int, d: int) -> QIntRootCheck:
-    """Verify, for the given (a, b, d), the three facts used throughout the
-    root-of-unity evaluations:
-
-    * [x]_q has a simple zero at a primitive d-th root w iff d != 1 and
-      d | x (multiplicity exactly 1 there, 0 otherwise);
-    * [a]_q(w) = 1 whenever a = 1 (mod d), for d >= 2;
-    * when a = b (mod d), the ratio [a]_q/[b]_q at w equals a/b if d divides
-      both and 1 otherwise. With a common zero the ratio is taken after
-      stripping the shared cyclotomic factor; the comparison is done by
-      exact cross-multiplication.
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"q_int_root_check needs a, b >= 1, got a={a}, b={b}")
-    if d < 1:
-        raise ValueError(f"q_int_root_check needs d >= 1, got {d}")
-
-    mult_a = _phi_multiplicity(q_int(a), d)
-    mult_b = _phi_multiplicity(q_int(b), d)
-
-    def expected_mult(x: int) -> int:
-        return 1 if (d != 1 and x % d == 0) else 0
-
-    simple_zero_ok = mult_a == expected_mult(a) and mult_b == expected_mult(b)
-
-    unit_value_ok: bool | None = None
-    if d >= 2 and a % d == 1:
-        unit_value_ok = eval_at_root(q_int(a), d).residue == QPoly((1,))
-
-    ratio_ok: bool | None = None
-    if a % d == b % d:
-        if mult_a != mult_b:
-            ratio_ok = False
-        else:
-            phi = cyclotomic(d)
-            pa, pb = q_int(a), q_int(b)
-            for _ in range(mult_a):
-                pa = pa.exact_div(phi)
-                pb = pb.exact_div(phi)
-            ra = eval_at_root(pa, d)
-            rb = eval_at_root(pb, d)
-            if a % d == 0:
-                ratio_ok = (ra * b).residue == (rb * a).residue
-            else:
-                ratio_ok = ra.residue == rb.residue
-
-    return QIntRootCheck(a, b, d, mult_a, mult_b, simple_zero_ok,
-                         unit_value_ok, ratio_ok)
+    scale = math.comb(a // d, b // d)
+    return eval_at_root(QPoly([scale * c for c in q_binomial(a % d, b % d).coeffs]), d)

@@ -193,31 +193,27 @@ class CspReport:
         }
 
 
-def verify_csp(n: int, k: int | None = None, *, bijection: bool = True) -> CspReport:
+def verify_csp(n: int, k: int | None = None) -> CspReport:
     """Run every route of ROUTES over all divisors of n, for one k or all
     of them, and report cell by cell.
 
     The filter counts for all divisors come from a single enumeration pass
-    per k. Bijection counts can be switched off for speed; they are on by
-    default because they are the only route that exhibits the fixed forests
-    through the structural maps rather than by search.
+    per k.
     """
     check_n(n, k)
-    routes = {name: r for name, r in ROUTES.items() if bijection or name != "bijection"}
     rows = []
     for kk in (k,) if k is not None else range(1, n + 1):
         filtered = enumeration.invariant_counts(n, kk)
         for d in enumeration.divisors(n):
             counts = {
                 name: filtered[d] if name == "filter" else r.count(n, kk, d)
-                for name, r in routes.items()
+                for name, r in ROUTES.items()
                 if d >= r.least_d
             }
             rows.append(CspRow(n, kk, d, counts))
     return CspReport(n, tuple(rows))
 
 
-def _verify_cell(cell: tuple[int, int, bool]) -> CspReport:
+def _verify_cell(cell: tuple[int, int]) -> CspReport:
     """Module-level wrapper so process pools can map over (n, k) cells."""
-    n, k, bijection = cell
-    return verify_csp(n, k, bijection=bijection)
+    return verify_csp(*cell)

@@ -180,6 +180,18 @@ def test_construct_bad_vertex_exits_2(capsys, monkeypatch):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_construct_small_fold_names_fold_and_size(capsys, monkeypatch, d):
+    # the message names the fold and the input's size, not their product
+    phi = NonCrossingForest(8, [(1, 2), (3, 5)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(phi.to_json())))
+    code, out, err = run(capsys, "construct", "--vertex", "1", "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: fold d = {d} must be an integer >= 2 to glue copies of "
+                   "a forest on 8 vertices\n")
+
+
 def test_construct_vertex_rejects_mark_edge(capsys, monkeypatch):
     # a marked edge means nothing to the periodic gluing; it used to be dropped
     phi = NonCrossingForest(4, [(1, 2), (1, 3)])
@@ -354,6 +366,14 @@ def test_verify_rejects_workers_below_1(capsys, monkeypatch, workers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--workers" in captured.err
+
+
+def test_verify_has_no_bijection_switch(capsys):
+    # every verify run takes the bijection route; no flag skips it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "--no-bijection"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-bijection" in capsys.readouterr().err
 
 
 def test_size_guard(capsys, monkeypatch):

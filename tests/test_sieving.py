@@ -134,13 +134,6 @@ def test_verify_csp_row_shape():
         assert len(set(row.counts.values())) == 1
 
 
-def test_verify_csp_no_bijection_flag():
-    report = verify_csp(6, 2, bijection=False)
-    assert all("bijection" not in row.counts for row in report.rows)
-    assert all("orbit" in row.counts for row in report.rows if row.d >= 2)
-    assert report.all_agree
-
-
 def test_report_json_layout():
     report = verify_csp(4, 2)
     doc = report.to_json_dict()
