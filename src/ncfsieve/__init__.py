@@ -9,7 +9,6 @@ from .bijections import (
     BijectionError,
     Mark,
     TreeExtent,
-    VertexClass,
     all_marks,
     classify_vertices,
     construct_diameter,
@@ -58,7 +57,6 @@ __all__ = [
     "NonCrossingForest",
     "QPoly",
     "TreeExtent",
-    "VertexClass",
     "all_marks",
     "chord",
     "classify_vertices",

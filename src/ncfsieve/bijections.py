@@ -54,15 +54,6 @@ class BijectionError(ValueError):
 
 
 @dataclass(frozen=True)
-class VertexClass:
-    """Vertices of a forest split into canonical region representatives
-    (good) and the rest (bad)."""
-
-    good: frozenset[int]
-    bad: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Mark:
     """A marked vertex, optionally with a marked incident edge."""
 
@@ -81,8 +72,8 @@ class TreeExtent:
     self_mapped: bool
 
 
-def classify_vertices(phi: NonCrossingForest) -> VertexClass:
-    """Split the vertices of phi into good and bad.
+def classify_vertices(phi: NonCrossingForest) -> frozenset[int]:
+    """The good vertices of phi: one canonical representative per region.
 
     Two vertices are equivalent when no chord of phi separates the circular
     gap just before one from the gap just before the other; the classes are
@@ -91,17 +82,15 @@ def classify_vertices(phi: NonCrossingForest) -> VertexClass:
     scan 1, n, n-1, ..., 2 meets. A forest with e edges has exactly e + 1
     good vertices.
     """
-    n = phi.n
-    inner = innermost_chords(n, phi.edges)
+    inner = innermost_chords(phi.n, phi.edges)
     first: dict[Chord | None, int] = {}
-    for v in (1, *range(n, 1, -1)):
+    for v in (1, *range(phi.n, 1, -1)):
         first.setdefault(inner[v - 1], v)
     if len(first) != len(phi.edges) + 1:
         raise BijectionError(
             f"expected {len(phi.edges) + 1} vertex regions, found {len(first)}"
         )
-    good = frozenset(first.values())
-    return VertexClass(good=good, bad=frozenset(range(1, n + 1)) - good)
+    return frozenset(first.values())
 
 
 def all_marks(phi: NonCrossingForest) -> tuple[Mark, ...]:
@@ -205,11 +194,10 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
     """
     check_vertex(v, phi.n)
     check_d(d, phi.n, least=2, glue=True)
-    classes = classify_vertices(phi)
-    if v not in classes.good:
+    good = classify_vertices(phi)
+    if v not in good:
         raise BijectionError(
-            f"vertex {v} is bad for this forest; good vertices: "
-            f"{sorted(classes.good)}"
+            f"vertex {v} is bad for this forest; good vertices: {sorted(good)}"
         )
     image = _periodic_image(phi, v, d)
     if not image.is_d_invariant(d):
@@ -248,7 +236,7 @@ def decompose_periodic(forest: NonCrossingForest, d: int) -> tuple[NonCrossingFo
             f"window holds {len(edges)} edges, expected {len(forest.edges)}/{d}"
         )
     phi = NonCrossingForest(np_, edges)
-    if v not in classify_vertices(phi).good:
+    if v not in classify_vertices(phi):
         raise BijectionError(f"recovered cut vertex {v} is not good")
     return phi, v
 
@@ -392,7 +380,7 @@ def enumerate_images(n: int, k: int, d: int):
     out = []
     if k % d == 0:
         for phi in enumerate_forests(n // d, k // d):
-            for v in sorted(classify_vertices(phi).good):
+            for v in sorted(classify_vertices(phi)):
                 out.append(construct_periodic(phi, v, d))
     elif d == 2 and k % 2 == 1:
         for phi in enumerate_forests(n // 2, (k + 1) // 2):

@@ -104,13 +104,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.invariant is None:
-        size_guard(args.n)
-        stream = enumeration.enumerate_forests(args.n, args.k)
-    else:
-        route = ROUTES[args.method]
-        route.guard(args.n)
-        stream = route.stream(args.n, args.k, args.invariant)
+    route = ROUTES[args.method]
+    route.guard(args.n)
+    stream = route.stream(args.n, args.k, args.invariant)
     if args.count:
         print(sum(1 for _ in stream))
         return 0
@@ -268,9 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream forests as JSON lines")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--invariant", type=int, metavar="D",
-                   help="only forests fixed by the rotation of order D")
-    p.add_argument("--method", default="orbit", help="route for --invariant",
+    p.add_argument("--invariant", type=int, metavar="D", default=1,
+                   help="only forests fixed by the rotation of order D (default 1: all)")
+    p.add_argument("--method", default="orbit", help="route that streams the forests",
                    choices=[name for name, r in ROUTES.items() if r.stream])
     p.add_argument("--dot", action="store_true", help="Graphviz output instead of JSON")
     p.add_argument("--count", action="store_true", help="print only how many")

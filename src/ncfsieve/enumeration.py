@@ -17,15 +17,18 @@ finds those two roots, once per chosen chord. A node with fewer
 candidates than chords still to choose is cut.
 
 At a node one chord short of a forest, every remaining candidate completes
-one, so the walk yields the prefix with its whole completing mask instead
-of visiting the leaves one by one. Enumeration expands the mask low bit
-first, which keeps the stream lexicographic and lazy; counting takes its
-popcount; the fixed-point filter tests the prefix once per rotation and
-reads the fixed completions off the mask.
+one, so the walk handles the prefix with its whole completing mask instead
+of visiting the leaves one by one. This group is also where the fixed-point
+filter runs: for each rotation asked for, the walk tests the prefix once
+and yields the mask of completions that give a fixed forest. Enumeration
+expands a mask low bit first, which keeps the stream lexicographic and
+lazy; counting takes its popcount. No forest is rotated whole, so the
+filter route's count (invariant_counts) and its stream (enumerate_forests
+with d) read the same test.
 
 Rotation-fixed forests can additionally be generated directly by the same
 backtracking over whole chord orbits of the rotation subgroup, which stays
-cheap at sizes where filtering the full stream is hopeless. This orbit
+cheap at sizes where the walk over all of F(n, k) is hopeless. This orbit
 route and the fixed-point filter are two of the count routes in
 sieving.ROUTES.
 """
@@ -84,23 +87,46 @@ def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     )
 
 
-def _leaf_groups(n: int, k: int):
-    """Yield (prefix, completing) for every node of the walk that is one
-    chord short of a forest in F(n, k), for k < n.
+def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
+    """Yield (prefix, d, fixed) for every node of the walk that is one chord
+    short of a forest in F(n, k), for k < n, and every d in ds for which
+    fixed is not 0.
 
     prefix is the increasing list of chosen chord indices (one list, reused:
-    copy it to keep it) and completing the nonzero mask of chords j after
-    prefix[-1] such that prefix + [j] is a forest of F(n, k). Groups come in
-    lexicographic order of prefix, so expanding each mask low bit first
-    lists F(n, k) in lexicographic order.
+    copy it to keep it) and fixed the mask of chords j after prefix[-1] such
+    that prefix + [j] is a forest of F(n, k) that the rotation r of order d
+    maps onto itself. At d = 1 every completion counts. For d >= 2 let S be
+    the prefix; since |r(S)| = |S|:
+
+    * r(S) = S: the fixed forests are those whose j is fixed by r itself;
+    * r(S) minus S is one chord j: only S + {j} can be fixed, and it is
+      when j completes S and r(j) is the one chord of S outside r(S);
+    * otherwise none is, and the test stops at the second missing chord.
+
+    A node two chords short whose prefix already misses three chords under
+    r cannot get down to one with one more chord, so r is not tested below
+    it. Groups come in lexicographic order of prefix, so expanding each
+    mask low bit first lists the forests in lexicographic order.
     """
     need = n - k
     chords = chord_table(n)
     cross = _cross_masks(n)
-    full = (1 << len(chords)) - 1
+    m = len(chords)
+    full = (1 << m) - 1
+    plain = 1 in ds  # d = 1 takes every completion, with no rotation tested
+    rots = []
+    for d in ds:
+        if d > 1:
+            perm = rotation_perm(n, n // d)
+            fixed = sum(1 << i for i in range(m) if perm[i] == i)
+            rots.append((d, tuple(1 << j for j in perm), fixed))
     prefix: list[int] = []
     if need == 1:
-        yield prefix, full
+        if plain:
+            yield prefix, 1, full
+        for d, _, fixed in rots:
+            if fixed:
+                yield prefix, d, fixed
         return
     star = [0] * (n + 1)
     for i, (u, v) in enumerate(chords):
@@ -116,6 +142,17 @@ def _leaf_groups(n: int, k: int):
         depth = len(stack) - 1
         cand = stack[-1]
         if depth == last:
+            heads = []  # (d, rbit, fixed, r(prefix)) for each d still possible
+            if rots:
+                sp = 0
+                for i in prefix:
+                    sp |= 1 << i
+                for d, rbit, fixed in rots:
+                    rsp = 0
+                    for i in prefix:
+                        rsp |= rbit[i]
+                    if (rsp & ~sp).bit_count() <= 2:
+                        heads.append((d, rbit, fixed, rsp))
             prefix.append(0)
             while cand:
                 low = cand & -cand
@@ -127,9 +164,24 @@ def _leaf_groups(n: int, k: int):
                 while parent[v] != v:
                     v = parent[v]
                 completing = cand & ~(cross[i] | star[u] & star[v])
-                if completing:
-                    prefix[last] = i
-                    yield prefix, completing
+                if not completing:
+                    continue
+                prefix[last] = i
+                if plain:
+                    yield prefix, 1, completing
+                if heads:
+                    s = sp | low
+                    for d, rbit, fixed, rsp in heads:
+                        rs = rsp | rbit[i]
+                        miss = rs & ~s
+                        if not miss:
+                            found = completing & fixed
+                        elif miss & (miss - 1) or rbit[miss.bit_length() - 1] != s & ~rs:
+                            continue
+                        else:
+                            found = completing & miss
+                        if found:
+                            yield prefix, d, found
             prefix.pop()
         elif cand.bit_count() >= need - depth:
             low = cand & -cand
@@ -159,22 +211,28 @@ def _leaf_groups(n: int, k: int):
             prefix.pop()
 
 
-def enumerate_forests(n: int, k: int):
-    """Stream every non-crossing forest on n vertices with k components.
+def enumerate_forests(n: int, k: int, d: int = 1):
+    """Stream the non-crossing forests on n vertices with k components that
+    the rotation of order d maps onto themselves; at d = 1, all of them.
+    This is the filter route's stream.
 
     Deterministic: lexicographic in the canonical sorted edge list, no
     duplicates, nothing materialized.
+
+    >>> [f.edges for f in enumerate_forests(4, 2, 2)]
+    [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
     check_n(n, k)
+    check_d(d, n)
     if k == n:
         yield NonCrossingForest._unchecked(n, ())
         return
     chords = chord_table(n)
-    for prefix, completing in _leaf_groups(n, k):
+    for prefix, _, fixed in _leaf_groups(n, k, (d,)):
         head = tuple(chords[i] for i in prefix)
-        while completing:
-            low = completing & -completing
-            completing ^= low
+        while fixed:
+            low = fixed & -fixed
+            fixed ^= low
             yield NonCrossingForest._unchecked(
                 n, head + (chords[low.bit_length() - 1],)
             )
@@ -182,59 +240,23 @@ def enumerate_forests(n: int, k: int):
 
 def count_forests(n: int, k: int) -> int:
     """|F(n, k)| by the walk: the popcounts of the completing masks, with
-    no forest built."""
+    no forest built and no rotation tested."""
     check_n(n, k)
     if k == n:
         return 1
-    return sum(completing.bit_count() for _, completing in _leaf_groups(n, k))
+    return sum(fixed.bit_count() for _, _, fixed in _leaf_groups(n, k))
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:
-    """Fixed-forest counts for every d | n in one pass of the walk.
-
-    counts[1] sums the completing masks' popcounts. For d >= 2 let r be the
-    rotation of order d and S a group's prefix; a forest S + {j} is fixed
-    when r maps it onto itself. Since |r(S)| = |S|:
-
-    * r(S) = S: the fixed forests are those whose j is fixed by r itself,
-      completing & fixed_d;
-    * r(S) minus S is one chord j: only S + {j} can be fixed, and it is
-      when j completes S and r(j) is the one chord of S outside r(S);
-    * otherwise none is, and the test stops at the second chord of S whose
-      image is missing.
-    """
+    """Fixed-forest counts for every d | n in one pass of the walk: the
+    popcounts of the masks _leaf_groups yields for each d."""
     check_n(n, k)
+    ds = divisors(n)
     if k == n:
-        return dict.fromkeys(divisors(n), 1)
-    counts = dict.fromkeys(divisors(n), 0)
-    m = len(chord_table(n))
-    rots = []
-    for d in divisors(n)[1:]:
-        perm = rotation_perm(n, n // d)
-        fixed = sum(1 << i for i in range(m) if perm[i] == i)
-        rots.append((d, tuple(1 << j for j in perm), fixed))
-    leaves = 0
-    for prefix, completing in _leaf_groups(n, k):
-        leaves += completing.bit_count()
-        s = 0
-        for i in prefix:
-            s |= 1 << i
-        for d, rbit, fixed in rots:
-            missing = rs = 0
-            for i in prefix:
-                b = rbit[i]
-                rs |= b
-                if not s & b:
-                    if missing:
-                        break
-                    missing = b
-            else:
-                if not missing:
-                    counts[d] += (completing & fixed).bit_count()
-                elif completing & missing:
-                    if rbit[missing.bit_length() - 1] == s & ~rs:
-                        counts[d] += 1
-    counts[1] = leaves
+        return dict.fromkeys(ds, 1)
+    counts = dict.fromkeys(ds, 0)
+    for _, d, fixed in _leaf_groups(n, k, ds):
+        counts[d] += fixed.bit_count()
     return counts
 
 

@@ -5,7 +5,9 @@ counted five ways:
 
 * orbit: generate the fixed forests directly over the chord orbits of the
   rotation,
-* filter: filter the full enumeration of F(n, k),
+* filter: walk all of F(n, k) and keep the fixed forests, testing each
+  group of forests that share all chords but the last once per rotation
+  instead of rotating whole forests,
 * bijection (d >= 2 only): actually build every fixed forest from the small
   side through the structural maps and count distinct images,
 * closed: a product formula with a case split on how d meets k,
@@ -129,9 +131,7 @@ class Route(NamedTuple):
 ROUTES: dict[str, Route] = {
     "filter": Route(
         lambda n, k, d: fixed_count_brute(n, k, d),
-        lambda n, k, d: (
-            f for f in enumeration.enumerate_forests(n, k) if f.is_d_invariant(d)
-        ),
+        lambda n, k, d: enumeration.enumerate_forests(n, k, d),
         size_guard, 1,
     ),
     "poly": Route(lambda n, k, d: poly_eval(n, k, d), None, poly_guard, 1),
@@ -184,13 +184,6 @@ class CspReport:
     @property
     def all_agree(self) -> bool:
         return all(r.agree for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "all_agree": self.all_agree,
-        }
 
 
 def verify_csp(n: int, k: int | None = None) -> CspReport:

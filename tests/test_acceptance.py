@@ -69,7 +69,7 @@ def test_criterion_3_round_trips():
         for kp in range(1, np_ + 1):
             for phi in enumerate_forests(np_, kp):
                 for d in (2, 3):
-                    for v in classify_vertices(phi).good:
+                    for v in classify_vertices(phi):
                         assert decompose_periodic(
                             construct_periodic(phi, v, d), d
                         ) == (phi, v)

@@ -54,9 +54,9 @@ F16_MARKE = NonCrossingForest(
 
 
 def test_golden_vertex_classification():
-    cls = classify_vertices(F12)
-    assert cls.good == frozenset({1, 2, 4, 7, 8, 11})
-    assert cls.bad == frozenset({3, 5, 6, 9, 10, 12})
+    good = classify_vertices(F12)
+    assert good == frozenset({1, 2, 4, 7, 8, 11})
+    assert frozenset(range(1, 13)) - good == frozenset({3, 5, 6, 9, 10, 12})
 
 
 def test_golden_periodic_construct():
@@ -107,10 +107,9 @@ def test_good_vertex_count_is_edges_plus_one():
     for n in range(1, 8):
         for k in range(1, n + 1):
             for phi in enumerate_forests(n, k):
-                cls = classify_vertices(phi)
-                assert len(cls.good) == len(phi.edges) + 1
-                assert cls.good | cls.bad == frozenset(range(1, n + 1))
-                assert not cls.good & cls.bad
+                good = classify_vertices(phi)
+                assert len(good) == len(phi.edges) + 1
+                assert good <= frozenset(range(1, n + 1))
 
 
 def test_all_marks_count():
@@ -130,7 +129,7 @@ def test_periodic_round_trip_small_to_big():
         for kp in range(1, np_ + 1):
             for phi in enumerate_forests(np_, kp):
                 for d in (2, 3):
-                    for v in sorted(classify_vertices(phi).good):
+                    for v in sorted(classify_vertices(phi)):
                         big = construct_periodic(phi, v, d)
                         assert big.n == d * np_
                         assert big.component_count() == d * kp
@@ -155,7 +154,7 @@ def test_round_trip_big_to_small():
                 for big in enumerate_invariant(n, k, d):
                     if k % d == 0:
                         phi, v = decompose_periodic(big, d)
-                        assert v in classify_vertices(phi).good
+                        assert v in classify_vertices(phi)
                         assert construct_periodic(phi, v, d) == big
                     else:
                         assert d == 2 and k % 2 == 1
@@ -167,9 +166,9 @@ def test_bad_vertices_collapse_onto_good_images():
     # gluing at a bad vertex duplicates the image of some good vertex
     for np_, kp in ((4, 2), (5, 2), (5, 3)):
         for phi in enumerate_forests(np_, kp):
-            cls = classify_vertices(phi)
-            good_images = {construct_periodic(phi, g, 2) for g in cls.good}
-            for b in cls.bad:
+            good = classify_vertices(phi)
+            good_images = {construct_periodic(phi, g, 2) for g in good}
+            for b in frozenset(range(1, np_ + 1)) - good:
                 assert _periodic_image(phi, b, 2) in good_images
 
 
@@ -302,7 +301,7 @@ def _random_forest(draw, max_n=7):
 @settings(max_examples=60, deadline=None)
 @given(_random_forest(), st.integers(2, 4))
 def test_random_periodic_round_trip(phi, d):
-    for v in classify_vertices(phi).good:
+    for v in classify_vertices(phi):
         big = construct_periodic(phi, v, d)
         assert decompose_periodic(big, d) == (phi, v)
 
@@ -335,7 +334,7 @@ def test_sweep_regions_match_oracles_on_glued_forests(case):
     phi, v, d = case
     big = construct_periodic(phi, v, d)
     for f in (phi, big):
-        good = classify_vertices(f).good
+        good = classify_vertices(f)
         assert good == signature_good_vertices(f)
         assert len(good) == len(f.edges) + 1
     assert _scan_window_start(big, d) == raycast_window_start(big, d)
@@ -346,12 +345,12 @@ def test_regions_of_a_large_glued_forest_are_fast():
     # with one frozenset of enclosing chords per vertex, classifying this
     # forest took 13.5 s and cutting it in halves, which classifies the
     # 10000-vertex half, 3.3 s (one core of a 2-core x86 machine)
-    v = min(classify_vertices(F8).good)
+    v = min(classify_vertices(F8))
     big = construct_periodic(F8, v, 2500)
     half = construct_periodic(F8, v, 1250)
     assert big.n == 20000 and len(big.edges) == 10000
     t0 = time.perf_counter()
-    good = classify_vertices(big).good
+    good = classify_vertices(big)
     t1 = time.perf_counter()
     assert decompose_periodic(big, 2) == (half, 1)
     t2 = time.perf_counter()

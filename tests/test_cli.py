@@ -113,6 +113,7 @@ def test_enumerate_bijection_rejects_d_1(capsys):
     # the same refusal as `fixed 6 2 1 --method bijection`
     for argv in (("enumerate", "6", "2", "--invariant", "1", "--method", "bijection",
                   "--count"),
+                 ("enumerate", "6", "2", "--method", "bijection", "--count"),
                  ("fixed", "6", "2", "1", "--method", "bijection")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

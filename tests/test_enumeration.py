@@ -176,6 +176,18 @@ def test_invariant_counts_batches_single_d_counts():
             assert batch == _per_forest_filter(n, k), (n, k)
 
 
+def test_fixed_stream_is_the_per_forest_filter():
+    # enumerate_forests(n, k, d) tests groups of the walk; the oracle
+    # rotates, sorts and compares every forest of F(n, k) whole
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            forests = list(enumerate_forests(n, k))
+            for d in divisors(n):
+                by_filter = [f.edges for f in forests if f.is_d_invariant(d)]
+                assert [f.edges for f in enumerate_forests(n, k, d)] == by_filter, (
+                    n, k, d)
+
+
 def test_invariant_stream_really_is_invariant():
     for n in (6, 8, 9):
         for k in range(1, n + 1):

@@ -12,7 +12,7 @@ from ncfsieve.forest import NonCrossingForest
 
 
 def signature_good_vertices(forest: NonCrossingForest) -> frozenset[int]:
-    """Independent derivation of classify_vertices(forest).good.
+    """Independent derivation of classify_vertices(forest), the good vertices.
 
     Group the vertices by the set of chords (a, b) with a < v <= b, the
     chords that enclose the gap just before v, and keep the first vertex of
