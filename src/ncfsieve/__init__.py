@@ -42,7 +42,6 @@ from .sieving import (
     CspRow,
     closed_form_eval,
     fixed_count_bijection,
-    fixed_count_brute,
     poly_eval,
     verify_csp,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_invariant",
     "eval_at_root",
     "fixed_count_bijection",
-    "fixed_count_brute",
     "forest_count",
     "forest_count_poly",
     "invariant_counts",

@@ -5,13 +5,13 @@ fixed-point counts, the structural bijections, and the verification sweep.
 Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification ran and found a mismatch,
-2 for bad input, a size over a guard, or an arithmetic error (such as a
-division promised exact that left a remainder). The bounds on n live with
-the count routes in sieving.ROUTES: the enumeration guard defaults to
-n <= 12 and is raised through the NCF_SIEVE_MAX_N environment variable, the
-q-polynomial commands are capped at n <= MAX_POLY_N and the closed form at
-n <= MAX_CLOSED_N. A forest that construct or decompose reads, or that
-construct builds, has at most MAX_FOREST_N vertices.
+2 for bad input, a size over a bound, or an arithmetic error (such as a
+division promised exact that left a remainder). Every count is taken from
+a route of sieving.ROUTES, and every bound on n is that route's max_n,
+checked by sieving.check_bound before the route runs: n <= 12 for the
+routes that enumerate, n <= 100 for the q-polynomial and n <= 2000 for the
+closed form. A forest that construct or decompose reads, or that construct
+builds, has at most MAX_FOREST_N vertices.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import json
 import os
 import sys
 
-from . import __version__, bijections, enumeration, qpoly, sieving
+from . import __version__, bijections, qpoly, sieving
 from .forest import NonCrossingForest
-from .sieving import ROUTES, poly_guard, size_guard
+from .sieving import ROUTES, check_bound
 
 # Checking a forest, classifying its vertices and finding the cut all read
 # one sweep over its sorted chords. On a glued forest with 2000 vertices and
@@ -54,12 +54,11 @@ def _read_forest(path: str) -> NonCrossingForest:
 
 
 def _cmd_count(args) -> int:
-    ROUTES["closed"].guard(args.n)
-    count = qpoly.forest_count(args.n, args.k)
-    brute = None
+    check_bound("closed", args.n)
     if args.brute:
-        size_guard(args.n)
-        brute = enumeration.count_forests(args.n, args.k)
+        check_bound("filter", args.n)
+    count = ROUTES["closed"].count(args.n, args.k, 1)
+    brute = ROUTES["filter"].count(args.n, args.k, 1) if args.brute else None
     if args.json:
         out = {"n": args.n, "k": args.k, "count": count}
         if brute is not None:
@@ -75,7 +74,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_qpoly(args) -> int:
-    poly_guard(args.n)
+    check_bound("poly", args.n)
     poly = qpoly.forest_count_poly(args.n, args.k)
     if args.json:
         print(json.dumps({"n": args.n, "k": args.k, "coeffs": list(poly.coeffs)}))
@@ -87,9 +86,10 @@ def _cmd_qpoly(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    poly_guard(args.n)
-    pv = sieving.poly_eval(args.n, args.k, args.d)
-    cf = sieving.closed_form_eval(args.n, args.k, args.d)
+    check_bound("poly", args.n)
+    check_bound("closed", args.n)
+    pv = ROUTES["poly"].count(args.n, args.k, args.d)
+    cf = ROUTES["closed"].count(args.n, args.k, args.d)
     agree = pv == cf
     if args.json:
         print(json.dumps(
@@ -104,9 +104,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    route = ROUTES[args.method]
-    route.guard(args.n)
-    stream = route.stream(args.n, args.k, args.invariant)
+    check_bound(args.method, args.n)
+    stream = ROUTES[args.method].stream(args.n, args.k, args.invariant)
     if args.count:
         print(sum(1 for _ in stream))
         return 0
@@ -120,9 +119,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_fixed(args) -> int:
     n, k, d = args.n, args.k, args.d
-    route = ROUTES[args.method]
-    route.guard(n)
-    count = route.count(n, k, d)
+    check_bound(args.method, n)
+    count = ROUTES[args.method].count(n, k, d)
     if args.json:
         print(json.dumps(
             {"n": n, "k": k, "d": d, "method": args.method, "count": count}
@@ -192,12 +190,13 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"n must be at least 1, got {args.n}")
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    ns = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
-    for n in ns:
-        size_guard(n)
+    top = args.n if args.n is not None else args.max_n
+    for name in ROUTES:
+        check_bound(name, top)
     if args.k is not None:
         cells = [(args.n, args.k)]
     else:
+        ns = [args.n] if args.n is not None else range(1, top + 1)
         cells = [(n, k) for n in ns for k in range(1, n + 1)]
     # Never more processes than cores or cells, whatever was asked for.
     workers = min(args.workers, os.cpu_count() or 1, len(cells))

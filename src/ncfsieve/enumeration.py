@@ -23,8 +23,8 @@ filter runs: for each rotation asked for, the walk tests the prefix once
 and yields the mask of completions that give a fixed forest. Enumeration
 expands a mask low bit first, which keeps the stream lexicographic and
 lazy; counting takes its popcount. No forest is rotated whole, so the
-filter route's count (invariant_counts) and its stream (enumerate_forests
-with d) read the same test.
+filter route's count (count_forests with d, or invariant_counts for every
+d at once) and its stream (enumerate_forests with d) read the same test.
 
 Rotation-fixed forests can additionally be generated directly by the same
 backtracking over whole chord orbits of the rotation subgroup, which stays
@@ -60,11 +60,6 @@ def chord_table(n: int) -> tuple[Chord, ...]:
 
 
 @lru_cache(maxsize=None)
-def _chord_index(n: int) -> dict:
-    return {c: i for i, c in enumerate(chord_table(n))}
-
-
-@lru_cache(maxsize=None)
 def _cross_masks(n: int) -> tuple[int, ...]:
     chords = chord_table(n)
     m = len(chords)
@@ -80,7 +75,7 @@ def _cross_masks(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     """Permutation of chord indices induced by rotating s steps."""
-    idx = _chord_index(n)
+    idx = {c: i for i, c in enumerate(chord_table(n))}
     return tuple(
         idx[chord(rotate_label(u, s, n), rotate_label(v, s, n))]
         for (u, v) in chord_table(n)
@@ -238,13 +233,15 @@ def enumerate_forests(n: int, k: int, d: int = 1):
             )
 
 
-def count_forests(n: int, k: int) -> int:
-    """|F(n, k)| by the walk: the popcounts of the completing masks, with
-    no forest built and no rotation tested."""
+def count_forests(n: int, k: int, d: int = 1) -> int:
+    """The number of forests in F(n, k) that the rotation of order d maps
+    onto themselves; at d = 1, |F(n, k)|. The filter route's count of one
+    cell: the popcounts of the masks the walk yields for this d alone."""
     check_n(n, k)
+    check_d(d, n)
     if k == n:
         return 1
-    return sum(fixed.bit_count() for _, _, fixed in _leaf_groups(n, k))
+    return sum(fixed.bit_count() for _, _, fixed in _leaf_groups(n, k, (d,)))
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:

@@ -140,7 +140,6 @@ def _times_q_binomial(cs, a: int, b: int) -> list[int]:
     return cs
 
 
-@lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q, zero outside 0 <= b <= a.
 

@@ -15,15 +15,15 @@ counted five ways:
 
 ROUTES is the one table of them: for each route its count of one cell, its
 stream of fixed forests when it has one, and the bound on n the command
-line puts on it. verify_csp, `ncfsieve fixed` and `ncfsieve enumerate` all
-read it. Sieving holds when every route lands on the same integer for every
-d. The routes share argument validation (forest.check_n, forest.check_d) and
+line puts on it, which check_bound enforces. verify_csp and every counting
+command of the command line read it, and no route's bound lives elsewhere.
+Sieving holds when every route lands on the same integer for every d. The
+routes share argument validation (forest.check_n, forest.check_d) and
 nothing else: no route reads another's intermediate results.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
@@ -33,40 +33,13 @@ from . import bijections, enumeration
 from .forest import NonCrossingForest, check_d, check_n
 from .qpoly import eval_at_root, forest_count, forest_count_poly
 
-ENV_MAX_N = "NCF_SIEVE_MAX_N"
-DEFAULT_MAX_N = 12
+# The routes that enumerate walk sets that grow about sevenfold per vertex:
+# at n = 12 the largest cell, F(12, 3), holds 31 million forests.
+MAX_ENUM_N = 12
 MAX_POLY_N = 100
 # Every count at n <= 2000 stays far below Python's 4300-digit limit on
 # int-to-str conversion, and takes well under a second.
 MAX_CLOSED_N = 2000
-
-
-def size_guard(n: int) -> None:
-    """Bound on n for the routes that enumerate: DEFAULT_MAX_N, or the value
-    of the NCF_SIEVE_MAX_N environment variable."""
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        cap = DEFAULT_MAX_N
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
-    if n > cap:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration guard ({cap}); "
-            f"set {ENV_MAX_N} higher to allow it"
-        )
-
-
-def poly_guard(n: int) -> None:
-    if n > MAX_POLY_N:
-        raise ValueError(f"n = {n} exceeds the q-polynomial bound ({MAX_POLY_N})")
-
-
-def closed_guard(n: int) -> None:
-    if n > MAX_CLOSED_N:
-        raise ValueError(f"n = {n} exceeds the closed-form bound ({MAX_CLOSED_N})")
 
 
 def closed_form_eval(n: int, k: int, d: int) -> int:
@@ -101,13 +74,6 @@ def poly_eval(n: int, k: int, d: int) -> int:
     return value.as_integer()
 
 
-def fixed_count_brute(n: int, k: int, d: int) -> int:
-    """The filter route's count of one cell, read from invariant_counts."""
-    check_n(n, k)
-    check_d(d, n)
-    return enumeration.invariant_counts(n, k)[d]
-
-
 def fixed_count_bijection(n: int, k: int, d: int) -> int:
     """Count fixed forests by building them all from the small side and
     checking the images are distinct. Zero when neither structural map
@@ -116,37 +82,47 @@ def fixed_count_bijection(n: int, k: int, d: int) -> int:
 
 
 class Route(NamedTuple):
-    """One count route. least_d is the smallest d verify_csp reports it for."""
+    """One count route. max_n is the bound on n the command line puts on it;
+    least_d is the smallest d verify_csp reports it for."""
 
     count: Callable[[int, int, int], int]
     stream: Callable[[int, int, int], Iterator[NonCrossingForest]] | None
-    guard: Callable[[int], None]
+    max_n: int
     least_d: int
 
 
 # Each count and stream looks its function up by module-level name at call
 # time, so whatever is bound to that name (a tracer's wrapper, say) is what
-# runs. Order is the column order of the report. The orbit route at d = 1 is the plain
-# enumeration, so verify_csp leaves it to the filter route there.
+# runs. Order is the column order of the report. The orbit route at d = 1
+# is the plain enumeration, so verify_csp leaves it to the filter route.
 ROUTES: dict[str, Route] = {
     "filter": Route(
-        lambda n, k, d: fixed_count_brute(n, k, d),
+        lambda n, k, d: enumeration.count_forests(n, k, d),
         lambda n, k, d: enumeration.enumerate_forests(n, k, d),
-        size_guard, 1,
+        MAX_ENUM_N, 1,
     ),
-    "poly": Route(lambda n, k, d: poly_eval(n, k, d), None, poly_guard, 1),
-    "closed": Route(lambda n, k, d: closed_form_eval(n, k, d), None, closed_guard, 1),
+    "poly": Route(lambda n, k, d: poly_eval(n, k, d), None, MAX_POLY_N, 1),
+    "closed": Route(lambda n, k, d: closed_form_eval(n, k, d), None, MAX_CLOSED_N, 1),
     "bijection": Route(
         lambda n, k, d: fixed_count_bijection(n, k, d),
         lambda n, k, d: bijections.enumerate_images(n, k, d),
-        size_guard, 2,
+        MAX_ENUM_N, 2,
     ),
     "orbit": Route(
         lambda n, k, d: sum(1 for _ in enumeration.enumerate_invariant(n, k, d)),
         lambda n, k, d: enumeration.enumerate_invariant(n, k, d),
-        size_guard, 2,
+        MAX_ENUM_N, 2,
     ),
 }
+
+
+def check_bound(name: str, n: int) -> None:
+    """Refuse n over the bound of route name. Library calls are not bounded;
+    the command line calls this before it runs a route."""
+    max_n = ROUTES[name].max_n
+    if n > max_n:
+        raise ValueError(f"n = {n} exceeds the bound of the {name} route ({max_n})")
+
 
 # The report has always called the filter route's column "brute".
 _REPORT_KEYS = {"filter": "brute"}

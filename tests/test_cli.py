@@ -2,14 +2,21 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from ncfsieve import bijections, qpoly
+from ncfsieve import bijections, enumeration, qpoly
 from ncfsieve.cli import MAX_FOREST_N, main
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import ExactDivisionError, forest_count, forest_count_poly
-from ncfsieve.sieving import MAX_CLOSED_N, MAX_POLY_N
+from ncfsieve.sieving import (
+    MAX_CLOSED_N,
+    MAX_ENUM_N,
+    MAX_POLY_N,
+    ROUTES,
+    closed_form_eval,
+)
 
 
 def run(capsys, *argv):
@@ -378,23 +385,64 @@ def test_verify_has_no_bijection_switch(capsys):
 
 
 def test_size_guard(capsys, monkeypatch):
-    # the guard covers enumeration work, not the closed formula
-    monkeypatch.setenv("NCF_SIEVE_MAX_N", "6")
-    code, _, err = run(capsys, "count", "7", "3", "--brute")
-    assert code == 2
-    assert "NCF_SIEVE_MAX_N" in err
+    # the enumeration bound is a fixed constant, which no environment knob
+    # lifts; count without --brute takes the closed route and its bound
+    def unreachable(*args):
+        raise AssertionError("the walk ran past the enumeration bound")
 
-    code, out, _ = run(capsys, "count", "7", "3")
-    assert code == 0
+    monkeypatch.setattr(enumeration, "_leaf_groups", unreachable)
+    monkeypatch.setenv("NCF_SIEVE_MAX_N", "20")
+    over = str(MAX_ENUM_N + 1)
+    for argv in (("enumerate", over, over, "--count"), ("count", over, "3", "--brute"),
+                 ("verify", over)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and f"({MAX_ENUM_N})" in err, argv
+    code, out, _ = run(capsys, "count", over, "3")
+    assert code == 0 and int(out) == forest_count(MAX_ENUM_N + 1, 3)
 
-    code, _, _ = run(capsys, "enumerate", "6", "3", "--count")
-    assert code == 0
-    code, _, err = run(capsys, "enumerate", "7", "3", "--count")
-    assert code == 2
 
-    monkeypatch.setenv("NCF_SIEVE_MAX_N", "banana")
-    code, _, err = run(capsys, "enumerate", "4", "2", "--count")
-    assert code == 2
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_route_bounds(capsys, monkeypatch, name):
+    # fixed and enumerate refuse n over the route's own bound before it runs
+    route = ROUTES[name]
+
+    def unreachable(n, k, d):
+        raise AssertionError(f"the {name} route ran at n = {n}")
+
+    over = str(route.max_n + 1)
+    argvs = [("fixed", over, "1", "1", "--method", name)]
+    if route.stream is not None:
+        argvs.append(("enumerate", over, "1", "--method", name, "--count"))
+    with monkeypatch.context() as m:
+        m.setitem(ROUTES, name, route._replace(count=unreachable, stream=unreachable))
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and f"({route.max_n})" in err, argv
+
+    n, k, d = route.max_n, route.max_n - 1, route.least_d
+    expected = closed_form_eval(n, k, d)
+    code, out, _ = run(capsys, "fixed", str(n), str(k), str(d), "--method", name)
+    assert code == 0 and int(out) == expected
+    if route.stream is not None:
+        code, out, _ = run(capsys, "enumerate", str(n), str(k), "--invariant", str(d),
+                           "--method", name, "--count")
+        assert code == 0 and int(out) == expected
+
+
+def test_verify_checks_bound_before_allocating(capsys):
+    # the bound is checked against --max-n itself, before any list of the
+    # n up to it is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--max-n", "1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+    assert err.startswith("error: n = 1000000 exceeds")
 
 
 def test_default_size_guard(capsys):

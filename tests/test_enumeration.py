@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfsieve import enumeration
 from ncfsieve.enumeration import (
     chord_table,
     count_forests,
@@ -26,6 +27,7 @@ from ncfsieve.enumeration import (
 )
 from ncfsieve.forest import NonCrossingForest, crosses
 from ncfsieve.qpoly import forest_count
+from ncfsieve.sieving import ROUTES
 
 
 def _census_by_subsets(n: int) -> dict[int, set]:
@@ -174,6 +176,20 @@ def test_invariant_counts_batches_single_d_counts():
         for k in range(1, n + 1):
             batch = invariant_counts(n, k)
             assert batch == _per_forest_filter(n, k), (n, k)
+            assert {d: count_forests(n, k, d) for d in batch} == batch, (n, k)
+
+
+def test_filter_count_walks_only_its_d(monkeypatch):
+    # one cell's count tests one rotation, not every divisor of n
+    seen = []
+
+    def recording(n, k, ds=(1,)):
+        seen.append(ds)
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "_leaf_groups", recording)
+    ROUTES["filter"].count(12, 6, 2)
+    assert seen == [(2,)]
 
 
 def test_fixed_stream_is_the_per_forest_filter():

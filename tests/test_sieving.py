@@ -24,7 +24,6 @@ from ncfsieve.sieving import (
     CspRow,
     closed_form_eval,
     fixed_count_bijection,
-    fixed_count_brute,
     poly_eval,
     verify_csp,
 )
@@ -184,7 +183,7 @@ def _consume(result):
 ENTRY_POINTS = [
     (fn.__name__, fn, 3)
     for fn in (enumerate_forests, enumerate_invariant, enumerate_images,
-               closed_form_eval, poly_eval, fixed_count_brute, fixed_count_bijection)
+               closed_form_eval, poly_eval, count_forests, fixed_count_bijection)
 ] + [
     (f"ROUTES[{name!r}].{part}", getattr(route, part), 3)
     for name, route in ROUTES.items()
