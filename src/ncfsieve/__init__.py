@@ -27,7 +27,6 @@ from .enumeration import (
 )
 from .forest import NonCrossingForest, chord, crosses, rotate_label
 from .qpoly import (
-    CyclotomicResidue,
     ExactDivisionError,
     QPoly,
     cyclotomic,
@@ -38,7 +37,6 @@ from .qpoly import (
     q_lucas,
 )
 from .sieving import (
-    CspReport,
     CspRow,
     closed_form_eval,
     fixed_count_bijection,
@@ -48,9 +46,7 @@ from .sieving import (
 
 __all__ = [
     "BijectionError",
-    "CspReport",
     "CspRow",
-    "CyclotomicResidue",
     "ExactDivisionError",
     "Mark",
     "NonCrossingForest",

@@ -137,10 +137,10 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
             raise BijectionError(
                 f"tree {tree} partially overlaps its rotation image"
             )
-        pre = {rotate_label(x, -s, n) for x in comp}
-        first = _handoff(pre, tset, "entry")[1]
-        last = _handoff(tset, image, "exit")[0]
-        extents.append(TreeExtent(tree, first, last, False))
+        # The entry into T from its preimage is the exit from T into its
+        # image rotated back one step.
+        last, w = _handoff(tset, image)
+        extents.append(TreeExtent(tree, rotate_label(w, -s, n), last, False))
     k = len(comps)
     if self_mapped_count == 0:
         if k % d:
@@ -154,15 +154,14 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     return tuple(extents)
 
 
-def _handoff(src: set[int], dst: set[int], kind: str) -> tuple[int, int]:
+def _handoff(src: set[int], dst: set[int]) -> tuple[int, int]:
     """The unique step (u, w) in circular order over the vertices of src
-    and dst that goes from u in src to w in dst; kind names the step in the
-    error raised when there is not exactly one."""
+    and dst that goes from u in src to w in dst."""
     seq = sorted(src | dst)
     hits = [(u, w) for u, w in zip(seq, seq[1:] + seq[:1]) if u in src and w in dst]
     if len(hits) != 1:
         raise BijectionError(
-            f"expected one {kind} transition in circular order, found {len(hits)}"
+            f"expected one transition in circular order, found {len(hits)}"
         )
     return hits[0]
 
@@ -313,10 +312,7 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
         )
     x, y = diameters[0]
     upper = x if (1 - x) % n < np_ else y
-    qb = (1 - upper) % n
-    if qb >= np_:
-        raise BijectionError("vertex 1 landed outside the right half")
-    v = (-qb) % np_ + 1
+    v = (upper - 1) % np_ + 1
 
     def lab(q: int) -> int:
         return (v - 1 + q) % np_ + 1
@@ -374,7 +370,8 @@ def enumerate_images(n: int, k: int, d: int):
     inputs with one image raise BijectionError. Nothing is yielded when
     neither map applies, which is the claim that no fixed forest exists.
     The images are held and sorted because the sort is the distinctness
-    check; the enumeration guard bounds how many there are."""
+    check. Library calls are unbounded; the command line bounds n by the
+    route's check_bound before it runs."""
     check_n(n, k)
     check_d(d, n, least=2)
     out = []

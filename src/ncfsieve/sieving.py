@@ -71,7 +71,10 @@ def poly_eval(n: int, k: int, d: int) -> int:
     check_n(n, k)
     check_d(d, n)
     value = eval_at_root(forest_count_poly(n, k), d)
-    return value.as_integer()
+    if value.degree > 0:
+        raise ValueError(f"value {value.pretty()} at a primitive {d}-th root "
+                         "of unity is not an integer")
+    return value.coeffs[0] if value.coeffs else 0
 
 
 def fixed_count_bijection(n: int, k: int, d: int) -> int:
@@ -152,19 +155,9 @@ class CspRow:
                 "agree": self.agree}
 
 
-@dataclass(frozen=True)
-class CspReport:
-    n: int
-    rows: tuple[CspRow, ...]
-
-    @property
-    def all_agree(self) -> bool:
-        return all(r.agree for r in self.rows)
-
-
-def verify_csp(n: int, k: int | None = None) -> CspReport:
+def verify_csp(n: int, k: int | None = None) -> tuple[CspRow, ...]:
     """Run every route of ROUTES over all divisors of n, for one k or all
-    of them, and report cell by cell.
+    of them, and give one row per (k, d) cell.
 
     The filter counts for all divisors come from a single enumeration pass
     per k.
@@ -180,9 +173,4 @@ def verify_csp(n: int, k: int | None = None) -> CspReport:
                 if d >= r.least_d
             }
             rows.append(CspRow(n, kk, d, counts))
-    return CspReport(n, tuple(rows))
-
-
-def _verify_cell(cell: tuple[int, int]) -> CspReport:
-    """Module-level wrapper so process pools can map over (n, k) cells."""
-    return verify_csp(*cell)
+    return tuple(rows)

@@ -32,7 +32,7 @@ def test_criterion_1_counts():
             assert count_forests(n, k) == forest_count(n, k), (n, k)
     assert count_forests(12, 7) == 1106028 == forest_count(12, 7)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0, f"count sweep took {elapsed:.1f}s"
+    assert elapsed < 20.0, f"count sweep took {elapsed:.1f}s"
     print(f"\nPASS criterion 1: enumeration matches product formula for "
           f"all n<=10 and (12,7), {elapsed:.1f}s")
 
@@ -41,9 +41,9 @@ def test_criterion_2_csp_triple():
     t0 = time.perf_counter()
     cells = 0
     for n in range(1, 11):
-        report = verify_csp(n)
-        assert report.all_agree, [r for r in report.rows if not r.agree]
-        cells += len(report.rows)
+        rows = verify_csp(n)
+        assert all(r.agree for r in rows), [r for r in rows if not r.agree]
+        cells += len(rows)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"CSP sweep took {elapsed:.1f}s"
     print(f"PASS criterion 2: root-of-unity evaluations equal fixed-point "
@@ -92,7 +92,7 @@ def test_criterion_4_polynomiality():
         for k in range(1, n + 1):
             p = forest_count_poly(n, k)  # raises if the division is inexact
             assert all(c >= 0 for c in p.coeffs), (n, k)
-            assert p(1) == forest_count(n, k), (n, k)
+            assert sum(p.coeffs) == forest_count(n, k), (n, k)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"polynomiality sweep took {elapsed:.1f}s"
     print(f"PASS criterion 4: quotient polynomial exists with nonnegative "
@@ -110,7 +110,7 @@ def test_criterion_5_q_lucas():
                 assert lhs == rhs, (a, b, d)
                 cells += 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"q-Lucas sweep took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"q-Lucas sweep took {elapsed:.1f}s"
     print(f"PASS criterion 5: factored root evaluation matches direct "
           f"evaluation on {cells} binomial cells, {elapsed:.1f}s")
 

@@ -222,14 +222,29 @@ def test_tree_extents_rejects_d_1_and_non_invariant():
 
 
 def test_handoff_is_the_one_step_between_sets():
-    assert _handoff({1, 2}, {3, 4}, "entry") == (2, 3)
-    assert _handoff({5, 6}, {1, 2}, "exit") == (6, 1)  # wraps past n
-    assert _handoff({4}, {1}, "exit") == (4, 1)
-    for kind in ("entry", "exit"):
-        with pytest.raises(BijectionError, match=f"one {kind} transition.*found 2"):
-            _handoff({1, 3}, {2, 4}, kind)
-        with pytest.raises(BijectionError, match=f"one {kind} transition.*found 0"):
-            _handoff({1}, set(), kind)
+    assert _handoff({1, 2}, {3, 4}) == (2, 3)
+    assert _handoff({5, 6}, {1, 2}) == (6, 1)  # wraps past n
+    assert _handoff({4}, {1}) == (4, 1)
+    with pytest.raises(BijectionError, match="one transition.*found 2"):
+        _handoff({1, 3}, {2, 4})
+    with pytest.raises(BijectionError, match="one transition.*found 0"):
+        _handoff({1}, set())
+
+
+def test_first_is_the_entry_from_the_preimage():
+    # tree_extents reads first off the exit into the image, rotated back;
+    # here it is found directly as the step from the preimage into the tree
+    for n in range(2, 11):
+        for d in (dd for dd in divisors(n) if dd >= 2):
+            s = n // d
+            for k in range(1, n + 1):
+                for big in enumerate_invariant(n, k, d):
+                    for e in tree_extents(big, d):
+                        if e.self_mapped:
+                            continue
+                        tree = set(e.vertices)
+                        pre = {(x - 1 - s) % n + 1 for x in tree}
+                        assert e.first == _handoff(pre, tree)[1], (big, d)
 
 
 # ------------------------------------------------------- structural lemmas

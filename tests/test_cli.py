@@ -6,10 +6,10 @@ import tracemalloc
 
 import pytest
 
-from ncfsieve import bijections, enumeration, qpoly
+from ncfsieve import bijections, enumeration, qpoly, sieving
 from ncfsieve.cli import MAX_FOREST_N, main
 from ncfsieve.forest import NonCrossingForest
-from ncfsieve.qpoly import ExactDivisionError, forest_count, forest_count_poly
+from ncfsieve.qpoly import ExactDivisionError, QPoly, forest_count, forest_count_poly
 from ncfsieve.sieving import (
     MAX_CLOSED_N,
     MAX_ENUM_N,
@@ -348,8 +348,8 @@ def test_verify_workers_clamped(capsys, monkeypatch, cpus, argv, pool_size):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
@@ -479,6 +479,31 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: remainder left"
+    assert "Traceback" not in err
+
+
+def test_non_integer_root_value_exits_2(capsys, monkeypatch):
+    # a value of degree 1 at a primitive 4-th root of unity is i, no count
+    monkeypatch.setattr(sieving, "forest_count_poly", lambda n, k: QPoly((0, 1)))
+    code, out, err = run(capsys, "eval", "4", "2", "4")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "error: value q at a primitive 4-th root of unity is not an integer")
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(n, k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(qpoly, "forest_count_poly", interrupted)
+    try:
+        code, out, err = run(capsys, "qpoly", "5", "2")
+    except KeyboardInterrupt:  # left to escape, it would stop the test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
     assert "Traceback" not in err
 
 

@@ -20,7 +20,6 @@ from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import forest_count, forest_count_poly
 from ncfsieve.sieving import (
     ROUTES,
-    CspReport,
     CspRow,
     closed_form_eval,
     fixed_count_bijection,
@@ -114,25 +113,26 @@ def test_fixed_count_bijection_rejects_identity_rotation():
 
 
 def test_verify_csp_frozen_4_2():
-    report = verify_csp(4, 2)
-    by_d = {row.d: row.counts["filter"] for row in report.rows}
+    rows = verify_csp(4, 2)
+    by_d = {row.d: row.counts["filter"] for row in rows}
     assert by_d == {1: 14, 2: 2, 4: 0}
-    assert report.all_agree
+    assert all(row.agree for row in rows)
 
 
 def test_verify_csp_frozen_6():
-    report = verify_csp(6)
-    got = {(r.k, r.d): r.counts["filter"] for r in report.rows if r.d == 2}
+    rows = verify_csp(6)
+    got = {(r.k, r.d): r.counts["filter"] for r in rows if r.d == 2}
     assert got == {(1, 2): 21, (2, 2): 9, (3, 2): 15, (4, 2): 6,
                    (5, 2): 3, (6, 2): 1}
-    assert {r.counts["filter"] for r in report.rows if r.k == 6} == {1}
-    assert report.all_agree
+    assert {r.counts["filter"] for r in rows if r.k == 6} == {1}
+    assert all(r.agree for r in rows)
 
 
 def test_verify_csp_row_shape():
-    report = verify_csp(6, 3)
-    assert isinstance(report, CspReport)
-    for row in report.rows:
+    rows = verify_csp(6, 3)
+    assert isinstance(rows, tuple)
+    assert [row.d for row in rows] == [1, 2, 3, 6]
+    for row in rows:
         assert isinstance(row, CspRow)
         assert row.n == 6 and row.k == 3
         assert row.agree
@@ -144,7 +144,7 @@ def test_verify_csp_row_shape():
 
 
 def test_report_json_layout():
-    rows = [row.to_json_dict() for row in verify_csp(4, 2).rows]
+    rows = [row.to_json_dict() for row in verify_csp(4, 2)]
     assert [r["d"] for r in rows] == [1, 2, 4]
     for r in rows:
         assert (r["n"], r["k"]) == (4, 2)
