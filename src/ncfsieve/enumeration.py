@@ -3,18 +3,33 @@ subsets.
 
 The core is one backtracking walk over the chord list in lexicographic
 order, kept in bitmasks. A frame holds a single int: the chords that may
-still join the selection, which is ~(banned | closed) & ge(floor) with
+still join the selection, which is ~(banned | closed) & after(last) with
 
 * banned: the OR of the precomputed crossing masks of the chosen chords,
 * closed: the chords whose two endpoints already lie in one component,
-* ge(floor): the chords after the last one chosen.
+* after(last): the chords after the last one chosen.
 
 Choosing chord i removes from the candidates the chords that cross it
 and, as i merges components A and B, the chords with one end in each:
 star[A] & star[B], where star[r] is the OR of the chords incident to the
 vertices of the component rooted at r. A union-find with an undo stack
-finds those two roots, once per chosen chord. A node with fewer
-candidates than chords still to choose is cut.
+finds those two roots, once per chosen chord, and keeps the largest vertex
+of each component. Three cuts keep the walk off dead ends; each drops only
+subtrees that hold no forest asked for, so the walk still meets every one:
+
+* count: a node with fewer candidates than chords still to choose is cut;
+* floor: every chord after (u, v) in the order has both ends at u or
+  above, so once (u, v) is chosen a component whose largest vertex is below
+  u is final. The forest keeps those components and has at least one more,
+  the one of u, so choosing (u, v) with k of them already final leads
+  nowhere. Neither does any later candidate at that node, whose first end
+  is no smaller, so the node is left there;
+* rotation: a forest fixed by r holds r(S) for every S inside it, so
+  r(S) minus S must lie among the chords still to choose. Each rotation
+  carries S and r(S) down the walk, one OR per chosen chord, and is
+  dropped below the first node where r(S) minus S outnumbers the chords
+  still to choose. A subtree with no rotation left, when d = 1 is not
+  asked for, is not entered.
 
 At a node one chord short of a forest, every remaining candidate completes
 one, so the walk handles the prefix with its whole completing mask instead
@@ -101,10 +116,16 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
       when j completes S and r(j) is the one chord of S outside r(S);
     * otherwise none is, and the test stops at the second missing chord.
 
-    A node two chords short whose prefix already misses three chords under
-    r cannot get down to one with one more chord, so r is not tested below
-    it. Groups come in lexicographic order of prefix, so expanding each
-    mask low bit first lists the forests in lexicographic order.
+    On the way down the walk applies the count, floor and rotation cuts of
+    the module docstring. The floor cut is exact because no chord chosen
+    later touches a vertex below the floor, the first end of the last chord
+    chosen, so a component final there is a component of every forest below
+    the node. The rotation cut is exact because a fixed forest F that holds
+    S holds r(S) too, and r(S) minus S lies in F minus S, which has as many
+    chords as are still to choose. At the last level it is the test above,
+    and the r(prefix) carried down makes that test one OR per candidate and
+    rotation. Groups come in lexicographic order of prefix, so expanding
+    each mask low bit first lists the forests in lexicographic order.
     """
     need = n - k
     chords = chord_table(n)
@@ -112,17 +133,17 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
     m = len(chords)
     full = (1 << m) - 1
     plain = 1 in ds  # d = 1 takes every completion, with no rotation tested
-    rots = []
+    rots = []  # (d, rotated bit per chord, fixed chords, r(prefix))
     for d in ds:
         if d > 1:
             perm = rotation_perm(n, n // d)
             fixed = sum(1 << i for i in range(m) if perm[i] == i)
-            rots.append((d, tuple(1 << j for j in perm), fixed))
+            rots.append((d, tuple(1 << j for j in perm), fixed, 0))
     prefix: list[int] = []
     if need == 1:
         if plain:
             yield prefix, 1, full
-        for d, _, fixed in rots:
+        for d, _, fixed, _ in rots:
             if fixed:
                 yield prefix, d, fixed
         return
@@ -132,31 +153,28 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
         star[v] |= 1 << i
     parent = list(range(n + 1))
     size = [1] * (n + 1)
-    undo: list[tuple[int, int, int]] = []
+    top = list(range(n + 1))  # largest vertex of each root's component
+    tops = (1 << (n + 1)) - 2  # bit w: w is the top of its component
+    below = [(1 << u) - 1 for u in range(n + 1)]  # the vertices below u
+    undo: list[tuple[int, int, int, int, int]] = []
     last = need - 2  # depth whose chosen chord leaves one to go
     stack = [full]  # candidate mask per depth
+    lives = [rots]  # rotations still possible below each depth
+    sp = 0  # the prefix as a mask
     # Inline union-find: a root-find call per chord made this walk 6% slower.
     while stack:
         depth = len(stack) - 1
         cand = stack[-1]
         if depth == last:
-            heads = []  # (d, rbit, fixed, r(prefix)) for each d still possible
-            if rots:
-                sp = 0
-                for i in prefix:
-                    sp |= 1 << i
-                for d, rbit, fixed in rots:
-                    rsp = 0
-                    for i in prefix:
-                        rsp |= rbit[i]
-                    if (rsp & ~sp).bit_count() <= 2:
-                        heads.append((d, rbit, fixed, rsp))
+            live = lives[-1]
             prefix.append(0)
             while cand:
                 low = cand & -cand
                 cand ^= low
                 i = low.bit_length() - 1
                 u, v = chords[i]
+                if (tops & below[u]).bit_count() >= k:
+                    break  # floor cut; later candidates start no lower
                 while parent[u] != u:
                     u = parent[u]
                 while parent[v] != v:
@@ -167,9 +185,9 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
                 prefix[last] = i
                 if plain:
                     yield prefix, 1, completing
-                if heads:
+                if live:
                     s = sp | low
-                    for d, rbit, fixed, rsp in heads:
+                    for d, rbit, fixed, rsp in live:
                         rs = rsp | rbit[i]
                         miss = rs & ~s
                         if not miss:
@@ -183,30 +201,47 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
             prefix.pop()
         elif cand.bit_count() >= need - depth:
             low = cand & -cand
-            cand ^= low
-            stack[-1] = cand
             i = low.bit_length() - 1
             u, v = chords[i]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if size[u] < size[v]:
-                u, v = v, u
-            stack.append(cand & ~(cross[i] | star[u] & star[v]))
-            undo.append((v, u, star[u]))
-            parent[v] = u
-            size[u] += size[v]
-            star[u] |= star[v]
-            prefix.append(i)
-            continue
+            if (tops & below[u]).bit_count() < k:  # else the floor cut
+                cand ^= low
+                stack[-1] = cand
+                s = sp | low
+                left = need - depth - 1
+                live = []  # the rotation cut
+                for d, rbit, fixed, rsp in lives[-1]:
+                    rs = rsp | rbit[i]
+                    if (rs & ~s).bit_count() <= left:
+                        live.append((d, rbit, fixed, rs))
+                if not (plain or live):
+                    continue
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if size[u] < size[v]:
+                    u, v = v, u
+                stack.append(cand & ~(cross[i] | star[u] & star[v]))
+                lives.append(live)
+                undo.append((v, u, star[u], top[u], tops))
+                parent[v] = u
+                size[u] += size[v]
+                star[u] |= star[v]
+                if top[v] < top[u]:
+                    tops ^= 1 << top[v]
+                else:
+                    tops ^= 1 << top[u]
+                    top[u] = top[v]
+                prefix.append(i)
+                sp = s
+                continue
         stack.pop()
+        lives.pop()
         if undo:
-            v, u, s = undo.pop()
+            v, u, star[u], top[u], tops = undo.pop()
             parent[v] = v
             size[u] -= size[v]
-            star[u] = s
-            prefix.pop()
+            sp ^= 1 << prefix.pop()
 
 
 def enumerate_forests(n: int, k: int, d: int = 1):

@@ -32,7 +32,7 @@ def test_criterion_1_counts():
             assert count_forests(n, k) == forest_count(n, k), (n, k)
     assert count_forests(12, 7) == 1106028 == forest_count(12, 7)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 20.0, f"count sweep took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"count sweep took {elapsed:.1f}s"
     print(f"\nPASS criterion 1: enumeration matches product formula for "
           f"all n<=10 and (12,7), {elapsed:.1f}s")
 
@@ -45,7 +45,7 @@ def test_criterion_2_csp_triple():
         assert all(r.agree for r in rows), [r for r in rows if not r.agree]
         cells += len(rows)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0, f"CSP sweep took {elapsed:.1f}s"
+    assert elapsed < 15.0, f"CSP sweep took {elapsed:.1f}s"
     print(f"PASS criterion 2: root-of-unity evaluations equal fixed-point "
           f"counts on {cells} cells, n<=10, {elapsed:.1f}s")
 
@@ -80,7 +80,7 @@ def test_criterion_3_round_trips():
                     ) == (phi, mark)
                     small_checked += 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"round trips took {elapsed:.1f}s"
+    assert elapsed < 12.0, f"round trips took {elapsed:.1f}s"
     print(f"PASS criterion 3: round trips exact both ways "
           f"({big_checked} invariant forests n<=12, {small_checked} "
           f"constructions from n'<=6), {elapsed:.1f}s")
@@ -150,6 +150,6 @@ def test_criterion_7_structure():
                         assert not sm and k % d == 0
                         assert _scan_window_start(big, d) == raycast_window_start(big, d)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 15.0, f"orbit structure checks took {elapsed:.1f}s"
+    assert elapsed < 5.0, f"orbit structure checks took {elapsed:.1f}s"
     print(f"PASS criterion 7: orbit structure of trees as expected on "
           f"{forests} invariant forests n<=12, {elapsed:.1f}s")

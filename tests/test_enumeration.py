@@ -27,7 +27,7 @@ from ncfsieve.enumeration import (
 )
 from ncfsieve.forest import NonCrossingForest, crosses
 from ncfsieve.qpoly import forest_count
-from ncfsieve.sieving import ROUTES
+from ncfsieve.sieving import ROUTES, closed_form_eval
 
 
 def _census_by_subsets(n: int) -> dict[int, set]:
@@ -177,6 +177,15 @@ def test_invariant_counts_batches_single_d_counts():
             batch = invariant_counts(n, k)
             assert batch == _per_forest_filter(n, k), (n, k)
             assert {d: count_forests(n, k, d) for d in batch} == batch, (n, k)
+
+
+@pytest.mark.parametrize("n, least_k", [(11, 6), (12, 8)])
+def test_invariant_counts_past_ten_match_closed_form(n, least_k):
+    # the walk's floor and rotation cuts act on component and chord counts
+    # that grow with n; above n = 10 the cells with few edges stay cheap
+    for k in range(least_k, n + 1):
+        assert invariant_counts(n, k) == {
+            d: closed_form_eval(n, k, d) for d in divisors(n)}, (n, k)
 
 
 def test_filter_count_walks_only_its_d(monkeypatch):
