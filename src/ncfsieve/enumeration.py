@@ -28,8 +28,9 @@ subtrees that hold no forest asked for, so the walk still meets every one:
   r(S) minus S must lie among the chords still to choose. Each rotation
   carries S and r(S) down the walk, one OR per chosen chord, and is
   dropped below the first node where r(S) minus S outnumbers the chords
-  still to choose. A subtree with no rotation left, when d = 1 is not
-  asked for, is not entered.
+  still to choose or holds a chord outside the node's candidates. A
+  subtree with no rotation left, when d = 1 is not asked for, is not
+  entered.
 
 At a node one chord short of a forest, every remaining candidate completes
 one, so the walk handles the prefix with its whole completing mask instead
@@ -41,11 +42,25 @@ lazy; counting takes its popcount. No forest is rotated whole, so the
 filter route's count (count_forests with d, or invariant_counts for every
 d at once) and its stream (enumerate_forests with d) read the same test.
 
-Rotation-fixed forests can additionally be generated directly by the same
-backtracking over whole chord orbits of the rotation subgroup, which stays
-cheap at sizes where the walk over all of F(n, k) is hopeless. This orbit
-route and the fixed-point filter are two of the count routes in
-sieving.ROUTES.
+Rotation-fixed forests can additionally be generated directly by
+backtracking over whole chord orbits of the rotation, which stays cheap at
+sizes where the walk over all of F(n, k) is hopeless. That walk is kept in
+orbit-index masks: a frame is one int, the orbits that may still join,
+which is after(last) & ~crossing & fits(left) with
+
+* crossing: the OR of the precomputed masks of the orbits that cross a
+  chosen one,
+* fits(left): the orbits with at most as many chords as are still to
+  choose.
+
+An orbit that closes a cycle is found by union-find when it is tried. One
+cut keeps the walk off dead ends: no orbit has more than d chords, so a
+frame whose candidates number fewer than (chords still to choose) / d
+holds no fixed forest and is left. Each mask and the cut drop only orbit
+choices that complete nothing, so the walk meets every fixed forest, in
+the order of an uncut walk. It yields each forest as a chord mask, whose
+bits read low first are its sorted edge list. This orbit route and the
+fixed-point filter are two of the count routes in sieving.ROUTES.
 """
 
 from __future__ import annotations
@@ -122,10 +137,13 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
     chosen, so a component final there is a component of every forest below
     the node. The rotation cut is exact because a fixed forest F that holds
     S holds r(S) too, and r(S) minus S lies in F minus S, which has as many
-    chords as are still to choose. At the last level it is the test above,
-    and the r(prefix) carried down makes that test one OR per candidate and
-    rotation. Groups come in lexicographic order of prefix, so expanding
-    each mask low bit first lists the forests in lexicographic order.
+    chords as are still to choose and lies inside the candidates of the
+    node below: chords after the last one chosen that cross no chord of S
+    and join no two vertices S connects. At the last level it is the test
+    above, and the r(prefix) carried down makes that test one OR per
+    candidate and rotation. Groups come in lexicographic order of prefix,
+    so expanding each mask low bit first lists the forests in
+    lexicographic order.
     """
     need = n - k
     chords = chord_table(n)
@@ -206,22 +224,24 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
             if (tops & below[u]).bit_count() < k:  # else the floor cut
                 cand ^= low
                 stack[-1] = cand
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                nxt = cand & ~(cross[i] | star[u] & star[v])
                 s = sp | low
                 left = need - depth - 1
                 live = []  # the rotation cut
                 for d, rbit, fixed, rsp in lives[-1]:
                     rs = rsp | rbit[i]
-                    if (rs & ~s).bit_count() <= left:
+                    miss = rs & ~s
+                    if not miss & ~nxt and miss.bit_count() <= left:
                         live.append((d, rbit, fixed, rs))
                 if not (plain or live):
                     continue
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
                 if size[u] < size[v]:
                     u, v = v, u
-                stack.append(cand & ~(cross[i] | star[u] & star[v]))
+                stack.append(nxt)
                 lives.append(live)
                 undo.append((v, u, star[u], top[u], tops))
                 parent[v] = u
@@ -299,9 +319,11 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def _orbit_table(n: int, d: int):
     """Chord orbits under rotation by n/d steps, dropping orbits whose own
-    members cross each other (no invariant forest can use them). Each entry
-    is (member indices, edge count, union of crossing masks, member mask,
-    member chords), sorted by minimal member."""
+    members cross each other (no invariant forest can use them), sorted by
+    least member chord. Returns (sizes, crossing, members, ends, fits):
+    per orbit its chord count, the mask of the orbits it crosses, the mask
+    of its member chords and its member chords in order; fits[r] is the
+    mask of the orbits with at most r chords, for 0 <= r < n."""
     perm = rotation_perm(n, n // d)
     cross = _cross_masks(n)
     chords = chord_table(n)
@@ -322,64 +344,85 @@ def _orbit_table(n: int, d: int):
             seen[j] = True
             omask |= 1 << j
             cmask |= cross[j]
-        if cmask & omask:
-            continue
-        members = tuple(sorted(orb))
-        ends = tuple(chords[j] for j in members)
-        orbits.append((members, len(orb), cmask, omask, ends))
+        if not cmask & omask:
+            orbits.append((min(orb), len(orb), cmask, omask))
     orbits.sort()
-    return tuple(orbits)
+    sizes = tuple(sz for _, sz, _, _ in orbits)
+    crossing = tuple(
+        sum(1 << b for b, other in enumerate(orbits) if cmask & other[3])
+        for _, _, cmask, _ in orbits
+    )
+    members = tuple(omask for _, _, _, omask in orbits)
+    ends = tuple(
+        tuple(chords[j] for j in range(m) if omask >> j & 1) for omask in members
+    )
+    fits = tuple(
+        sum(1 << a for a, sz in enumerate(sizes) if sz <= r) for r in range(n)
+    )
+    return sizes, crossing, members, ends, fits
 
 
-def _iter_invariant_index_sets(n: int, k: int, d: int):
-    """Chord-index tuples of every d-invariant forest in F(n, k), generated
-    orbit by orbit. Emission order is by orbit choice, not lexicographic."""
+def _invariant_masks(n: int, k: int, d: int):
+    """Chord masks of every d-invariant forest in F(n, k), generated orbit
+    by orbit: each orbit taken or skipped in order of least member chord.
+
+    A frame is one int, the mask of the orbits that may still join: those
+    after the last one chosen, less the orbits that cross a chosen one,
+    less the orbits with more chords than are still to choose. An orbit
+    joins when its chords close no cycle, tested by union_edges on a
+    union-find with undo.
+
+    The count cut: every orbit has at most d chords, so a frame whose d *
+    popcount(candidates) is below the chords still to choose completes
+    nothing. The walk leaves such a frame, and skips a candidate whose own
+    frame would be one before it joins anything. The cut and the masks
+    drop only orbit choices that complete no forest, so the walk meets
+    every fixed forest, in the order of an uncut walk.
+    """
     need = n - k
     if need == 0:
-        yield ()
+        yield 0
         return
-    orbits = _orbit_table(n, d)
-    t = len(orbits)
-    suffix = [0] * (t + 1)
-    for j in range(t - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + orbits[j][1]
+    sizes, crossing, members, ends, fits = _orbit_table(n, d)
     parent = list(range(n + 1))
     size = [1] * (n + 1)
-    taken: list[tuple[int, ...]] = []
-    edges_in = 0
     undo: list[tuple[int, int]] = []
-    # frame: [next orbit, banned mask, edges owned]; each edge is one union.
-    # A frame that completes a forest yields it and is popped next round.
-    stack: list[list] = [[0, 0, 0]]
+    stack = [fits[need]]  # candidate orbits per depth
+    taken: list[int] = []  # the orbit chosen at each depth below the first
+    left = need  # chords still to choose
+    mask = 0  # the chosen chords
     while stack:
-        frame = stack[-1]
-        j, banned = frame[0], frame[1]
-        while edges_in < need and j < t and suffix[j] >= need - edges_in:
-            members, sz, cmask, omask, ends = orbits[j]
-            j += 1
-            if sz > need - edges_in or banned & omask:
-                continue
-            if union_edges(parent, size, undo, ends) < sz:
+        cand = stack[-1]
+        while cand and d * cand.bit_count() >= left:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            sz = sizes[j]
+            rest = left - sz
+            nxt = cand & ~crossing[j] & fits[rest]
+            if d * nxt.bit_count() < rest:
+                continue  # the count cut, before any join
+            if union_edges(parent, size, undo, ends[j]) < sz:
                 continue  # the orbit closes a cycle, and nothing was joined
-            frame[0] = j
-            taken.append(members)
-            edges_in += sz
-            if edges_in == need:
-                out: list[int] = []
-                for mem in taken:
-                    out.extend(mem)
-                yield tuple(sorted(out))
-            stack.append([j, banned | cmask, sz])
+            stack[-1] = cand
+            stack.append(nxt)  # with no chord left, fits[0] is empty
+            taken.append(j)
+            left = rest
+            mask |= members[j]
+            if not rest:
+                yield mask
             break
         else:
             stack.pop()
-            if frame[2]:
-                for _ in range(frame[2]):
+            if taken:
+                j = taken.pop()
+                sz = sizes[j]
+                for _ in range(sz):
                     rv, ru = undo.pop()
                     size[ru] -= size[rv]
                     parent[rv] = rv
-                taken.pop()
-                edges_in -= frame[2]
+                left += sz
+                mask ^= members[j]
 
 
 def enumerate_invariant(n: int, k: int, d: int):
@@ -394,5 +437,10 @@ def enumerate_invariant(n: int, k: int, d: int):
         yield from enumerate_forests(n, k)
         return
     chords = chord_table(n)
-    for t in _iter_invariant_index_sets(n, k, d):
-        yield NonCrossingForest._unchecked(n, tuple(chords[i] for i in t))
+    for mask in _invariant_masks(n, k, d):
+        edges = []
+        while mask:  # low bit first: the sorted edge list
+            low = mask & -mask
+            mask ^= low
+            edges.append(chords[low.bit_length() - 1])
+        yield NonCrossingForest._unchecked(n, tuple(edges))

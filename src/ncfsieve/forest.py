@@ -12,6 +12,7 @@ s steps sends label i to ((i - 1 + s) mod n) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 Chord = tuple[int, int]
 
@@ -109,6 +110,9 @@ def crosses(e1: Chord, e2: Chord, n: int) -> bool:
     return (a < c < b) != (a < d < b)
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 def innermost_chords(n: int, edges) -> list[Chord | None]:
     """Entry g is the innermost chord (a, b) with a <= g < b, the closest
     over the gap just before vertex g + 1, or None; edges are normalized
@@ -123,7 +127,11 @@ def innermost_chords(n: int, edges) -> list[Chord | None]:
     >>> innermost_chords(6, [(1, 4), (2, 4), (5, 6)])
     [None, (1, 4), (2, 4), (2, 4), None, (5, 6)]
     """
-    todo = sorted(edges, key=lambda c: (c[0], -c[1]), reverse=True)
+    # first end descending, and longest last among equal first ends, so
+    # popping gives first end ascending, longest first; two stable C sorts
+    # cost a third of one with a Python key
+    todo = sorted(edges, key=_second)
+    todo.sort(key=_first, reverse=True)
     open_: list[Chord | None] = [None]
     inner: list[Chord | None] = []
     top = None
@@ -164,11 +172,15 @@ class NonCrossingForest:
         check_n(n)
         norm = []
         for (u, v) in edges:
-            # Labels are checked before chord() compares them, so a label of
-            # the wrong type is reported as such, not as a TypeError.
-            check_vertex(u, n)
-            check_vertex(v, n)
-            norm.append(chord(u, v))
+            if (type(u) is int and type(v) is int
+                    and 0 < u <= n and 0 < v <= n and u != v):
+                norm.append((u, v) if u < v else (v, u))
+            else:
+                # Labels are checked before chord() compares them, so a label
+                # of the wrong type is reported as such, not as a TypeError.
+                check_vertex(u, n)
+                check_vertex(v, n)
+                norm.append(chord(u, v))
         norm.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
@@ -184,13 +196,20 @@ class NonCrossingForest:
         return self
 
     def _validate(self) -> None:
-        """Reject duplicate and crossing chords by the chord sweep, then
-        cycle-closing ones by union-find; __init__ checked the labels."""
+        """Reject duplicate, crossing and cycle-closing chords in one chord
+        sweep; __init__ checked the labels.
+
+        e non-crossing chords cut the disk into e + 1 regions: one beneath
+        each chord and the outer one. They are acyclic exactly when every
+        region touches the circle, that is, when innermost_chords has e + 1
+        distinct entries. A chord that is innermost over no gap bounds a
+        face enclosed by chords alone, so it lies on a cycle.
+        """
         n, edges = self.n, self.edges
-        innermost_chords(n, edges)
-        joined = union_edges(list(range(n + 1)), [1] * (n + 1), [], edges)
-        if joined < len(edges):
-            raise ValueError(f"edge {edges[joined]} closes a cycle")
+        inner = set(innermost_chords(n, edges))
+        if len(inner) <= len(edges):
+            enclosing = next(e for e in edges if e not in inner)
+            raise ValueError(f"edge {enclosing} closes a cycle")
 
     # -- structure ---------------------------------------------------------
 
@@ -223,10 +242,13 @@ class NonCrossingForest:
         s %= n
         if s == 0 or not self.edges:
             return self
-        moved = sorted(
-            chord(rotate_label(u, s, n), rotate_label(v, s, n))
-            for (u, v) in self.edges
-        )
+        t = n - s  # labels above t wrap around to 1
+        moved = []
+        for u, v in self.edges:
+            u = u + s if u <= t else u - t
+            v = v + s if v <= t else v - t
+            moved.append((u, v) if u < v else (v, u))
+        moved.sort()
         return NonCrossingForest._unchecked(n, tuple(moved))
 
     def is_d_invariant(self, d: int) -> bool:

@@ -7,6 +7,7 @@ recursive generator covers n = 7 and 8, where 2^21 and 2^28 subsets would
 be too many. The fixed-point counts are pinned to a per-forest set filter.
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -220,6 +221,35 @@ def test_invariant_stream_really_is_invariant():
                 for f in enumerate_invariant(n, k, d):
                     assert f.is_d_invariant(d), (n, k, d, f)
                     assert f.component_count() == k
+
+
+# sha256 over every d >= 2 cell of n, k ascending then d ascending, of
+# repr([f.edges for f in enumerate_invariant(n, k, d)]); taken from the
+# chord-level orbit walk that preceded the orbit-mask walk
+ORBIT_STREAM_SHA256 = {
+    2: "82b5b9ea7c9ca0c113f9a2b7b8243e297ea9d7e57db519cf68fdf8261c1a655e",
+    3: "1a7d947cd9fd7be5101ea440ec1e29d7d35a1604d854c6ea678c5b2a4a84e114",
+    4: "d24d61c58ca61bf7b60535782a3e5624744c89aad0d711221aebf6c490289d45",
+    5: "68a208b4cb9071e9edfb17c90a281072a6e8612f828a7090c84a482be9c06c89",
+    6: "63a11636435fa2ac6465947d405d5ebc264f40cf8a7b0076725c84bbdcc47148",
+    7: "2516106340479f25c79622c9c1eff51035a6ece97a293e85b52a4acd106fa232",
+    8: "098f2c008ade85da35cfa2af9114ba03f02df76a454ea808ee024ccd61bf920f",
+    9: "5eeef39b04869bc0308f3311c838ab351acea3981771a1abeb7a77d3d743b037",
+    10: "e28721615540f9d02f60953b6b07bfaff124ce28bdeefe750a8a30f087bd19ad",
+    11: "b4e145d9c3dbcf8bede6e6c04f8ae2106934d0b559b9889268dd22cb95a552ea",
+    12: "6ca171e45226462708892d177f836a5e8eaee74fb307ac295ca167ead9a50800",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_STREAM_SHA256))
+def test_orbit_stream_order_is_pinned(n):
+    # the benchmark samples forests by their position in this stream, so
+    # its order is part of the route's contract, not only its set
+    h = hashlib.sha256()
+    for k in range(1, n + 1):
+        for d in divisors(n)[1:]:
+            h.update(repr([f.edges for f in enumerate_invariant(n, k, d)]).encode())
+    assert h.hexdigest() == ORBIT_STREAM_SHA256[n]
 
 
 def test_orbit_route_streams():

@@ -2,6 +2,7 @@
 
 import json
 import time
+from enum import IntEnum
 from itertools import combinations
 
 import networkx as nx
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncfsieve.enumeration import chord_table
 from ncfsieve.forest import (
     NonCrossingForest,
     chord,
@@ -104,6 +106,54 @@ def test_rejects_crossing():
 def test_rejects_cycle():
     with pytest.raises(ValueError, match="cycle"):
         NonCrossingForest(3, [(1, 2), (2, 3), (1, 3)])
+
+
+def test_cycle_error_names_the_enclosed_face_chord():
+    # (1, 3) is innermost over no gap: the face beneath it is the triangle
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) closes a cycle"):
+        NonCrossingForest(3, [(1, 2), (2, 3), (1, 3)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_chord_set_against_networkx(n):
+    # accepted exactly when no two chords cross and networkx finds no cycle
+    chords = chord_table(n)
+    m = len(chords)
+    clash = [sum(1 << j for j in range(m) if crosses(chords[i], chords[j], n))
+             for i in range(m)]
+    for mask in range(1 << m):
+        picked = [i for i in range(m) if mask >> i & 1]
+        sub = [chords[i] for i in picked]
+        if any(clash[i] & mask for i in picked):
+            with pytest.raises(ValueError, match="cross"):
+                NonCrossingForest(n, sub)
+            continue
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, n + 1))
+        graph.add_edges_from(sub)
+        if nx.is_forest(graph):
+            assert NonCrossingForest(n, sub).edges == tuple(sub)
+        else:
+            with pytest.raises(ValueError, match="cycle"):
+                NonCrossingForest(n, sub)
+
+
+class _Label(IntEnum):
+    ONE = 1
+    THREE = 3
+
+
+def test_labels_off_the_fast_path():
+    # bools are rejected; int subclasses are checked and kept
+    with pytest.raises(ValueError, match="vertex True"):
+        NonCrossingForest(4, [(True, 2)])
+    with pytest.raises(ValueError, match="vertex"):
+        NonCrossingForest(4, [(1.0, 2)])
+    with pytest.raises(ValueError, match="degenerate"):
+        NonCrossingForest(4, [(2, 2)])
+    f = NonCrossingForest(4, [(_Label.THREE, _Label.ONE), (3, 4)])
+    assert f.edges == ((1, 3), (3, 4))
+    assert f == NonCrossingForest(4, [(1, 3), (3, 4)])
 
 
 def test_rejects_duplicate_edge():
@@ -249,6 +299,14 @@ def test_rotate_identity_and_period():
     assert f.rotate(6) == f
     assert f.rotate(2).rotate(4) == f
     assert f.rotate(1) == NonCrossingForest(6, [(2, 3), (5, 1)])
+
+
+def test_rotate_matches_rotate_label():
+    f = NonCrossingForest(9, [(1, 9), (2, 4), (2, 8), (5, 7)])
+    for s in range(-9, 19):
+        moved = sorted(chord(rotate_label(u, s, 9), rotate_label(v, s, 9))
+                       for u, v in f.edges)
+        assert f.rotate(s).edges == tuple(moved), s
 
 
 def test_is_d_invariant():
