@@ -25,7 +25,15 @@ d = 2, component count odd
 
 The decompositions rederive every canonical choice from scratch and raise
 BijectionError when the input is not actually in the image. Round trips
-through both directions are checked exhaustively by the test suite.
+through both directions are checked exhaustively by the test suite. Each
+map tests invariance in place (is_d_invariant compares sorted rotated
+chords, with no forest built), computes labels by inline arithmetic, and
+builds every forest it returns, image or phi, through the validating
+NonCrossingForest constructor, which also orders each chord.
+
+tree_extents, the orbit structure behind both regimes, reads one component
+label per vertex and finds where every tree hands off to its rotated image
+in one sweep around the circle.
 
 enumerate_images is the bijection count route: it builds every fixed forest
 of one cell from the small side and insists the images are distinct.
@@ -34,6 +42,7 @@ of one cell from the small side and insists the images are distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import enumerate_forests
 from .forest import (
@@ -44,7 +53,6 @@ from .forest import (
     check_vertex,
     chord,
     innermost_chords,
-    rotate_label,
 )
 
 
@@ -61,8 +69,7 @@ class Mark:
     edge: Chord | None = None
 
 
-@dataclass(frozen=True)
-class TreeExtent:
+class TreeExtent(NamedTuple):
     """One tree of an invariant forest with the endpoints of its circular
     extent, or flagged as mapped to itself by the rotation."""
 
@@ -105,43 +112,78 @@ def all_marks(phi: NonCrossingForest) -> tuple[Mark, ...]:
 
 def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     """Locate each tree of a d-invariant forest relative to its rotated
-    neighbors.
+    neighbors, in the order of the trees' least vertices.
 
     Let s = n/d be one rotation step. For a tree T not mapped to itself,
     walking the circle through the vertices of T together with those of its
-    preimage under the rotation passes from preimage to T exactly once; that
-    entry vertex is first(T). Symmetrically last(T) is the unique handoff
-    from T to its image. Trees mapped to themselves get first = last = None.
+    image under the rotation passes from T to the image exactly once; that
+    handoff's vertex in T is last(T), and its vertex in the image, rotated
+    back one step, is first(T), the entry into T from its preimage. Trees
+    mapped to themselves get first = last = None.
 
-    Raises BijectionError if a tree and its image overlap without being
-    equal, or if the self-mapped trees violate the parity theory (at most
-    one, only when d = 2 and the component count is odd).
+    Each vertex carries its tree's label from component_labels. One pass
+    over the labels against the labels s steps on checks that the rotation
+    maps every tree onto one tree; then one sweep over 1..n, started from
+    the last vertex of each tree and its image, meets every handoff.
+
+    Raises BijectionError if the chords close a cycle, if a tree overlaps
+    its image without being equal to it, if a tree meets its image other
+    than at one handoff, or if the self-mapped trees violate the parity
+    theory (at most one, only when d = 2 and the component count is odd).
+    Once the forest is invariant no tree can partly overlap its image, and
+    a tree disjoint from its image has at least one handoff; those checks
+    stay as guards.
     """
     n = forest.n
     check_d(d, n, least=2)
     if not forest.is_d_invariant(d):
         raise BijectionError(f"forest is not invariant under rotation of order {d}")
     s = n // d
-    comps = forest.components()
+    labs = forest.component_labels()[1:]
+    # img maps each tree to the tree its vertices rotate into; its keys come
+    # in the order of the trees' least vertices
+    rot = labs[s:] + labs[:s]
+    img = dict(zip(labs, rot))
+    k = len(img)
+    if k != n - len(forest.edges):
+        raise BijectionError("the chords close a cycle; not a forest")
+    # Rotation permutes the vertices, so once every vertex of a tree lands
+    # in one tree, each tree lands onto a tree of its own.
+    if list(map(img.__getitem__, labs)) != rot:
+        raise BijectionError(f"a tree partially overlaps its rotation by {s}")
+    pre = {b: a for a, b in img.items()}
+    top = dict(zip(labs, range(1, n + 1)))
+    # tail[c] is the vertex last met of tree c and its image: +x for x in
+    # c, -x for x in the image. The sweep starts after each pair's last
+    # vertex, so the wrap from n back to 1 is met like any other step.
+    tail = {c: top[c] if top[c] > top[b] else -top[b] for c, b in img.items()}
+    members: dict[int, list[int]] = {c: [] for c in img}
+    handoffs: dict[int, list[tuple[int, int]]] = {}
+    for x, c in enumerate(labs, 1):
+        members[c].append(x)
+        tail[c] = x
+        p = pre[c]
+        if p != c:
+            u = tail[p]
+            if u > 0:
+                handoffs.setdefault(p, []).append((u, x))
+            tail[p] = -x
     extents = []
     self_mapped_count = 0
-    for comp in comps:
-        tree = tuple(sorted(comp))
-        tset = set(comp)
-        image = {rotate_label(x, s, n) for x in comp}
-        if image == tset:
+    for c, b in img.items():
+        tree = tuple(members[c])
+        if b == c:
             self_mapped_count += 1
             extents.append(TreeExtent(tree, None, None, True))
             continue
-        if image & tset:
+        steps = handoffs.get(c, ())
+        if len(steps) != 1:
             raise BijectionError(
-                f"tree {tree} partially overlaps its rotation image"
+                f"tree {tree} has {len(steps)} handoffs to its image in "
+                "circular order, expected one"
             )
-        # The entry into T from its preimage is the exit from T into its
-        # image rotated back one step.
-        last, w = _handoff(tset, image)
-        extents.append(TreeExtent(tree, rotate_label(w, -s, n), last, False))
-    k = len(comps)
+        last, w = steps[0]
+        extents.append(TreeExtent(tree, (w - 1 - s) % n + 1, last, False))
     if self_mapped_count == 0:
         if k % d:
             raise BijectionError(
@@ -154,31 +196,19 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     return tuple(extents)
 
 
-def _handoff(src: set[int], dst: set[int]) -> tuple[int, int]:
-    """The unique step (u, w) in circular order over the vertices of src
-    and dst that goes from u in src to w in dst."""
-    seq = sorted(src | dst)
-    hits = [(u, w) for u, w in zip(seq, seq[1:] + seq[:1]) if u in src and w in dst]
-    if len(hits) != 1:
-        raise BijectionError(
-            f"expected one transition in circular order, found {len(hits)}"
-        )
-    return hits[0]
-
-
 def _periodic_image(phi: NonCrossingForest, v: int, d: int) -> NonCrossingForest:
     """Glue d rotated copies of phi, cut at v, with no goodness check."""
     np_ = phi.n
     n = d * np_
     j1 = (1 - v) % np_
+    # Copy j of phi's vertex a gets label (j * np_ + (a - v) % np_ - j1) % n + 1;
+    # c runs over j * np_. The constructor orders each pair.
     edges = []
     for a, b in phi.edges:
-        oa = (a - v) % np_
-        ob = (b - v) % np_
-        for c in range(d):
-            pa = c * np_ + oa
-            pb = c * np_ + ob
-            edges.append(chord((pa - j1) % n + 1, (pb - j1) % n + 1))
+        oa = (a - v) % np_ - j1
+        ob = (b - v) % np_ - j1
+        for c in range(0, n, np_):
+            edges.append(((c + oa) % n + 1, (c + ob) % n + 1))
     return NonCrossingForest(n, edges)
 
 
@@ -229,7 +259,7 @@ def decompose_periodic(forest: NonCrossingForest, d: int) -> tuple[NonCrossingFo
     edges = []
     for a, b in forest.edges:
         if (a - start) % n < np_ and (b - start) % n < np_:
-            edges.append(chord((a - 1) % np_ + 1, (b - 1) % np_ + 1))
+            edges.append(((a - 1) % np_ + 1, (b - 1) % np_ + 1))
     if len(edges) * d != len(forest.edges):
         raise BijectionError(
             f"window holds {len(edges)} edges, expected {len(forest.edges)}/{d}"
@@ -264,24 +294,20 @@ def construct_diameter(phi: NonCrossingForest, mark: Mark) -> NonCrossingForest:
         split_at = (w - v) % np_
     n = 2 * np_
     qb = (1 - v) % np_
-
-    def lab(p: int) -> int:
-        return (p - qb) % n + 1
-
-    edges = [chord(lab(0), lab(np_))]
+    # Position p, counted clockwise from the upper copy of v, gets label
+    # (p - qb) % n + 1; the constructor orders each pair.
+    edges = [((n - qb) % n + 1, (np_ - qb) % n + 1)]
     for a, b in phi.edges:
-        if v in (a, b):
-            w = b if a == v else a
-            pw = (w - v) % np_
-            top = split_at is None or pw < split_at
-            anchor = 0 if top else np_
-            edges.append(chord(lab(anchor), lab(pw)))
-            edges.append(chord(lab((anchor + np_) % n), lab(pw + np_)))
+        if a == v or b == v:
+            pw = ((b if a == v else a) - v) % np_
+            anchor = 0 if split_at is None or pw < split_at else np_
+            edges.append(((anchor - qb) % n + 1, (pw - qb) % n + 1))
+            edges.append(((anchor + np_ - qb) % n + 1, (pw + np_ - qb) % n + 1))
         else:
-            pa = (a - v) % np_
-            pb = (b - v) % np_
-            edges.append(chord(lab(pa), lab(pb)))
-            edges.append(chord(lab(pa + np_), lab(pb + np_)))
+            pa = (a - v) % np_ - qb
+            pb = (b - v) % np_ - qb
+            edges.append((pa % n + 1, pb % n + 1))
+            edges.append(((pa + np_) % n + 1, (pb + np_) % n + 1))
     image = NonCrossingForest(n, edges)
     if not image.is_d_invariant(2):
         raise BijectionError("folded image lost half-turn invariance")
@@ -313,10 +339,8 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
     x, y = diameters[0]
     upper = x if (1 - x) % n < np_ else y
     v = (upper - 1) % np_ + 1
-
-    def lab(q: int) -> int:
-        return (v - 1 + q) % np_ + 1
-
+    # offset q clockwise from the upper end folds onto phi's vertex
+    # (v - 1 + q) % np_ + 1; the constructor orders each pair
     edges = []
     lower_offsets = []
     for a, b in forest.edges:
@@ -324,12 +348,12 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
         qc = (b - upper) % n
         if qa > qc:
             qa, qc = qc, qa
-        if (qa, qc) == (0, np_):
-            continue
-        if qc < np_:  # within the right half; lab(0) is v
-            edges.append(chord(lab(qa), lab(qc)))
+        if qc < np_:  # within the right half; offset 0 is v
+            edges.append(((v - 1 + qa) % np_ + 1, (v - 1 + qc) % np_ + 1))
         elif qc == np_:  # from the right half to the lower end
-            edges.append(chord(v, lab(qa)))
+            if qa == 0:  # the diameter itself
+                continue
+            edges.append((v, (v - 1 + qa) % np_ + 1))
             lower_offsets.append(qa)
         elif 0 < qa < np_:  # from the right half to the left one
             raise BijectionError(
@@ -341,7 +365,7 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
     if phi.component_count() != (k + 1) // 2:
         raise BijectionError("folded component count does not match")
     if lower_offsets:
-        mark = Mark(v, chord(v, lab(min(lower_offsets))))
+        mark = Mark(v, chord(v, (v - 1 + min(lower_offsets)) % np_ + 1))
     else:
         mark = Mark(v)
     return phi, mark

@@ -5,14 +5,14 @@ fixed-point counts, the structural bijections, and the verification sweep.
 Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification ran and found a mismatch,
-2 for bad input, a size over a bound, or an arithmetic error (such as a
-division promised exact that left a remainder), 130 when interrupted by
-Ctrl-C. Every count is taken from a route of sieving.ROUTES, and every
-bound on n is that route's max_n, checked by sieving.check_bound before the
-route runs: n <= 12 for the routes that enumerate, n <= 100 for the
-q-polynomial and n <= 2000 for the closed form. A forest that construct or
-decompose reads, or that construct builds, has at most MAX_FOREST_N
-vertices.
+2 for bad input, a size over a bound, an arithmetic error (such as a
+division promised exact that left a remainder) or memory running out (as
+reading a huge forest file can), 130 when interrupted by Ctrl-C. Every
+count is taken from a route of sieving.ROUTES, and every bound on n is that
+route's max_n, checked by sieving.check_bound before the route runs:
+n <= 12 for the routes that enumerate, n <= 100 for the q-polynomial and
+n <= 2000 for the closed form. A forest that construct or decompose reads,
+or that construct builds, has at most MAX_FOREST_N vertices.
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -213,16 +213,28 @@ class NonCrossingForest:
 
     # -- structure ---------------------------------------------------------
 
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components as vertex sets, ordered by minimal label."""
+    def component_labels(self) -> list[int]:
+        """Entry x, for each vertex x in 1..n, is the root vertex of x's
+        component in a union-find over the edges; entry 0 is 0. Two
+        vertices share a tree exactly when their entries are equal.
+
+        The edges must form a forest, as the constructor guarantees: on a
+        cycle union_edges takes its joins back.
+        """
         n = self.n
         parent = list(range(n + 1))
         union_edges(parent, [1] * (n + 1), [], self.edges)
-        groups: dict[int, list[int]] = {}
         for x in range(1, n + 1):
-            root = x
+            root = parent[x]
             while parent[root] != root:
                 root = parent[root]
+            parent[x] = root  # later finds through x stop at the root
+        return parent
+
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected components as vertex sets, ordered by minimal label."""
+        groups: dict[int, list[int]] = {}
+        for x, root in enumerate(self.component_labels()[1:], 1):
             groups.setdefault(root, []).append(x)
         return tuple(frozenset(g) for g in groups.values())
 
@@ -254,10 +266,21 @@ class NonCrossingForest:
     def is_d_invariant(self, d: int) -> bool:
         """Whether the forest is fixed by rotation through 1/d of a turn.
 
-        Requires d | n; d = 1 is always true.
+        Requires d | n; d = 1 is always true. The rotated edge list is
+        sorted and compared with edges, with no forest built for it.
         """
         check_d(d, self.n)
-        return self.rotate(self.n // d) == self
+        n = self.n
+        s = n // d % n
+        edges = self.edges
+        if s == 0:
+            return True
+        t = n - s  # labels above t wrap around to 1
+        # u < v, so a chord wraps at neither end, at v alone or at both
+        moved = [(u + s, v + s) if v <= t else (v - t, u + s) if u <= t
+                 else (u - t, v - t) for u, v in edges]
+        moved.sort()
+        return tuple(moved) == edges
 
     # -- serialization -----------------------------------------------------
 

@@ -150,6 +150,6 @@ def test_criterion_7_structure():
                         assert not sm and k % d == 0
                         assert _scan_window_start(big, d) == raycast_window_start(big, d)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0, f"orbit structure checks took {elapsed:.1f}s"
+    assert elapsed < 4.0, f"orbit structure checks took {elapsed:.1f}s"
     print(f"PASS criterion 7: orbit structure of trees as expected on "
           f"{forests} invariant forests n<=12, {elapsed:.1f}s")

@@ -6,6 +6,7 @@ labels, scan order 1, n, n-1, ..., 2) and are frozen here; any drift in a
 convention breaks these before anything subtle does.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from ncfsieve.bijections import (
     BijectionError,
     Mark,
-    _handoff,
     _periodic_image,
     _scan_window_start,
     all_marks,
@@ -29,7 +29,16 @@ from ncfsieve.bijections import (
 )
 from ncfsieve.enumeration import divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.forest import NonCrossingForest
-from window_oracle import raycast_window_start, signature_good_vertices
+from window_oracle import (
+    handoff,
+    raycast_window_start,
+    sets_tree_extents,
+    signature_good_vertices,
+)
+
+# Line count and SHA-256 of the outputs in test_maps_match_the_frozen_outputs
+LINES = 6330
+DIGEST = "b14368cb395457a1b96d5c76c70f9599b57ac7fdc14a44c8cf74b3aa984c6e1e"
 
 F12 = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
 F24 = NonCrossingForest(
@@ -221,30 +230,111 @@ def test_tree_extents_rejects_d_1_and_non_invariant():
         tree_extents(NonCrossingForest(6, [(1, 2)]), 2)
 
 
+def test_tree_extents_rejects_chord_sets_that_pass_invariance():
+    # unchecked chord sets that rotation fixes but that are no non-crossing
+    # forest; each must fail with BijectionError, not KeyError or IndexError
+    crossing = NonCrossingForest._unchecked(4, ((1, 3), (2, 4)))
+    assert crossing.is_d_invariant(2)
+    with pytest.raises(BijectionError, match="2 self-mapped trees"):
+        tree_extents(crossing, 2)
+    triangle = NonCrossingForest._unchecked(3, ((1, 2), (1, 3), (2, 3)))
+    assert triangle.is_d_invariant(3)
+    with pytest.raises(BijectionError, match="close a cycle"):
+        tree_extents(triangle, 3)
+    # the trees {1, 4, 6} and {2, 5, 8} swap under the half turn and
+    # interleave, so the first meets the second in three handoffs
+    woven = NonCrossingForest._unchecked(8, ((1, 4), (2, 8), (4, 6), (5, 8)))
+    assert woven.is_d_invariant(2)
+    with pytest.raises(BijectionError, match="3 handoffs"):
+        tree_extents(woven, 2)
+
+
+def test_tree_extents_keeps_the_overlap_guard(monkeypatch):
+    # invariance rules out a tree that partly overlaps its image; with the
+    # invariance test bypassed the guard still reports one
+    monkeypatch.setattr(NonCrossingForest, "is_d_invariant", lambda self, d: True)
+    with pytest.raises(BijectionError, match="partially overlaps"):
+        tree_extents(NonCrossingForest(6, [(1, 2), (2, 4)]), 2)
+
+
 def test_handoff_is_the_one_step_between_sets():
-    assert _handoff({1, 2}, {3, 4}) == (2, 3)
-    assert _handoff({5, 6}, {1, 2}) == (6, 1)  # wraps past n
-    assert _handoff({4}, {1}) == (4, 1)
+    assert handoff({1, 2}, {3, 4}) == (2, 3)
+    assert handoff({5, 6}, {1, 2}) == (6, 1)  # wraps past n
+    assert handoff({4}, {1}) == (4, 1)
     with pytest.raises(BijectionError, match="one transition.*found 2"):
-        _handoff({1, 3}, {2, 4})
+        handoff({1, 3}, {2, 4})
     with pytest.raises(BijectionError, match="one transition.*found 0"):
-        _handoff({1}, set())
+        handoff({1}, set())
+
+
+def _invariant_cases(max_n):
+    for n in range(2, max_n + 1):
+        for d in (dd for dd in divisors(n) if dd >= 2):
+            for k in range(1, n + 1):
+                for big in enumerate_invariant(n, k, d):
+                    yield big, d
+
+
+def test_tree_extents_match_the_sets_oracle():
+    # one labelled sweep against a graph search and a sorted merge per tree,
+    # on every (forest, d >= 2) with n <= 10, tree order included
+    cases = 0
+    for big, d in _invariant_cases(10):
+        assert tree_extents(big, d) == sets_tree_extents(big, d), (big, d)
+        cases += 1
+    assert cases == 3165
 
 
 def test_first_is_the_entry_from_the_preimage():
     # tree_extents reads first off the exit into the image, rotated back;
     # here it is found directly as the step from the preimage into the tree
-    for n in range(2, 11):
-        for d in (dd for dd in divisors(n) if dd >= 2):
-            s = n // d
-            for k in range(1, n + 1):
-                for big in enumerate_invariant(n, k, d):
-                    for e in tree_extents(big, d):
-                        if e.self_mapped:
-                            continue
-                        tree = set(e.vertices)
-                        pre = {(x - 1 - s) % n + 1 for x in tree}
-                        assert e.first == _handoff(pre, tree)[1], (big, d)
+    for big, d in _invariant_cases(10):
+        n = big.n
+        s = n // d
+        for e in tree_extents(big, d):
+            if e.self_mapped:
+                continue
+            tree = set(e.vertices)
+            pre = {(x - 1 - s) % n + 1 for x in tree}
+            assert e.first == handoff(pre, tree)[1], (big, d)
+
+
+def test_last_is_the_exit_into_the_image():
+    for big, d in _invariant_cases(10):
+        n = big.n
+        s = n // d
+        for e in tree_extents(big, d):
+            if e.self_mapped:
+                continue
+            tree = set(e.vertices)
+            image = {(x - 1 + s) % n + 1 for x in tree}
+            assert e.last == handoff(tree, image)[0], (big, d)
+
+
+def test_maps_match_the_frozen_outputs():
+    # every decomposition of a fixed forest with n <= 10 and every image of a
+    # small forest on up to 10 vertices, hashed; the digest was taken from
+    # the maps as they stood before the labels were computed inline
+    lines = []
+    for big, d in _invariant_cases(10):
+        if big.component_count() % d == 0:
+            phi, v = decompose_periodic(big, d)
+            lines.append(f"P {big.edges} {d} {phi.edges} {v}")
+        else:
+            phi, mark = decompose_diameter(big)
+            lines.append(f"D {big.edges} {phi.edges} {mark.vertex} {mark.edge}")
+    for np_ in range(1, 6):
+        for kp in range(1, np_ + 1):
+            for phi in enumerate_forests(np_, kp):
+                for v in sorted(classify_vertices(phi)):
+                    for d in range(2, 10 // np_ + 1):
+                        big = construct_periodic(phi, v, d)
+                        lines.append(f"p {phi.edges} {v} {d} {big.edges}")
+                for mark in all_marks(phi):
+                    big = construct_diameter(phi, mark)
+                    lines.append(f"d {phi.edges} {mark.vertex} {mark.edge} {big.edges}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (LINES, DIGEST)
 
 
 # ------------------------------------------------------- structural lemmas

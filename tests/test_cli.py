@@ -280,6 +280,22 @@ def test_deeply_nested_json_exits_2(capsys, monkeypatch):
         assert err == "error: forest JSON nested too deeply\n"
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # json.load raised MemoryError on an 18 MB file of three million edges
+    # under a 250 MB address-space limit; main printed a traceback and
+    # exited 1. The failing allocation is simulated here.
+    def exhausted(fh):
+        raise MemoryError
+
+    monkeypatch.setattr(json, "load", exhausted)
+    for argv in (("decompose", "--d", "2"), ("construct", "--vertex", "1", "--d", "2")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: out of memory\n"
+
+
 def test_verify_plain(capsys):
     code, out, _ = run(capsys, "verify", "6")
     assert code == 0

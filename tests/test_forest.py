@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncfsieve.enumeration import chord_table
+from ncfsieve.enumeration import chord_table, enumerate_forests
 from ncfsieve.forest import (
     NonCrossingForest,
     chord,
@@ -318,6 +318,24 @@ def test_is_d_invariant():
         f.is_d_invariant(3)
     with pytest.raises(ValueError):
         f.is_d_invariant(0)
+
+
+def test_is_d_invariant_matches_rotate():
+    # is_d_invariant sorts the rotated chords without building a forest;
+    # rotate builds one, and the two must agree on every forest with n <= 8
+    checked = 0
+    for n in range(1, 9):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        for k in range(1, n + 1):
+            for f in enumerate_forests(n, k):
+                for d in divs:
+                    assert f.is_d_invariant(d) == (f.rotate(n // d) == f), (f, d)
+                    checked += 1
+            # and refuses every d that does not divide n, on one forest a cell
+            for d in (0, -n, n + 1, *(d for d in range(2, n) if n % d)):
+                with pytest.raises(ValueError, match="divisor"):
+                    f.is_d_invariant(d)
+    assert checked == 198964
 
 
 def test_rotation_preserves_validity():

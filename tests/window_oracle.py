@@ -1,13 +1,16 @@
-"""Test-only oracles for the regions of the periodic decomposition.
+"""Test-only oracles for the regions of the periodic decomposition and for
+the trees of an invariant forest.
 
 The library reads which gaps share a region off one chord sweep. The
 functions here derive the same facts another way, so the tests can play the
 two against each other: the window start from which gaps share the
 center's region, and the good vertices from the set of chords enclosing
-each gap.
+each gap. tree_extents reads every tree's handoff off one labelled sweep;
+sets_tree_extents finds the trees by a graph search and each handoff by a
+sorted merge of one tree with its image.
 """
 
-from ncfsieve.bijections import BijectionError
+from ncfsieve.bijections import BijectionError, TreeExtent
 from ncfsieve.forest import NonCrossingForest
 
 
@@ -52,3 +55,60 @@ def raycast_window_start(forest: NonCrossingForest, d: int) -> int:
         if not trapped:
             return w
     raise BijectionError("no gap shares the center's region")
+
+
+def handoff(src: set[int], dst: set[int]) -> tuple[int, int]:
+    """The unique step (u, w) in circular order over the vertices of src
+    and dst that goes from u in src to w in dst."""
+    seq = sorted(src | dst)
+    hits = [(u, w) for u, w in zip(seq, seq[1:] + seq[:1]) if u in src and w in dst]
+    if len(hits) != 1:
+        raise BijectionError(
+            f"expected one transition in circular order, found {len(hits)}"
+        )
+    return hits[0]
+
+
+def search_components(forest: NonCrossingForest) -> list[frozenset[int]]:
+    """The trees of a forest as vertex sets, ordered by least vertex, found
+    by a depth-first search over the edges."""
+    adj: dict[int, list[int]] = {x: [] for x in range(1, forest.n + 1)}
+    for u, v in forest.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    comps = []
+    for x in adj:
+        if x in seen:
+            continue
+        seen.add(x)
+        stack, comp = [x], {x}
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def sets_tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
+    """Independent derivation of tree_extents(forest, d) on a d-invariant
+    forest: rotate each tree as a set, then merge it with its image."""
+    n = forest.n
+    s = n // d
+    extents = []
+    for comp in search_components(forest):
+        tree = tuple(sorted(comp))
+        image = {(x - 1 + s) % n + 1 for x in comp}
+        if image == comp:
+            extents.append(TreeExtent(tree, None, None, True))
+            continue
+        if image & comp:
+            raise BijectionError(f"tree {tree} partially overlaps its rotation image")
+        # The entry into T from its preimage is the exit from T into its
+        # image rotated back one step.
+        last, w = handoff(set(comp), image)
+        extents.append(TreeExtent(tree, (w - 1 - s) % n + 1, last, False))
+    return tuple(extents)
