@@ -106,11 +106,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     check_bound(args.method, args.n)
-    stream = ROUTES[args.method].stream(args.n, args.k, args.invariant)
+    route = ROUTES[args.method]
     if args.count:
-        print(sum(1 for _ in stream))
+        # the route's own count, which for the filter route builds no forest
+        print(route.count(args.n, args.k, args.invariant))
         return 0
-    for i, forest in enumerate(stream):
+    for i, forest in enumerate(route.stream(args.n, args.k, args.invariant)):
         if args.dot:
             print(forest.to_dot(name=f"f{i}"))
         else:

@@ -36,11 +36,14 @@ At a node one chord short of a forest, every remaining candidate completes
 one, so the walk handles the prefix with its whole completing mask instead
 of visiting the leaves one by one. This group is also where the fixed-point
 filter runs: for each rotation asked for, the walk tests the prefix once
-and yields the mask of completions that give a fixed forest. Enumeration
-expands a mask low bit first, which keeps the stream lexicographic and
-lazy; counting takes its popcount. No forest is rotated whole, so the
-filter route's count (count_forests with d, or invariant_counts for every
-d at once) and its stream (enumerate_forests with d) read the same test.
+and keeps the mask of completions that give a fixed forest. Enumeration
+has the walk yield each mask and expands it low bit first, which keeps the
+stream lexicographic and lazy. Counting hands the walk a dict instead, and
+the walk adds each mask's popcount to it in place, yielding nothing: no
+group leaves the walk and no forest is built. No forest is rotated whole,
+so the filter route's count (count_forests with d, or invariant_counts for
+every d at once) and its stream (enumerate_forests with d) read the same
+test.
 
 Rotation-fixed forests can additionally be generated directly by
 backtracking over whole chord orbits of the rotation, which stays cheap at
@@ -115,10 +118,18 @@ def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     )
 
 
-def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
+def _leaf_groups(
+    n: int, k: int, ds: tuple[int, ...] = (1,), counts: dict[int, int] | None = None
+):
     """Yield (prefix, d, fixed) for every node of the walk that is one chord
     short of a forest in F(n, k), for k < n, and every d in ds for which
     fixed is not 0.
+
+    Given counts, a dict with a key for every d in ds, the walk yields
+    nothing: it adds fixed.bit_count() to counts[d] at each group instead,
+    so a drained walk leaves counts[d] raised by the number of forests in
+    F(n, k) that the rotation of order d fixes. The d = 1 popcounts go into
+    a local int, added to counts[1] when the walk ends.
 
     prefix is the increasing list of chosen chord indices (one list, reused:
     copy it to keep it) and fixed the mask of chords j after prefix[-1] such
@@ -158,11 +169,18 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
             fixed = sum(1 << i for i in range(m) if perm[i] == i)
             rots.append((d, tuple(1 << j for j in perm), fixed, 0))
     prefix: list[int] = []
+    tally = counts is not None
+    ones = 0  # the d = 1 popcounts, when tallying
     if need == 1:
         if plain:
-            yield prefix, 1, full
+            if tally:
+                counts[1] += m
+            else:
+                yield prefix, 1, full
         for d, _, fixed, _ in rots:
-            if fixed:
+            if tally:
+                counts[d] += fixed.bit_count()
+            elif fixed:
                 yield prefix, d, fixed
         return
     star = [0] * (n + 1)
@@ -202,7 +220,10 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
                     continue
                 prefix[last] = i
                 if plain:
-                    yield prefix, 1, completing
+                    if tally:
+                        ones += completing.bit_count()
+                    else:
+                        yield prefix, 1, completing
                 if live:
                     s = sp | low
                     for d, rbit, fixed, rsp in live:
@@ -214,7 +235,9 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
                             continue
                         else:
                             found = completing & miss
-                        if found:
+                        if tally:
+                            counts[d] += found.bit_count()
+                        elif found:
                             yield prefix, d, found
             prefix.pop()
         elif cand.bit_count() >= need - depth:
@@ -262,6 +285,8 @@ def _leaf_groups(n: int, k: int, ds: tuple[int, ...] = (1,)):
             parent[v] = v
             size[u] -= size[v]
             sp ^= 1 << prefix.pop()
+    if tally and plain:
+        counts[1] += ones
 
 
 def enumerate_forests(n: int, k: int, d: int = 1):
@@ -294,24 +319,27 @@ def enumerate_forests(n: int, k: int, d: int = 1):
 def count_forests(n: int, k: int, d: int = 1) -> int:
     """The number of forests in F(n, k) that the rotation of order d maps
     onto themselves; at d = 1, |F(n, k)|. The filter route's count of one
-    cell: the popcounts of the masks the walk yields for this d alone."""
+    cell: the walk for this d alone, adding its popcounts in place."""
     check_n(n, k)
     check_d(d, n)
     if k == n:
         return 1
-    return sum(fixed.bit_count() for _, _, fixed in _leaf_groups(n, k, (d,)))
+    counts = {d: 0}
+    for _ in _leaf_groups(n, k, (d,), counts):
+        pass  # a counting walk yields nothing
+    return counts[d]
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:
-    """Fixed-forest counts for every d | n in one pass of the walk: the
-    popcounts of the masks _leaf_groups yields for each d."""
+    """Fixed-forest counts for every d | n in one pass of the walk, which
+    adds its popcounts for each d in place."""
     check_n(n, k)
     ds = divisors(n)
     if k == n:
         return dict.fromkeys(ds, 1)
     counts = dict.fromkeys(ds, 0)
-    for _, d, fixed in _leaf_groups(n, k, ds):
-        counts[d] += fixed.bit_count()
+    for _ in _leaf_groups(n, k, ds, counts):
+        pass  # a counting walk yields nothing
     return counts
 
 

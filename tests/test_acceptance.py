@@ -45,7 +45,7 @@ def test_criterion_2_csp_triple():
         assert all(r.agree for r in rows), [r for r in rows if not r.agree]
         cells += len(rows)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 15.0, f"CSP sweep took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"CSP sweep took {elapsed:.1f}s"
     print(f"PASS criterion 2: root-of-unity evaluations equal fixed-point "
           f"counts on {cells} cells, n<=10, {elapsed:.1f}s")
 

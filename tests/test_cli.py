@@ -106,6 +106,19 @@ def test_enumerate_count_only(capsys):
     assert out.strip() == str(forest_count(6, 2))
 
 
+@pytest.mark.parametrize("name", [name for name, r in ROUTES.items() if r.stream])
+def test_enumerate_count_is_length_of_stream(capsys, name):
+    # --count prints the route's count; the stream is drained here instead
+    route = ROUTES[name]
+    for n, k, d in ((6, 3, 1), (6, 3, 2), (7, 6, 1), (8, 4, 2), (8, 5, 2), (9, 4, 1)):
+        if d < route.least_d:
+            continue
+        code, out, _ = run(capsys, "enumerate", str(n), str(k), "--invariant", str(d),
+                           "--method", name, "--count")
+        assert code == 0
+        assert int(out) == sum(1 for _ in route.stream(n, k, d)), (name, n, k, d)
+
+
 def test_enumerate_invariant(capsys):
     code, out, _ = run(capsys, "enumerate", "6", "3", "--invariant", "2")
     assert code == 0

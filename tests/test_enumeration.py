@@ -104,9 +104,25 @@ def test_counts_match_formula():
 
 
 def test_count_is_length_of_stream():
+    # the count adds popcounts inside the walk and the stream expands the
+    # masks the walk yields: they leave it at different statements
     for n in range(1, 10):
         for k in range(1, n + 1):
-            assert count_forests(n, k) == len(list(enumerate_forests(n, k))), (n, k)
+            for d in divisors(n):
+                assert count_forests(n, k, d) == sum(
+                    1 for _ in enumerate_forests(n, k, d)), (n, k, d)
+
+
+def test_counting_builds_no_forest(monkeypatch):
+    def no_forest(*args):
+        raise AssertionError("a count built a forest")
+
+    monkeypatch.setattr(NonCrossingForest, "_unchecked", classmethod(no_forest))
+    monkeypatch.setattr(NonCrossingForest, "__init__", no_forest)
+    for n, k in ((6, 5), (8, 7), (7, 3), (8, 4), (9, 2)):  # n - k = 1 first
+        counts = invariant_counts(n, k)
+        assert counts[1] == forest_count(n, k), (n, k)
+        assert counts == {d: count_forests(n, k, d) for d in divisors(n)}, (n, k)
 
 
 def test_stream_is_lexicographic_and_duplicate_free():
@@ -193,7 +209,7 @@ def test_filter_count_walks_only_its_d(monkeypatch):
     # one cell's count tests one rotation, not every divisor of n
     seen = []
 
-    def recording(n, k, ds=(1,)):
+    def recording(n, k, ds=(1,), counts=None):
         seen.append(ds)
         return iter(())
 
