@@ -108,7 +108,8 @@ def _cmd_enumerate(args) -> int:
     check_bound(args.method, args.n)
     route = ROUTES[args.method]
     if args.count:
-        # the route's own count, which for the filter route builds no forest
+        # the route's own count, which for the filter and orbit routes builds
+        # no forest
         print(route.count(args.n, args.k, args.invariant))
         return 0
     for i, forest in enumerate(route.stream(args.n, args.k, args.invariant)):

@@ -62,8 +62,9 @@ frame whose candidates number fewer than (chords still to choose) / d
 holds no fixed forest and is left. Each mask and the cut drop only orbit
 choices that complete nothing, so the walk meets every fixed forest, in
 the order of an uncut walk. It yields each forest as a chord mask, whose
-bits read low first are its sorted edge list. This orbit route and the
-fixed-point filter are two of the count routes in sieving.ROUTES.
+bits read low first are its sorted edge list, so the orbit route's count
+counts masks and builds no forest. This orbit route and the fixed-point
+filter are two of the count routes in sieving.ROUTES.
 """
 
 from __future__ import annotations
@@ -451,6 +452,17 @@ def _invariant_masks(n: int, k: int, d: int):
                     parent[rv] = rv
                 left += sz
                 mask ^= members[j]
+
+
+def count_invariant(n: int, k: int, d: int) -> int:
+    """The orbit route's count of one cell: the chord masks of the orbit
+    walk counted, no forest built. d = 1 is the plain count, as the orbit
+    route's stream at d = 1 is the plain enumeration."""
+    check_n(n, k)
+    check_d(d, n)
+    if d == 1:
+        return count_forests(n, k)
+    return sum(1 for _ in _invariant_masks(n, k, d))
 
 
 def enumerate_invariant(n: int, k: int, d: int):

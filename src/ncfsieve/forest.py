@@ -244,25 +244,6 @@ class NonCrossingForest:
 
     # -- symmetry ----------------------------------------------------------
 
-    def rotate(self, s: int) -> "NonCrossingForest":
-        """The forest after s clockwise rotation steps.
-
-        Rotation is a symmetry of the circle, so the result is again a valid
-        non-crossing forest; rotate(n) is the identity.
-        """
-        n = self.n
-        s %= n
-        if s == 0 or not self.edges:
-            return self
-        t = n - s  # labels above t wrap around to 1
-        moved = []
-        for u, v in self.edges:
-            u = u + s if u <= t else u - t
-            v = v + s if v <= t else v - t
-            moved.append((u, v) if u < v else (v, u))
-        moved.sort()
-        return NonCrossingForest._unchecked(n, tuple(moved))
-
     def is_d_invariant(self, d: int) -> bool:
         """Whether the forest is fixed by rotation through 1/d of a turn.
 

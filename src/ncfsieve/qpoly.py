@@ -8,13 +8,14 @@ zero remainder, never through rational arithmetic. "Evaluation at a
 primitive d-th root of unity" is performed exactly as reduction modulo the
 d-th cyclotomic polynomial; no floating point anywhere.
 
-Every q-polynomial is built from one primitive: multiply or divide by a
-q-integer [m]_q, each one pass over the coefficients. A q-binomial is a
-ladder of such steps, and the forest polynomial carries the same ladder
-from its first q-binomial through the second before the last division by
-[2n-k]_q, so no two dense polynomials are ever multiplied. The cyclotomic
-polynomials are built by the same steps, from q-integers over the
-squarefree divisors of d. The one long division left is the remainder
+Every q-polynomial is built from one primitive: multiply by the ratio
+[a]_q / [b]_q of two q-integers, in one checked pass over the
+coefficients. A q-binomial is a ladder of such steps, one per factor
+[a-b+i]_q / [i]_q, and the forest polynomial carries the same ladder from
+its first q-binomial through the second before the last step by
+[1]_q / [2n-k]_q, so no two dense polynomials are ever multiplied. The
+cyclotomic polynomials are built by the same steps, from q-integers over
+the squarefree divisors of d. The one long division left is the remainder
 modulo a cyclotomic polynomial that evaluates at a root of unity.
 """
 
@@ -33,35 +34,31 @@ class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
 
 
-def _mul_q_int(cs, m: int) -> list[int]:
-    """Coefficients of P(q) * [m]_q, where P has coefficients cs: entry j
-    is the sum of the window cs[j-m+1 .. j], read off prefix sums."""
-    prefix = [0] * m + list(accumulate(list(cs) + [0] * (m - 1)))
-    return list(map(sub, prefix[m:], prefix[:-m]))
+def _ratio_q_int(cs, a: int, b: int) -> list[int]:
+    """Coefficients of P(q) * [a]_q / [b]_q, where P has coefficients cs,
+    in one pass, insisting on a zero remainder.
 
-
-def _div_q_int(cs, m: int) -> list[int]:
-    """Coefficients of P(q) / [m]_q, insisting on a zero remainder.
-
-    From (1 - q) P = (1 - q^m) Q the quotient obeys
-    Q_j = P_j - P_(j-1) + Q_(j-m), so each residue class of j mod m is a
-    running sum of the first differences of P. Run over every j up to
-    deg P + 1, the recurrence must close: the entries past deg Q are the
-    remainder terms, and any nonzero one raises ExactDivisionError.
+    From [m]_q = (1 - q^m) / (1 - q) the result R obeys
+    (1 - q^b) R = (1 - q^a) P, so R_j = P_j - P_(j-a) + R_(j-b): each
+    residue class of j mod b is a running sum of the a-step differences of
+    P. Run over every j up to deg P + a, the recurrence must close: the
+    entries past deg R = deg P + a - b are the remainder terms, and any
+    nonzero one raises ExactDivisionError.
     """
-    if m < 1:
+    if b < 1:
         raise ZeroDivisionError("division by [0]_q")
     cs = list(cs)
-    diff = list(map(sub, cs + [0], [0] + cs))
-    quot = [0] * len(diff)
-    for r in range(m):
-        quot[r::m] = accumulate(diff[r::m])
-    size = max(len(cs) - m + 1, 0)
-    if any(quot[size:]):
+    pad = [0] * a
+    out = list(map(sub, cs + pad, pad + cs))
+    for r in range(b):
+        out[r::b] = accumulate(out[r::b])
+    size = max(len(cs) + a - b, 0)
+    if any(out[size:]):
         raise ExactDivisionError(
-            f"degree-{len(cs) - 1} polynomial is not divisible by [{m}]_q"
+            f"degree-{len(cs) - 1} polynomial times [{a}]_q is not divisible by [{b}]_q"
         )
-    return quot[:size]
+    del out[size:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,15 +115,15 @@ def _times_q_binomial(cs, a: int, b: int) -> list[int]:
     [a-b+i choose i]_q = [a-b+i-1 choose i-1]_q * [a-b+i]_q / [i]_q for
     i = 1 .. b, with b replaced by min(b, a - b). Every partial product is
     P times a q-binomial, so coefficients stay as small as the answer's, and
-    each step is one multiplication and one division by a q-integer. Every
-    division is checked to leave no remainder, not assumed to.
+    each step is one pass of _ratio_q_int. Every step is checked to leave no
+    remainder, not assumed to.
     """
     if b < 0 or b > a:
         return []
     b = min(b, a - b)
     cs = list(cs)
     for i in range(1, b + 1):
-        cs = _div_q_int(_mul_q_int(cs, a - b + i), i)
+        cs = _ratio_q_int(cs, a - b + i, i)
     return cs
 
 
@@ -163,7 +160,7 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     exactly by [2n-k]_q.
 
     The small factor [n choose k-1]_q comes from the q_binomial table and
-    the large one [3n-2k-1 choose n-k]_q is multiplied into it by [m]_q
+    the large one [3n-2k-1 choose n-k]_q is multiplied into it by ratio
     steps, never tabled on its own; starting from the small factor keeps
     every step's polynomial short. Polynomiality and nonnegativity of the
     coefficients are theorems about this quotient; both are enforced here
@@ -174,8 +171,8 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     """
     check_n(n, k)
     num = _times_q_binomial(q_binomial(n, k - 1).coeffs, 3 * n - 2 * k - 1, n - k)
-    f = QPoly(_div_q_int(num, 2 * n - k))
-    if any(c < 0 for c in f.coeffs):
+    f = QPoly(_ratio_q_int(num, 1, 2 * n - k))
+    if min(f.coeffs, default=0) < 0:
         raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
     return f
 
@@ -190,7 +187,8 @@ def cyclotomic(d: int) -> QPoly:
     factors q - 1 cancel because the mu(e) sum to zero. For example
     Phi_6 = [6]_q [1]_q / ([3]_q [2]_q). Every multiplication by a
     q-integer comes first, then every division, each checked to leave no
-    remainder.
+    remainder; the factors are never paired, so every partial product is a
+    polynomial.
 
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
@@ -210,9 +208,9 @@ def cyclotomic(d: int) -> QPoly:
                 rest //= p
     cs = [1]
     for m in ups:
-        cs = _mul_q_int(cs, m)
+        cs = _ratio_q_int(cs, m, 1)
     for m in downs:
-        cs = _div_q_int(cs, m)
+        cs = _ratio_q_int(cs, 1, m)
     return QPoly(cs)
 
 

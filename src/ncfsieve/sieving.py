@@ -112,7 +112,7 @@ ROUTES: dict[str, Route] = {
         MAX_ENUM_N, 2,
     ),
     "orbit": Route(
-        lambda n, k, d: sum(1 for _ in enumeration.enumerate_invariant(n, k, d)),
+        lambda n, k, d: enumeration.count_invariant(n, k, d),
         lambda n, k, d: enumeration.enumerate_invariant(n, k, d),
         MAX_ENUM_N, 2,
     ),

@@ -106,6 +106,19 @@ def test_enumerate_count_only(capsys):
     assert out.strip() == str(forest_count(6, 2))
 
 
+def test_enumerate_count_builds_no_forest(capsys, monkeypatch):
+    # the default method is the orbit route, whose count walks chord masks
+    def no_forest(*args):
+        raise AssertionError("a count built a forest")
+
+    monkeypatch.setattr(NonCrossingForest, "_unchecked", classmethod(no_forest))
+    monkeypatch.setattr(NonCrossingForest, "__init__", no_forest)
+    for argv, expected in ((("9", "3"), forest_count(9, 3)),
+                           (("12", "3", "--invariant", "2"), 6006)):
+        code, out, _ = run(capsys, "enumerate", *argv, "--count")
+        assert (code, out.strip()) == (0, str(expected)), argv
+
+
 @pytest.mark.parametrize("name", [name for name, r in ROUTES.items() if r.stream])
 def test_enumerate_count_is_length_of_stream(capsys, name):
     # --count prints the route's count; the stream is drained here instead

@@ -20,6 +20,7 @@ from ncfsieve import enumeration
 from ncfsieve.enumeration import (
     chord_table,
     count_forests,
+    count_invariant,
     divisors,
     enumerate_forests,
     enumerate_invariant,
@@ -125,6 +126,26 @@ def test_counting_builds_no_forest(monkeypatch):
         assert counts == {d: count_forests(n, k, d) for d in divisors(n)}, (n, k)
 
 
+def test_orbit_count_builds_no_forest(monkeypatch):
+    def no_forest(*args):
+        raise AssertionError("a count built a forest")
+
+    monkeypatch.setattr(NonCrossingForest, "_unchecked", classmethod(no_forest))
+    monkeypatch.setattr(NonCrossingForest, "__init__", no_forest)
+    for n, k in ((6, 5), (8, 7), (8, 4), (9, 3), (12, 3), (12, 6)):
+        # d = 1 walks all of F(n, k), too many forests at n = 12 for here
+        for d in (d for d in divisors(n) if d > 1 or n < 12):
+            expected = closed_form_eval(n, k, d)
+            assert count_invariant(n, k, d) == expected, (n, k, d)
+            assert ROUTES["orbit"].count(n, k, d) == expected, (n, k, d)
+
+
+def test_orbit_count_looks_up_count_invariant(monkeypatch):
+    # by module-level name at call time, so a wrapper bound there is what runs
+    monkeypatch.setattr(enumeration, "count_invariant", lambda n, k, d: -d)
+    assert ROUTES["orbit"].count(12, 6, 2) == -2
+
+
 def test_stream_is_lexicographic_and_duplicate_free():
     for n in range(1, 8):
         for k in range(1, n + 1):
@@ -163,6 +184,21 @@ def test_rotation_perm_is_a_bijection_of_period_d():
     for _ in range(3):
         cur = [perm[i] for i in cur]
     assert cur == list(range(len(perm)))
+
+
+def test_rotation_perm_matches_label_arithmetic():
+    # the filter and orbit routes both read rotation_perm; here chord (u, v)
+    # turned s steps clockwise is (u + s, v + s) with labels past n wrapped
+    # down by n, written out rather than read from rotate_label
+    for n in range(1, 13):
+        chords = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+        assert chord_table(n) == tuple(chords)
+        for s in range(n):
+            moved = []
+            for u, v in chords:
+                u, v = u + s - n * (u + s > n), v + s - n * (v + s > n)
+                moved.append(chords.index((min(u, v), max(u, v))))
+            assert rotation_perm(n, s) == tuple(moved), (n, s)
 
 
 # ------------------------------------------------------- invariant streams

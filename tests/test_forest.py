@@ -19,6 +19,7 @@ from ncfsieve.forest import (
     innermost_chords,
     rotate_label,
 )
+from window_oracle import rotate
 
 
 def test_chord_normalizes():
@@ -87,6 +88,20 @@ def test_crosses_matches_alternation_oracle(n, data):
     e1, e2 = chord(a, b), chord(c, d)
     assert crosses(e1, e2, n) == _crosses_by_alternation(e1, e2, n)
     assert crosses(e2, e1, n) == crosses(e1, e2, n)
+
+
+def test_crosses_matches_the_validator_sweep():
+    # the filter, orbit and bijection routes all read crosses, so a wrong
+    # one could make them agree on a wrong count; the validator's sweep
+    # finds crossings without it, on every pair of distinct chords
+    for n in range(2, 13):
+        for e1, e2 in combinations(chord_table(n), 2):
+            for pair in ([e1, e2], [e2, e1]):
+                if crosses(*pair, n):
+                    with pytest.raises(ValueError, match="cross"):
+                        innermost_chords(n, pair)
+                else:
+                    innermost_chords(n, pair)
 
 
 # ---------------------------------------------------------------- validation
@@ -295,10 +310,10 @@ def test_component_count_is_n_minus_edges():
 
 def test_rotate_identity_and_period():
     f = NonCrossingForest(6, [(1, 2), (4, 6)])
-    assert f.rotate(0) == f
-    assert f.rotate(6) == f
-    assert f.rotate(2).rotate(4) == f
-    assert f.rotate(1) == NonCrossingForest(6, [(2, 3), (5, 1)])
+    assert rotate(f, 0) == f
+    assert rotate(f, 6) == f
+    assert rotate(rotate(f, 2), 4) == f
+    assert rotate(f, 1) == NonCrossingForest(6, [(2, 3), (5, 1)])
 
 
 def test_rotate_matches_rotate_label():
@@ -306,7 +321,7 @@ def test_rotate_matches_rotate_label():
     for s in range(-9, 19):
         moved = sorted(chord(rotate_label(u, s, 9), rotate_label(v, s, 9))
                        for u, v in f.edges)
-        assert f.rotate(s).edges == tuple(moved), s
+        assert rotate(f, s).edges == tuple(moved), s
 
 
 def test_is_d_invariant():
@@ -329,7 +344,7 @@ def test_is_d_invariant_matches_rotate():
         for k in range(1, n + 1):
             for f in enumerate_forests(n, k):
                 for d in divs:
-                    assert f.is_d_invariant(d) == (f.rotate(n // d) == f), (f, d)
+                    assert f.is_d_invariant(d) == (rotate(f, n // d) == f), (f, d)
                     checked += 1
             # and refuses every d that does not divide n, on one forest a cell
             for d in (0, -n, n + 1, *(d for d in range(2, n) if n % d)):
@@ -341,7 +356,7 @@ def test_is_d_invariant_matches_rotate():
 def test_rotation_preserves_validity():
     f = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
     for s in range(12):
-        g = f.rotate(s)
+        g = rotate(f, s)
         # revalidate from scratch
         assert NonCrossingForest(g.n, g.edges) == g
         assert g.component_count() == f.component_count()

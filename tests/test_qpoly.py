@@ -1,5 +1,6 @@
 """Exact q-arithmetic against independent oracles and frozen values."""
 
+import hashlib
 import math
 from functools import lru_cache
 from itertools import zip_longest
@@ -151,21 +152,36 @@ wide_lists = st.lists(wide_coeffs, min_size=0, max_size=40)
 
 
 @given(wide_lists, st.integers(1, 25))
-def test_div_q_int_inverts_mul_q_int(a, m):
+def test_ratio_q_int_divides_what_it_multiplies(a, m):
     p = QPoly(tuple(a))
-    prod = qp._mul_q_int(p.coeffs, m)
+    prod = qp._ratio_q_int(p.coeffs, m, 1)
     assert QPoly(prod) == _schoolbook_mul(p.coeffs, (1,) * m)
-    assert QPoly(qp._div_q_int(prod, m)) == p
+    assert QPoly(qp._ratio_q_int(prod, 1, m)) == p
+
+
+@given(wide_lists, st.integers(0, 25), st.integers(1, 25))
+def test_ratio_q_int_matches_product(a, top, b):
+    # one fused step on P [b]_q gives the schoolbook product P [top]_q
+    pb = _schoolbook_mul(a, (1,) * b)
+    assert QPoly(qp._ratio_q_int(pb.coeffs, top, b)) == _schoolbook_mul(a, (1,) * top)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=20), st.integers(2, 25),
-       st.integers(0, 50), st.integers(-5, 5).filter(bool))
-def test_div_q_int_rejects_perturbation(a, m, pos, delta):
-    prod = qp._mul_q_int(a, m)
+       st.integers(0, 50), st.integers(-5, 5).filter(bool), st.integers(0, 30))
+def test_ratio_q_int_rejects_perturbation(a, m, pos, delta, top):
+    prod = qp._ratio_q_int(a, m, 1)
     prod += [0] * (pos + 1 - len(prod))
     prod[pos] += delta
     with pytest.raises(ExactDivisionError):
-        qp._div_q_int(prod, m)
+        qp._ratio_q_int(prod, 1, m)
+    # P [top]_q / [m]_q is exact whenever m divides top, since [m]_q then
+    # divides [top]_q; otherwise the perturbation leaves a remainder
+    if top % m:
+        with pytest.raises(ExactDivisionError):
+            qp._ratio_q_int(prod, top, m)
+    else:
+        ratio = _ref_exact_div(QPoly((1,) * top), QPoly((1,) * m))
+        assert QPoly(qp._ratio_q_int(prod, top, m)) == _schoolbook_mul(prod, ratio.coeffs)
 
 
 @given(wide_lists, st.integers(0, 14), st.integers(-2, 16))
@@ -177,13 +193,17 @@ def test_times_q_binomial_matches_product(a, top, b):
         p.coeffs, q_binomial(top, b).coeffs)
 
 
-def test_div_q_int_edges():
-    assert qp._div_q_int([], 4) == []
-    assert qp._div_q_int([3, 0, -2], 1) == [3, 0, -2]
+def test_ratio_q_int_edges():
+    assert qp._ratio_q_int([], 1, 4) == []
+    assert QPoly(qp._ratio_q_int([], 5, 2)) == QPoly(())
+    assert qp._ratio_q_int([3, 0, -2], 1, 1) == [3, 0, -2]
+    assert qp._ratio_q_int([1, 1], 2, 2) == [1, 1]
     with pytest.raises(ExactDivisionError):
-        qp._div_q_int([1, 1], 3)  # nonzero and of degree below that of [3]_q
+        qp._ratio_q_int([1, 1], 1, 3)  # nonzero and of degree below that of [3]_q
+    with pytest.raises(ExactDivisionError):
+        qp._ratio_q_int([1], 2, 4)  # degree 1 times [2]_q, still below [4]_q
     with pytest.raises(ZeroDivisionError):
-        qp._div_q_int([1], 0)
+        qp._ratio_q_int([1], 1, 0)
 
 
 @given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12))
@@ -226,19 +246,80 @@ def test_exact_div_rejects_remainder():
 
 
 def test_q_int_values():
-    # [a]_q is one _mul_q_int step from 1; [0]_q is zero
-    assert QPoly(qp._mul_q_int([1], 0)) == QPoly(())
-    assert qp._mul_q_int([1], 1) == [1]
-    assert qp._mul_q_int([1], 4) == [1, 1, 1, 1]
-    assert qp._mul_q_int(qp._mul_q_int([1], 3), 2) == [1, 2, 2, 1]
+    # [a]_q is one _ratio_q_int step from 1; [0]_q is zero
+    assert QPoly(qp._ratio_q_int([1], 0, 1)) == QPoly(())
+    assert qp._ratio_q_int([1], 1, 1) == [1]
+    assert qp._ratio_q_int([1], 4, 1) == [1, 1, 1, 1]
+    assert qp._ratio_q_int(qp._ratio_q_int([1], 3, 1), 2, 1) == [1, 2, 2, 1]
+    assert qp._ratio_q_int([1], 6, 3) == [1, 0, 0, 1]  # [6]_q / [3]_q = 1 + q^3
 
 
 def test_q_int_telescopes():
     # (q - 1) [a]_q == q^a - 1
     for a in range(1, 15):
-        lhs = QPoly(qp._mul_q_int([-1, 1], a))
+        lhs = QPoly(qp._ratio_q_int([-1, 1], a, 1))
         rhs = QPoly(tuple([-1] + [0] * (a - 1) + [1]))
         assert lhs == rhs
+
+
+_RATIO_Q_INT = qp._ratio_q_int
+
+
+def _recording_step(monkeypatch, at=None):
+    """Patch _ratio_q_int with a stand-in for the real kernel that records
+    each (a, b) it is called with and adds 1 to the constant term of the
+    input of call number at."""
+    calls = []
+
+    def step(cs, a, b):
+        calls.append((a, b))
+        if len(calls) - 1 == at:
+            cs = [cs[0] + 1, *cs[1:]]
+        return _RATIO_Q_INT(cs, a, b)
+
+    monkeypatch.setattr(qp, "_ratio_q_int", step)
+    return calls
+
+
+# every step forest_count_poly(6, 2) and cyclotomic(30) take, in order:
+# the ladders of [6 choose 1]_q and [13 choose 4]_q, the last step by
+# [1]_q / [10]_q, and the cyclotomic's multiplications before its divisions
+KERNEL_STEPS = {
+    "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
+    "cyclotomic": [(30, 1), (5, 1), (3, 1), (2, 1), (1, 15), (1, 10), (1, 6), (1, 1)],
+}
+KERNEL_CALLS = {
+    "forest": lambda: forest_count_poly.__wrapped__(6, 2),
+    "cyclotomic": lambda: cyclotomic.__wrapped__(30),
+}
+
+
+@pytest.mark.parametrize("what", sorted(KERNEL_STEPS))
+def test_every_step_is_a_checked_kernel_pass(monkeypatch, what):
+    calls = _recording_step(monkeypatch)
+    KERNEL_CALLS[what]()
+    assert calls == KERNEL_STEPS[what]
+    # a unit added to the input of a step by [a]_q / [b]_q with b not
+    # dividing a leaves a remainder, which that very step reports and the
+    # caller lets surface
+    for at, (a, b) in enumerate(KERNEL_STEPS[what]):
+        if a % b:
+            calls = _recording_step(monkeypatch, at)
+            with pytest.raises(ExactDivisionError):
+                KERNEL_CALLS[what]()
+            assert len(calls) == at + 1, (what, a, b)
+
+
+def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
+    def negated_last_step(cs, a, b):
+        out = _RATIO_Q_INT(cs, a, b)
+        if (a, b) == (1, 10):
+            out[0] = -out[0]
+        return out
+
+    monkeypatch.setattr(qp, "_ratio_q_int", negated_last_step)
+    with pytest.raises(ArithmeticError, match="negative coefficient"):
+        forest_count_poly.__wrapped__(6, 2)
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[int]:
@@ -426,6 +507,22 @@ def test_forest_count_poly_frozen():
     assert forest_count_poly(3, 1).coeffs == (1, 0, 1, 0, 1)
     for n in range(1, 9):
         assert forest_count_poly(n, n).coeffs == (1,)
+
+
+# sha256 over the lines f"{n} {k} {coeffs}\n" of forest_count_poly for every
+# cell with n <= 40 in (n, k) order, then k = 1, 34, 67, 99 at n = 100: the
+# kernel's outputs as they stood before each ladder step was fused into one
+# pass, pinned up to the poly route's bound
+FOREST_POLY_CELLS = [(n, k) for n in range(1, 41) for k in range(1, n + 1)] + [
+    (100, k) for k in (1, 34, 67, 99)]
+FOREST_POLY_DIGEST = "5b9bf0eb0e6cd02234a87d1016af122353577ad437171994dfe9ac515a154341"
+
+
+def test_forest_count_poly_matches_the_frozen_digest():
+    h = hashlib.sha256()
+    for n, k in FOREST_POLY_CELLS:
+        h.update(f"{n} {k} {forest_count_poly(n, k).coeffs}\n".encode())
+    assert (len(FOREST_POLY_CELLS), h.hexdigest()) == (824, FOREST_POLY_DIGEST)
 
 
 def test_forest_count_poly_specializes():

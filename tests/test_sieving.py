@@ -11,6 +11,7 @@ import pytest
 from ncfsieve.bijections import decompose_periodic, enumerate_images, tree_extents
 from ncfsieve.enumeration import (
     count_forests,
+    count_invariant,
     divisors,
     enumerate_forests,
     enumerate_invariant,
@@ -183,7 +184,8 @@ def _consume(result):
 ENTRY_POINTS = [
     (fn.__name__, fn, 3)
     for fn in (enumerate_forests, enumerate_invariant, enumerate_images,
-               closed_form_eval, poly_eval, count_forests, fixed_count_bijection)
+               closed_form_eval, poly_eval, count_forests, count_invariant,
+               fixed_count_bijection)
 ] + [
     (f"ROUTES[{name!r}].{part}", getattr(route, part), 3)
     for name, route in ROUTES.items()

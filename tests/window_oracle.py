@@ -7,7 +7,8 @@ two against each other: the window start from which gaps share the
 center's region, and the good vertices from the set of chords enclosing
 each gap. tree_extents reads every tree's handoff off one labelled sweep;
 sets_tree_extents finds the trees by a graph search and each handoff by a
-sorted merge of one tree with its image.
+sorted merge of one tree with its image. rotate builds a forest's rotation
+whole, the oracle for NonCrossingForest.is_d_invariant.
 """
 
 from ncfsieve.bijections import BijectionError, TreeExtent
@@ -112,3 +113,21 @@ def sets_tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ..
         last, w = handoff(set(comp), image)
         extents.append(TreeExtent(tree, (w - 1 - s) % n + 1, last, False))
     return tuple(extents)
+
+
+def rotate(forest: NonCrossingForest, s: int) -> NonCrossingForest:
+    """The forest after s clockwise rotation steps, built whole. Rotation
+    is a symmetry of the circle, so the result is again a valid
+    non-crossing forest; rotate(forest, n) is the forest itself."""
+    n = forest.n
+    s %= n
+    if s == 0 or not forest.edges:
+        return forest
+    t = n - s  # labels above t wrap around to 1
+    moved = []
+    for u, v in forest.edges:
+        u = u + s if u <= t else u - t
+        v = v + s if v <= t else v - t
+        moved.append((u, v) if u < v else (v, u))
+    moved.sort()
+    return NonCrossingForest._unchecked(n, tuple(moved))
