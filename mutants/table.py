@@ -1,0 +1,118 @@
+"""The mutants that the tests must kill, one row each.
+
+A row names the file under src/ncfsieve, a snippet that must occur in it
+exactly once, the replacement that makes the mutant, the tests that must
+fail on it (pytest node ids or files) and a phrase of the CHANGES.md entry
+that describes it. run.py applies each row to a copy of the tree.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    changes: str
+
+
+ENUM = "tests/test_enumeration.py"
+BIJ = "tests/test_bijections.py"
+
+MUTANTS = (
+    # the filter walk
+    Mutant(
+        "floor-cut-early", "enumeration.py",
+        "if (tops & below[u]).bit_count() < k:  # else the floor cut",
+        "if (tops & below[u]).bit_count() < k - 1:  # else the floor cut",
+        (f"{ENUM}::test_counts_match_formula",
+         f"{ENUM}::test_matches_recursive_generator"),
+        "floor cut one component early",
+    ),
+    Mutant(
+        "rotation-cut-early", "enumeration.py",
+        "miss.bit_count() <= left:",
+        "miss.bit_count() <= left - 1:",
+        (f"{ENUM}::test_invariant_counts_batches_single_d_counts",
+         f"{ENUM}::test_fixed_stream_is_the_per_forest_filter"),
+        "rotation dropped at `> left - 1`",
+    ),
+    Mutant(
+        "d1-flush-dropped", "enumeration.py",
+        "    if tally and plain:\n        counts[1] += ones\n",
+        "",
+        (f"{ENUM}::test_counts_match_formula",),
+        "the d = 1 flush dropped",
+    ),
+    # the orbit walk and its stream
+    Mutant(
+        "leaf-not-taken-back", "enumeration.py",
+        "                    yield chosen, ends[j]\n"
+        "                    for _ in range(sz):\n"
+        "                        rv, ru = undo.pop()\n"
+        "                        size[ru] -= size[rv]\n"
+        "                        parent[rv] = rv\n",
+        "                    yield chosen, ends[j]\n",
+        (f"{ENUM}::test_orbit_stream_order_is_pinned",
+         f"{ENUM}::test_random_cell_against_filter"),
+        "leaf not taken back",
+    ),
+    Mutant(
+        "chosen-not-truncated", "enumeration.py",
+        "                del chosen[-sz:]\n",
+        "",
+        (f"{ENUM}::test_orbit_stream_order_is_pinned",),
+        "chosen list not truncated on undo",
+    ),
+    Mutant(
+        "leaf-out-of-sort", "enumeration.py",
+        "        edges = [*chosen, *leaf]\n        edges.sort()\n",
+        "        edges = [*chosen]\n        edges.sort()\n        edges += leaf\n",
+        (f"{ENUM}::test_orbit_stream_order_is_pinned",
+         f"{ENUM}::test_orbit_route_streams"),
+        "leaf orbit left out of the sort",
+    ),
+    # forests
+    Mutant(
+        "region-count-lt", "forest.py",
+        "if len(regions) <= len(edges):",
+        "if len(regions) < len(edges):",
+        ("tests/test_forest.py",),
+        "region count `<` for `<=`",
+    ),
+    Mutant(
+        "crosses-guard-halved", "forest.py",
+        "    if a == c or b == d:\n        return False\n",
+        "    if b == d:\n        return False\n",
+        ("tests/test_forest.py::test_crosses_matches_the_validator_sweep",),
+        "guard halved to `b == d`",
+    ),
+    Mutant(
+        "regions-cached-unsorted", "forest.py",
+        "        self._validate()\n",
+        "        self._validate()\n"
+        '        object.__setattr__(self, "_inner", innermost_chords(n, edges))\n',
+        ("tests/test_forest.py::test_innermost_is_kept_but_is_no_field",
+         "tests/test_forest.py::test_check_matches_pairwise_oracle"),
+        "region list cached from the edges before they are sorted",
+    ),
+    # tree extents
+    Mutant(
+        "first-rotated-forward", "bijections.py",
+        "(w - 1 - s) % n + 1",
+        "(w - 1 + s) % n + 1",
+        (f"{BIJ}::test_tree_extents_match_the_sets_oracle",
+         f"{BIJ}::test_first_is_the_entry_from_the_preimage"),
+        "first rotated forward",
+    ),
+    Mutant(
+        "overlap-guard-dropped", "bijections.py",
+        "        elif img[c] != b:\n"
+        '            raise BijectionError(f"a tree partially overlaps its rotation by {s}")\n',
+        "",
+        (f"{BIJ}::test_tree_extents_keeps_the_overlap_guard",),
+        "overlap guard dropped",
+    ),
+)

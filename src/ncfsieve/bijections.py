@@ -36,7 +36,12 @@ label per vertex and finds where every tree hands off to its rotated image
 in one sweep around the circle.
 
 enumerate_images is the bijection count route: it builds every fixed forest
-of one cell from the small side and insists the images are distinct.
+of one cell from the small side and insists the images are distinct. It
+takes each small forest phi from the orbit walk at d = 1
+(enumeration.orbit_forests), so it shares no walk with the filter route.
+A validated forest keeps the region sweep its check made (innermost), so
+classify_vertices on a phi built by a map or by the constructor sweeps
+nothing again.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .enumeration import enumerate_forests
+from .enumeration import orbit_forests
 from .forest import (
     Chord,
     NonCrossingForest,
@@ -52,7 +57,6 @@ from .forest import (
     check_n,
     check_vertex,
     chord,
-    innermost_chords,
 )
 
 
@@ -89,7 +93,7 @@ def classify_vertices(phi: NonCrossingForest) -> frozenset[int]:
     scan 1, n, n-1, ..., 2 meets. A forest with e edges has exactly e + 1
     good vertices.
     """
-    inner = innermost_chords(phi.n, phi.edges)
+    inner = phi.innermost()
     first: dict[Chord | None, int] = {}
     for v in (1, *range(phi.n, 1, -1)):
         first.setdefault(inner[v - 1], v)
@@ -121,7 +125,8 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     back one step, is first(T), the entry into T from its preimage. Trees
     mapped to themselves get first = last = None.
 
-    Each vertex carries its tree's label from component_labels. One pass
+    Each vertex carries its tree's label from component_labels, the root
+    vertex of its tree, so every table is a list indexed by label. One pass
     over the labels against the labels s steps on checks that the rotation
     maps every tree onto one tree; then one sweep over 1..n, started from
     the last vertex of each tree and its image, meets every handoff.
@@ -139,50 +144,67 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     if not forest.is_d_invariant(d):
         raise BijectionError(f"forest is not invariant under rotation of order {d}")
     s = n // d
-    labs = forest.component_labels()[1:]
-    # img maps each tree to the tree its vertices rotate into; its keys come
-    # in the order of the trees' least vertices
-    rot = labs[s:] + labs[:s]
-    img = dict(zip(labs, rot))
-    k = len(img)
-    if k != n - len(forest.edges):
-        raise BijectionError("the chords close a cycle; not a forest")
+    labs = forest.component_labels()
+    # img[c] is the tree that the vertices of tree c rotate into, top[c]
+    # the largest vertex of c, and trees lists the roots in the order of
+    # the trees' least vertices.
+    img = [0] * (n + 1)
+    top = [0] * (n + 1)
+    members: list[list[int] | None] = [None] * (n + 1)
+    trees = []
+    for x, c, b in zip(range(1, n + 1), labs[1:], labs[s + 1:] + labs[1:s + 1]):
+        tree = members[c]
+        if tree is None:
+            members[c] = [x]
+            img[c] = b
+            trees.append(c)
+        elif img[c] != b:
+            raise BijectionError(f"a tree partially overlaps its rotation by {s}")
+        else:
+            tree.append(x)
+        top[c] = x
     # Rotation permutes the vertices, so once every vertex of a tree lands
     # in one tree, each tree lands onto a tree of its own.
-    if list(map(img.__getitem__, labs)) != rot:
-        raise BijectionError(f"a tree partially overlaps its rotation by {s}")
-    pre = {b: a for a, b in img.items()}
-    top = dict(zip(labs, range(1, n + 1)))
+    k = len(trees)
+    if k != n - len(forest.edges):
+        raise BijectionError("the chords close a cycle; not a forest")
+    pre = [0] * (n + 1)
     # tail[c] is the vertex last met of tree c and its image: +x for x in
     # c, -x for x in the image. The sweep starts after each pair's last
     # vertex, so the wrap from n back to 1 is met like any other step.
-    tail = {c: top[c] if top[c] > top[b] else -top[b] for c, b in img.items()}
-    members: dict[int, list[int]] = {c: [] for c in img}
-    handoffs: dict[int, list[tuple[int, int]]] = {}
-    for x, c in enumerate(labs, 1):
-        members[c].append(x)
+    tail = [0] * (n + 1)
+    for c in trees:
+        b = img[c]
+        pre[b] = c
+        tail[c] = top[c] if top[c] > top[b] else -top[b]
+    # step[c] is the handoff (last vertex of c, first of its image) met
+    # last, and steps[c] how many there are
+    step: list[tuple[int, int] | None] = [None] * (n + 1)
+    steps = [0] * (n + 1)
+    for x in range(1, n + 1):
+        c = labs[x]
         tail[c] = x
         p = pre[c]
         if p != c:
             u = tail[p]
             if u > 0:
-                handoffs.setdefault(p, []).append((u, x))
+                step[p] = (u, x)
+                steps[p] += 1
             tail[p] = -x
     extents = []
     self_mapped_count = 0
-    for c, b in img.items():
+    for c in trees:
         tree = tuple(members[c])
-        if b == c:
+        if img[c] == c:
             self_mapped_count += 1
             extents.append(TreeExtent(tree, None, None, True))
             continue
-        steps = handoffs.get(c, ())
-        if len(steps) != 1:
+        if steps[c] != 1:
             raise BijectionError(
-                f"tree {tree} has {len(steps)} handoffs to its image in "
+                f"tree {tree} has {steps[c]} handoffs to its image in "
                 "circular order, expected one"
             )
-        last, w = steps[0]
+        last, w = step[c]
         extents.append(TreeExtent(tree, (w - 1 - s) % n + 1, last, False))
     if self_mapped_count == 0:
         if k % d:
@@ -379,7 +401,7 @@ def _scan_window_start(forest: NonCrossingForest, d: int) -> int:
     out means the forest was not actually periodic."""
     n = forest.n
     np_ = n // d
-    inner = innermost_chords(n, forest.edges)
+    inner = forest.innermost()
     for t in range(np_):
         w = (-t) % n + 1
         if inner[w - 1] == inner[(w - 1 + np_) % n]:
@@ -393,24 +415,26 @@ def enumerate_images(n: int, k: int, d: int):
     the small side through the structural map of its regime, and two
     inputs with one image raise BijectionError. Nothing is yielded when
     neither map applies, which is the claim that no fixed forest exists.
-    The images are held and sorted because the sort is the distinctness
-    check. Library calls are unbounded; the command line bounds n by the
-    route's check_bound before it runs."""
+    The edge lists of the images are held and sorted because the sort is
+    the distinctness check; each image was validated when it was built,
+    and only its edges are kept. Library calls are unbounded; the command
+    line bounds n by the route's check_bound before it runs."""
     check_n(n, k)
     check_d(d, n, least=2)
     out = []
     if k % d == 0:
-        for phi in enumerate_forests(n // d, k // d):
+        for phi in orbit_forests(n // d, k // d, 1):
             for v in sorted(classify_vertices(phi)):
-                out.append(construct_periodic(phi, v, d))
+                out.append(construct_periodic(phi, v, d).edges)
     elif d == 2 and k % 2 == 1:
-        for phi in enumerate_forests(n // 2, (k + 1) // 2):
+        for phi in orbit_forests(n // 2, (k + 1) // 2, 1):
             for mark in all_marks(phi):
-                out.append(construct_diameter(phi, mark))
-    out.sort(key=lambda f: f.edges)
+                out.append(construct_diameter(phi, mark).edges)
+    out.sort()
     for a, b in zip(out, out[1:]):
-        if a.edges == b.edges:
+        if a == b:
             raise BijectionError(
                 f"bijection route hit a duplicate image at n={n}, k={k}, d={d}"
             )
-    yield from out
+    for edges in out:
+        yield NonCrossingForest._unchecked(n, edges)

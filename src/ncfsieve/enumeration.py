@@ -61,10 +61,12 @@ cut keeps the walk off dead ends: no orbit has more than d chords, so a
 frame whose candidates number fewer than (chords still to choose) / d
 holds no fixed forest and is left. Each mask and the cut drop only orbit
 choices that complete nothing, so the walk meets every fixed forest, in
-the order of an uncut walk. It yields each forest as a chord mask, whose
-bits read low first are its sorted edge list, so the orbit route's count
-counts masks and builds no forest. This orbit route and the fixed-point
-filter are two of the count routes in sieving.ROUTES.
+the order of an uncut walk. It yields each forest as the chords of its
+chosen orbits, unsorted, and the stream sorts them into the edge list;
+the orbit route's count counts the yields and builds no forest. This
+orbit route and the fixed-point filter are two of the count routes in
+sieving.ROUTES; the bijection route takes its small forests from the
+orbit walk at d = 1, where every orbit is one chord.
 """
 
 from __future__ import annotations
@@ -349,10 +351,10 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
 def _orbit_table(n: int, d: int):
     """Chord orbits under rotation by n/d steps, dropping orbits whose own
     members cross each other (no invariant forest can use them), sorted by
-    least member chord. Returns (sizes, crossing, members, ends, fits):
-    per orbit its chord count, the mask of the orbits it crosses, the mask
-    of its member chords and its member chords in order; fits[r] is the
-    mask of the orbits with at most r chords, for 0 <= r < n."""
+    least member chord. Returns (sizes, crossing, ends, fits): per orbit
+    its chord count, the mask of the orbits it crosses and its member
+    chords in order; fits[r] is the mask of the orbits with at most r
+    chords, for 0 <= r < n."""
     perm = rotation_perm(n, n // d)
     cross = _cross_masks(n)
     chords = chord_table(n)
@@ -381,25 +383,32 @@ def _orbit_table(n: int, d: int):
         sum(1 << b for b, other in enumerate(orbits) if cmask & other[3])
         for _, _, cmask, _ in orbits
     )
-    members = tuple(omask for _, _, _, omask in orbits)
     ends = tuple(
-        tuple(chords[j] for j in range(m) if omask >> j & 1) for omask in members
+        tuple(chords[j] for j in range(m) if omask >> j & 1)
+        for _, _, _, omask in orbits
     )
     fits = tuple(
         sum(1 << a for a, sz in enumerate(sizes) if sz <= r) for r in range(n)
     )
-    return sizes, crossing, members, ends, fits
+    return sizes, crossing, ends, fits
 
 
-def _invariant_masks(n: int, k: int, d: int):
-    """Chord masks of every d-invariant forest in F(n, k), generated orbit
-    by orbit: each orbit taken or skipped in order of least member chord.
+def _orbit_walk(n: int, k: int, d: int):
+    """Every d-invariant forest in F(n, k), generated orbit by orbit: each
+    orbit taken or skipped in order of least member chord. Yields (chosen,
+    leaf) per forest: chosen is the list of the chords of the orbits taken
+    on the way down (one list, reused: copy it to keep it) and leaf the
+    chords of the orbit that completes the forest. Together they are the
+    forest's edges, unsorted.
 
     A frame is one int, the mask of the orbits that may still join: those
     after the last one chosen, less the orbits that cross a chosen one,
     less the orbits with more chords than are still to choose. An orbit
     joins when its chords close no cycle, tested by union_edges on a
-    union-find with undo.
+    union-find with undo; its chords are appended to chosen on the join
+    and cut off again on the undo. A leaf orbit, one that uses up the
+    chords still to choose, is joined, handed out and taken back inside
+    the candidate loop, with no frame of its own.
 
     The count cut: every orbit has at most d chords, so a frame whose d *
     popcount(candidates) is below the chords still to choose completes
@@ -410,16 +419,16 @@ def _invariant_masks(n: int, k: int, d: int):
     """
     need = n - k
     if need == 0:
-        yield 0
+        yield [], ()
         return
-    sizes, crossing, members, ends, fits = _orbit_table(n, d)
+    sizes, crossing, ends, fits = _orbit_table(n, d)
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     undo: list[tuple[int, int]] = []
     stack = [fits[need]]  # candidate orbits per depth
     taken: list[int] = []  # the orbit chosen at each depth below the first
+    chosen: list[Chord] = []  # the chords of the taken orbits
     left = need  # chords still to choose
-    mask = 0  # the chosen chords
     while stack:
         cand = stack[-1]
         while cand and d * cand.bit_count() >= left:
@@ -428,18 +437,24 @@ def _invariant_masks(n: int, k: int, d: int):
             j = low.bit_length() - 1
             sz = sizes[j]
             rest = left - sz
+            if not rest:  # a leaf orbit
+                if union_edges(parent, size, undo, ends[j]) == sz:
+                    yield chosen, ends[j]
+                    for _ in range(sz):
+                        rv, ru = undo.pop()
+                        size[ru] -= size[rv]
+                        parent[rv] = rv
+                continue
             nxt = cand & ~crossing[j] & fits[rest]
             if d * nxt.bit_count() < rest:
                 continue  # the count cut, before any join
             if union_edges(parent, size, undo, ends[j]) < sz:
                 continue  # the orbit closes a cycle, and nothing was joined
             stack[-1] = cand
-            stack.append(nxt)  # with no chord left, fits[0] is empty
+            stack.append(nxt)
             taken.append(j)
             left = rest
-            mask |= members[j]
-            if not rest:
-                yield mask
+            chosen += ends[j]
             break
         else:
             stack.pop()
@@ -451,18 +466,40 @@ def _invariant_masks(n: int, k: int, d: int):
                     size[ru] -= size[rv]
                     parent[rv] = rv
                 left += sz
-                mask ^= members[j]
+                del chosen[-sz:]
 
 
 def count_invariant(n: int, k: int, d: int) -> int:
-    """The orbit route's count of one cell: the chord masks of the orbit
-    walk counted, no forest built. d = 1 is the plain count, as the orbit
+    """The orbit route's count of one cell: the yields of the orbit walk
+    counted, no forest built. d = 1 is the plain count, as the orbit
     route's stream at d = 1 is the plain enumeration."""
     check_n(n, k)
     check_d(d, n)
     if d == 1:
         return count_forests(n, k)
-    return sum(1 for _ in _invariant_masks(n, k, d))
+    return sum(1 for _ in _orbit_walk(n, k, d))
+
+
+def orbit_forests(n: int, k: int, d: int):
+    """Stream the forests in F(n, k) fixed by the rotation of order d, for
+    any d | n, straight from the orbit walk: by orbit choice, each orbit
+    taken or skipped in order of least member chord. Each forest's edges
+    are the chords of its chosen orbits, sorted in one C sort.
+
+    At d = 1 every orbit is one chord and the order is lexicographic. The
+    orbit route hands d = 1 to the filter walk, which is faster there; the
+    bijection route takes its small forests from here at d = 1, so that it
+    shares no walk with the filter route.
+
+    >>> [f.edges for f in orbit_forests(4, 2, 2)]
+    [((1, 2), (3, 4)), ((1, 4), (2, 3))]
+    """
+    check_n(n, k)
+    check_d(d, n)
+    for chosen, leaf in _orbit_walk(n, k, d):
+        edges = [*chosen, *leaf]
+        edges.sort()
+        yield NonCrossingForest._unchecked(n, tuple(edges))
 
 
 def enumerate_invariant(n: int, k: int, d: int):
@@ -476,11 +513,4 @@ def enumerate_invariant(n: int, k: int, d: int):
     if d == 1:
         yield from enumerate_forests(n, k)
         return
-    chords = chord_table(n)
-    for mask in _invariant_masks(n, k, d):
-        edges = []
-        while mask:  # low bit first: the sorted edge list
-            low = mask & -mask
-            mask ^= low
-            edges.append(chords[low.bit_length() - 1])
-        yield NonCrossingForest._unchecked(n, tuple(edges))
+    yield from orbit_forests(n, k, d)

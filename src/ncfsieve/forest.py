@@ -102,7 +102,11 @@ def crosses(e1: Chord, e2: Chord, n: int) -> bool:
     c, d = chord(*e2)
     for x in (a, b, c, d):
         check_vertex(x, n)
-    if a in (c, d) or b in (c, d):
+    # A shared end a == c or b == d can leave the other end of (c, d)
+    # inside (a, b), which the interleave test below would read as a
+    # crossing. A shared end a == d or b == c puts (c, d) wholly outside
+    # (a, b), where that test already answers False.
+    if a == c or b == d:
         return False
     # a < b, so "strictly between a and b clockwise" is the open interval
     # (a, b) in the usual integer order; exactly one endpoint inside means
@@ -162,11 +166,16 @@ class NonCrossingForest:
 
     The constructor normalizes the edge list and enforces every invariant
     (label ranges, no duplicates, pairwise non-crossing, acyclic), so a
-    constructed value is always a genuine non-crossing forest.
+    constructed value is always a genuine non-crossing forest. It keeps
+    the innermost chord per gap that its check computed, for innermost();
+    that is no field, so ==, hash and repr read n and edges alone.
     """
 
     n: int
     edges: tuple[Chord, ...]
+    # innermost_chords(n, edges) once swept; a list, as a tuple copy of it
+    # cost an allocation per validated forest and raised peak memory
+    _inner = None
 
     def __init__(self, n: int, edges=()):
         check_n(n)
@@ -206,12 +215,25 @@ class NonCrossingForest:
         face enclosed by chords alone, so it lies on a cycle.
         """
         n, edges = self.n, self.edges
-        inner = set(innermost_chords(n, edges))
-        if len(inner) <= len(edges):
-            enclosing = next(e for e in edges if e not in inner)
+        inner = innermost_chords(n, edges)
+        regions = set(inner)
+        if len(regions) <= len(edges):
+            enclosing = next(e for e in edges if e not in regions)
             raise ValueError(f"edge {enclosing} closes a cycle")
+        object.__setattr__(self, "_inner", inner)
 
     # -- structure ---------------------------------------------------------
+
+    def innermost(self) -> list[Chord | None]:
+        """innermost_chords(n, edges), swept once per forest: the validating
+        constructor keeps the list its check made, and a forest built by
+        _unchecked sweeps on the first call and keeps the result. Every
+        caller shares the one list, so it is read and never changed."""
+        inner = self._inner
+        if inner is None:
+            inner = innermost_chords(self.n, self.edges)
+            object.__setattr__(self, "_inner", inner)
+        return inner
 
     def component_labels(self) -> list[int]:
         """Entry x, for each vertex x in 1..n, is the root vertex of x's

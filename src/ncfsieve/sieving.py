@@ -18,8 +18,10 @@ stream of fixed forests when it has one, and the bound on n the command
 line puts on it, which check_bound enforces. verify_csp and every counting
 command of the command line read it, and no route's bound lives elsewhere.
 Sieving holds when every route lands on the same integer for every d. The
-routes share argument validation (forest.check_n, forest.check_d) and
-nothing else: no route reads another's intermediate results.
+routes share argument validation (forest.check_n, forest.check_d) and a
+few primitives that tests pin on their own; the route ledger test lists
+each shared function with its reason. No route reads another's
+intermediate results.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfsieve import forest as forest_module
 from ncfsieve.bijections import (
     BijectionError,
     Mark,
@@ -119,6 +120,34 @@ def test_good_vertex_count_is_edges_plus_one():
                 good = classify_vertices(phi)
                 assert len(good) == len(phi.edges) + 1
                 assert good <= frozenset(range(1, n + 1))
+
+
+def test_classify_vertices_on_a_validated_phi_runs_no_sweep(monkeypatch):
+    phi = NonCrossingForest(12, F12.edges)
+
+    def no_sweep(*args):
+        raise AssertionError("a validated forest was swept again")
+
+    monkeypatch.setattr(forest_module, "innermost_chords", no_sweep)
+    assert classify_vertices(phi) == frozenset({1, 2, 4, 7, 8, 11})
+    assert _scan_window_start(F24, 2) == 16
+
+
+def test_a_periodic_round_trip_sweeps_three_forests(monkeypatch):
+    # the enumerated forest for its window, phi when it is validated and
+    # the image when it is validated; phi's good vertices reuse its sweep
+    sweeps = []
+    sweep = forest_module.innermost_chords
+
+    def counting(n, edges):
+        sweeps.append(n)
+        return sweep(n, edges)
+
+    big = NonCrossingForest._unchecked(24, F24.edges)
+    monkeypatch.setattr(forest_module, "innermost_chords", counting)
+    phi, v = decompose_periodic(big, 2)
+    assert construct_periodic(phi, v, 2) == big
+    assert sweeps == [24, 12, 24]
 
 
 def test_all_marks_count():

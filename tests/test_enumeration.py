@@ -25,6 +25,7 @@ from ncfsieve.enumeration import (
     enumerate_forests,
     enumerate_invariant,
     invariant_counts,
+    orbit_forests,
     rotation_perm,
 )
 from ncfsieve.forest import NonCrossingForest, crosses
@@ -276,8 +277,9 @@ def test_invariant_stream_really_is_invariant():
 
 
 # sha256 over every d >= 2 cell of n, k ascending then d ascending, of
-# repr([f.edges for f in enumerate_invariant(n, k, d)]); taken from the
-# chord-level orbit walk that preceded the orbit-mask walk
+# repr([f.edges for f in enumerate_invariant(n, k, d)]); for n <= 12 taken
+# from the chord-level orbit walk that preceded the orbit-mask walk, for
+# n = 13 and 14 from the orbit-mask walk that yielded chord masks
 ORBIT_STREAM_SHA256 = {
     2: "82b5b9ea7c9ca0c113f9a2b7b8243e297ea9d7e57db519cf68fdf8261c1a655e",
     3: "1a7d947cd9fd7be5101ea440ec1e29d7d35a1604d854c6ea678c5b2a4a84e114",
@@ -290,6 +292,10 @@ ORBIT_STREAM_SHA256 = {
     10: "e28721615540f9d02f60953b6b07bfaff124ce28bdeefe750a8a30f087bd19ad",
     11: "b4e145d9c3dbcf8bede6e6c04f8ae2106934d0b559b9889268dd22cb95a552ea",
     12: "6ca171e45226462708892d177f836a5e8eaee74fb307ac295ca167ead9a50800",
+    13: "9bd64e351e52fc9f4f9f058dc9386eaadcce7724ef95227e4b967c92133edf4d",
+    # the benchmark round-trips one forest in ten at n = 14, picked by
+    # position in this stream
+    14: "9fed0026fc8ea9f44621bf9db96ef927beef3cf02ed63bb13086567c6064f4b5",
 }
 
 
@@ -302,6 +308,16 @@ def test_orbit_stream_order_is_pinned(n):
         for d in divisors(n)[1:]:
             h.update(repr([f.edges for f in enumerate_invariant(n, k, d)]).encode())
     assert h.hexdigest() == ORBIT_STREAM_SHA256[n]
+
+
+def test_orbit_walk_at_d_1_is_the_plain_stream():
+    # the bijection route draws its small forests from the orbit walk at
+    # d = 1, where every orbit is one chord; it must list F(n, k) exactly
+    # as the filter walk does, order included
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            assert [f.edges for f in orbit_forests(n, k, 1)] == [
+                f.edges for f in enumerate_forests(n, k)], (n, k)
 
 
 def test_orbit_route_streams():

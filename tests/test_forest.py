@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncfsieve import forest as forest_module
 from ncfsieve.enumeration import chord_table, enumerate_forests
 from ncfsieve.forest import (
     NonCrossingForest,
@@ -259,6 +260,7 @@ def test_check_matches_pairwise_oracle(case):
             default=None)
         for v in range(1, n + 1)
     ]
+    assert f.innermost() == innermost_chords(n, f.edges)
 
 
 @pytest.mark.parametrize("shape", ["star", "path"])
@@ -287,6 +289,30 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != NonCrossingForest(5, [(1, 2)])
+
+
+def test_innermost_is_kept_but_is_no_field(monkeypatch):
+    edges = ((1, 2), (1, 8), (3, 7), (4, 7), (9, 11))
+    # given reversed and in reverse order, kept as the sweep of the edges
+    # the constructor ordered
+    checked = NonCrossingForest(12, [(v, u) for u, v in reversed(edges)])
+    unchecked = NonCrossingForest._unchecked(12, edges)
+    expected = innermost_chords(12, edges)
+    sweeps = []
+
+    def counting(n, chords):
+        sweeps.append(n)
+        return innermost_chords(n, chords)
+
+    monkeypatch.setattr(forest_module, "innermost_chords", counting)
+    # the validating constructor kept the sweep its check made
+    assert checked.innermost() == expected and sweeps == []
+    # an unchecked forest sweeps on the first call only
+    assert unchecked.innermost() == expected and sweeps == [12]
+    assert unchecked.innermost() is unchecked.innermost() and sweeps == [12]
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == f"NonCrossingForest(n=12, edges={edges!r})"
+    assert NonCrossingForest._unchecked(12, edges) == unchecked
 
 
 # ---------------------------------------------------------------- structure
