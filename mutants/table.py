@@ -50,10 +50,7 @@ MUTANTS = (
     Mutant(
         "leaf-not-taken-back", "enumeration.py",
         "                    yield chosen, ends[j]\n"
-        "                    for _ in range(sz):\n"
-        "                        rv, ru = undo.pop()\n"
-        "                        size[ru] -= size[rv]\n"
-        "                        parent[rv] = rv\n",
+        "                    undo_joins(parent, size, undo, sz)\n",
         "                    yield chosen, ends[j]\n",
         (f"{ENUM}::test_orbit_stream_order_is_pinned",
          f"{ENUM}::test_random_cell_against_filter"),
@@ -65,6 +62,14 @@ MUTANTS = (
         "",
         (f"{ENUM}::test_orbit_stream_order_is_pinned",),
         "chosen list not truncated on undo",
+    ),
+    Mutant(
+        "orbit-d1-handoff", "enumeration.py",
+        "    check_d(d, n)\n    return sum(1 for _ in _orbit_walk(n, k, d))\n",
+        "    check_d(d, n)\n    if d == 1:\n        return count_forests(n, k)\n"
+        "    return sum(1 for _ in _orbit_walk(n, k, d))\n",
+        (f"{ENUM}::test_orbit_route_at_d_1_reaches_no_filter_walk",),
+        "orbit count handing d = 1 back to `count_forests`",
     ),
     Mutant(
         "leaf-out-of-sort", "enumeration.py",

@@ -38,7 +38,8 @@ in one sweep around the circle.
 enumerate_images is the bijection count route: it builds every fixed forest
 of one cell from the small side and insists the images are distinct. It
 takes each small forest phi from the orbit walk at d = 1
-(enumeration.orbit_forests), so it shares no walk with the filter route.
+(enumeration.enumerate_invariant), so it shares no walk with the filter
+route.
 A validated forest keeps the region sweep its check made (innermost), so
 classify_vertices on a phi built by a map or by the constructor sweeps
 nothing again.
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .enumeration import orbit_forests
+from .enumeration import enumerate_invariant
 from .forest import (
     Chord,
     NonCrossingForest,
@@ -423,11 +424,11 @@ def enumerate_images(n: int, k: int, d: int):
     check_d(d, n, least=2)
     out = []
     if k % d == 0:
-        for phi in orbit_forests(n // d, k // d, 1):
+        for phi in enumerate_invariant(n // d, k // d, 1):
             for v in sorted(classify_vertices(phi)):
                 out.append(construct_periodic(phi, v, d).edges)
     elif d == 2 and k % 2 == 1:
-        for phi in orbit_forests(n // 2, (k + 1) // 2, 1):
+        for phi in enumerate_invariant(n // 2, (k + 1) // 2, 1):
             for mark in all_marks(phi):
                 out.append(construct_diameter(phi, mark).edges)
     out.sort()

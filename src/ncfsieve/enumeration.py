@@ -63,10 +63,11 @@ holds no fixed forest and is left. Each mask and the cut drop only orbit
 choices that complete nothing, so the walk meets every fixed forest, in
 the order of an uncut walk. It yields each forest as the chords of its
 chosen orbits, unsorted, and the stream sorts them into the edge list;
-the orbit route's count counts the yields and builds no forest. This
-orbit route and the fixed-point filter are two of the count routes in
-sieving.ROUTES; the bijection route takes its small forests from the
-orbit walk at d = 1, where every orbit is one chord.
+the orbit route's count counts the yields and builds no forest. The
+orbit route walks its own orbits at every d, d = 1 included, where every
+orbit is one chord, so it shares no walk with the fixed-point filter:
+the two are independent count routes in sieving.ROUTES. The bijection
+route takes its small forests from the orbit walk at d = 1.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .forest import (
     chord,
     crosses,
     rotate_label,
+    undo_joins,
     union_edges,
 )
 
@@ -405,10 +407,11 @@ def _orbit_walk(n: int, k: int, d: int):
     after the last one chosen, less the orbits that cross a chosen one,
     less the orbits with more chords than are still to choose. An orbit
     joins when its chords close no cycle, tested by union_edges on a
-    union-find with undo; its chords are appended to chosen on the join
-    and cut off again on the undo. A leaf orbit, one that uses up the
-    chords still to choose, is joined, handed out and taken back inside
-    the candidate loop, with no frame of its own.
+    union-find with undo, and undo_joins takes it back; its chords are
+    appended to chosen on the join and cut off again on the undo. A leaf
+    orbit, one that uses up the chords still to choose, is joined, handed
+    out and taken back inside the candidate loop, with no frame of its
+    own.
 
     The count cut: every orbit has at most d chords, so a frame whose d *
     popcount(candidates) is below the chords still to choose completes
@@ -440,10 +443,7 @@ def _orbit_walk(n: int, k: int, d: int):
             if not rest:  # a leaf orbit
                 if union_edges(parent, size, undo, ends[j]) == sz:
                     yield chosen, ends[j]
-                    for _ in range(sz):
-                        rv, ru = undo.pop()
-                        size[ru] -= size[rv]
-                        parent[rv] = rv
+                    undo_joins(parent, size, undo, sz)
                 continue
             nxt = cand & ~crossing[j] & fits[rest]
             if d * nxt.bit_count() < rest:
@@ -461,37 +461,31 @@ def _orbit_walk(n: int, k: int, d: int):
             if taken:
                 j = taken.pop()
                 sz = sizes[j]
-                for _ in range(sz):
-                    rv, ru = undo.pop()
-                    size[ru] -= size[rv]
-                    parent[rv] = rv
+                undo_joins(parent, size, undo, sz)
                 left += sz
                 del chosen[-sz:]
 
 
 def count_invariant(n: int, k: int, d: int) -> int:
     """The orbit route's count of one cell: the yields of the orbit walk
-    counted, no forest built. d = 1 is the plain count, as the orbit
-    route's stream at d = 1 is the plain enumeration."""
+    counted, no forest built."""
     check_n(n, k)
     check_d(d, n)
-    if d == 1:
-        return count_forests(n, k)
     return sum(1 for _ in _orbit_walk(n, k, d))
 
 
-def orbit_forests(n: int, k: int, d: int):
+def enumerate_invariant(n: int, k: int, d: int):
     """Stream the forests in F(n, k) fixed by the rotation of order d, for
-    any d | n, straight from the orbit walk: by orbit choice, each orbit
-    taken or skipped in order of least member chord. Each forest's edges
-    are the chords of its chosen orbits, sorted in one C sort.
+    any d | n: the orbit route. They come straight from the orbit walk and
+    are yielded as found, in its deterministic order: by orbit choice, each
+    orbit taken or skipped in order of least member chord. Each forest's
+    edges are the chords of its chosen orbits, sorted in one C sort.
 
-    At d = 1 every orbit is one chord and the order is lexicographic. The
-    orbit route hands d = 1 to the filter walk, which is faster there; the
-    bijection route takes its small forests from here at d = 1, so that it
-    shares no walk with the filter route.
+    At d = 1 every orbit is one chord and the order is lexicographic, the
+    filter walk's order; the bijection route takes its small forests from
+    here at d = 1, so that it shares no walk with the filter route.
 
-    >>> [f.edges for f in orbit_forests(4, 2, 2)]
+    >>> [f.edges for f in enumerate_invariant(4, 2, 2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
     check_n(n, k)
@@ -500,17 +494,3 @@ def orbit_forests(n: int, k: int, d: int):
         edges = [*chosen, *leaf]
         edges.sort()
         yield NonCrossingForest._unchecked(n, tuple(edges))
-
-
-def enumerate_invariant(n: int, k: int, d: int):
-    """Stream the forests in F(n, k) fixed by the rotation of order d: the
-    orbit route. They are generated directly over the chord orbits of the
-    rotation and yielded as found, in the walk's deterministic order: by
-    orbit choice, each orbit taken or skipped in order of least member
-    chord. d = 1 is the plain enumeration, in lexicographic order."""
-    check_n(n, k)
-    check_d(d, n)
-    if d == 1:
-        yield from enumerate_forests(n, k)
-        return
-    yield from orbit_forests(n, k, d)

@@ -67,8 +67,7 @@ def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
     already share a root, take back this call's joins instead and return
     that edge's index.
 
-    No path compression, so popping undo and resetting parent[child] and
-    size[root] takes a join back exactly.
+    No path compression, so undo_joins takes the joins back exactly.
     """
     made = 0
     for u, v in edges:
@@ -77,10 +76,7 @@ def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
         while parent[v] != v:
             v = parent[v]
         if u == v:
-            for _ in range(made):
-                child, root = undo.pop()
-                size[root] -= size[child]
-                parent[child] = child
+            undo_joins(parent, size, undo, made)
             break
         if size[u] < size[v]:
             u, v = v, u
@@ -89,6 +85,16 @@ def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
         undo.append((v, u))
         made += 1
     return made
+
+
+def undo_joins(parent: list[int], size: list[int], undo: list[tuple[int, int]],
+               joins: int) -> None:
+    """Take back the last joins pushed on undo by union_edges: pop each
+    (child, root), shrink the root's size and make the child a root again."""
+    for _ in range(joins):
+        child, root = undo.pop()
+        size[root] -= size[child]
+        parent[child] = child
 
 
 def crosses(e1: Chord, e2: Chord, n: int) -> bool:
@@ -252,13 +258,6 @@ class NonCrossingForest:
                 root = parent[root]
             parent[x] = root  # later finds through x stop at the root
         return parent
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components as vertex sets, ordered by minimal label."""
-        groups: dict[int, list[int]] = {}
-        for x, root in enumerate(self.component_labels()[1:], 1):
-            groups.setdefault(root, []).append(x)
-        return tuple(frozenset(g) for g in groups.values())
 
     def component_count(self) -> int:
         """Number of connected components: n - |edges|, as for any forest."""

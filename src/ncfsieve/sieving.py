@@ -98,8 +98,10 @@ class Route(NamedTuple):
 
 # Each count and stream looks its function up by module-level name at call
 # time, so whatever is bound to that name (a tracer's wrapper, say) is what
-# runs. Order is the column order of the report. The orbit route at d = 1
-# is the plain enumeration, so verify_csp leaves it to the filter route.
+# runs. Order is the column order of the report. The orbit route walks its
+# own orbits at d = 1 too, but there every orbit is one chord and its walk
+# over every cell with n <= 10 takes about 6x what invariant_counts takes,
+# so verify_csp reports it from d = 2.
 ROUTES: dict[str, Route] = {
     "filter": Route(
         lambda n, k, d: enumeration.count_forests(n, k, d),

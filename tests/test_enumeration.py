@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfsieve import enumeration
+from ncfsieve import cli, enumeration
 from ncfsieve.enumeration import (
     chord_table,
     count_forests,
@@ -25,7 +25,6 @@ from ncfsieve.enumeration import (
     enumerate_forests,
     enumerate_invariant,
     invariant_counts,
-    orbit_forests,
     rotation_perm,
 )
 from ncfsieve.forest import NonCrossingForest, crosses
@@ -311,13 +310,33 @@ def test_orbit_stream_order_is_pinned(n):
 
 
 def test_orbit_walk_at_d_1_is_the_plain_stream():
-    # the bijection route draws its small forests from the orbit walk at
-    # d = 1, where every orbit is one chord; it must list F(n, k) exactly
-    # as the filter walk does, order included
+    # the orbit route and the bijection route's small forests come from the
+    # orbit walk at d = 1, where every orbit is one chord; it must list
+    # F(n, k) exactly as the filter walk does, order included
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert [f.edges for f in orbit_forests(n, k, 1)] == [
+            assert [f.edges for f in enumerate_invariant(n, k, 1)] == [
                 f.edges for f in enumerate_forests(n, k)], (n, k)
+
+
+def test_orbit_route_at_d_1_reaches_no_filter_walk(monkeypatch, capsys):
+    # the orbit route walks its own orbits at d = 1 too, so with the filter
+    # walk broken it still counts and lists F(n, k), through the library
+    # and the command line alike
+    cells = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+    plain = {(n, k): [f.edges for f in enumerate_forests(n, k)] for n, k in cells}
+
+    def no_filter_walk(*args):
+        raise AssertionError("the orbit route reached the filter walk")
+
+    monkeypatch.setattr(enumeration, "_leaf_groups", no_filter_walk)
+    for n, k in cells:
+        assert ROUTES["orbit"].count(n, k, 1) == forest_count(n, k), (n, k)
+        assert [f.edges for f in ROUTES["orbit"].stream(n, k, 1)] == plain[n, k], (
+            n, k)
+    for argv in (["fixed", "8", "3", "1"], ["enumerate", "8", "3", "--count"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"{forest_count(8, 3)}\n", argv
 
 
 def test_orbit_route_streams():

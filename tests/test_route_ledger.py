@@ -29,17 +29,17 @@ OWN = {
     "poly": "qpoly.forest_count_poly",
     "closed": "sieving.closed_form_eval",
     "bijection": "bijections.construct_periodic",
-    "orbit": "enumeration.enumerate_invariant",
+    "orbit": "enumeration.count_invariant",
 }
 
 _CROSSES = "inside crosses, which test_crosses_matches_the_validator_sweep pins"
 _ROTATION = ("inside rotation_perm, which test_rotation_perm_matches_label_"
              "arithmetic pins")
 _PHI = ("the bijection route takes each small forest phi, on n/d <= 6 "
-        "vertices under the bound, from the orbit walk at d = 1, where every "
-        "orbit is one chord; the orbit route walks the orbits of d >= 2. "
-        "test_orbit_walk_at_d_1_is_the_plain_stream pins the d = 1 stream "
-        "to the filter walk's")
+        "vertices under the bound, from the orbit route's stream at d = 1, "
+        "where every orbit is one chord; the orbit route is reported for "
+        "d >= 2. test_orbit_walk_at_d_1_is_the_plain_stream pins the d = 1 "
+        "stream to the filter walk's")
 
 SHARED = {
     "forest.check_n": "argument validation, the one check every route shares",
@@ -59,10 +59,11 @@ SHARED = {
         "pinned alone against label arithmetic written in the test on every "
         "n <= 12 and s (test_rotation_perm_matches_label_arithmetic)"),
     "forest.rotate_label": _ROTATION,
-    "enumeration.orbit_forests": _PHI,
+    "enumeration.enumerate_invariant": _PHI,
     "enumeration._orbit_walk": _PHI,
     "enumeration._orbit_table": _PHI,
     "forest.union_edges": f"the orbit walk's cycle test; {_PHI}",
+    "forest.undo_joins": f"the orbit walk's undo; {_PHI}",
 }
 
 

@@ -16,7 +16,6 @@ from ncfsieve.enumeration import (
     enumerate_forests,
     enumerate_invariant,
     invariant_counts,
-    orbit_forests,
 )
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import forest_count, forest_count_poly
@@ -184,8 +183,8 @@ def _consume(result):
 # Every public entry point that takes (n, k, d), (n, k) or n, by arity.
 ENTRY_POINTS = [
     (fn.__name__, fn, 3)
-    for fn in (enumerate_forests, enumerate_invariant, orbit_forests,
-               enumerate_images, closed_form_eval, poly_eval, count_forests, count_invariant,
+    for fn in (enumerate_forests, enumerate_invariant, enumerate_images,
+               closed_form_eval, poly_eval, count_forests, count_invariant,
                fixed_count_bijection)
 ] + [
     (f"ROUTES[{name!r}].{part}", getattr(route, part), 3)

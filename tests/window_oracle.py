@@ -8,7 +8,8 @@ center's region, and the good vertices from the set of chords enclosing
 each gap. tree_extents reads every tree's handoff off one labelled sweep;
 sets_tree_extents finds the trees by a graph search and each handoff by a
 sorted merge of one tree with its image. rotate builds a forest's rotation
-whole, the oracle for NonCrossingForest.is_d_invariant.
+whole, the oracle for NonCrossingForest.is_d_invariant, and components
+groups the vertices by NonCrossingForest.component_labels.
 """
 
 from ncfsieve.bijections import BijectionError, TreeExtent
@@ -131,3 +132,12 @@ def rotate(forest: NonCrossingForest, s: int) -> NonCrossingForest:
         moved.append((u, v) if u < v else (v, u))
     moved.sort()
     return NonCrossingForest._unchecked(n, tuple(moved))
+
+
+def components(forest: NonCrossingForest) -> tuple[frozenset[int], ...]:
+    """The trees of a forest as vertex sets, ordered by least vertex, read
+    off the library's component_labels."""
+    groups: dict[int, list[int]] = {}
+    for x, root in enumerate(forest.component_labels()[1:], 1):
+        groups.setdefault(root, []).append(x)
+    return tuple(frozenset(g) for g in groups.values())
