@@ -33,18 +33,27 @@ MUTANTS = (
     ),
     Mutant(
         "rotation-cut-early", "enumeration.py",
-        "miss.bit_count() <= left:",
-        "miss.bit_count() <= left - 1:",
-        (f"{ENUM}::test_invariant_counts_batches_single_d_counts",
+        "miss.bit_count() > need - depth - 1:",
+        "miss.bit_count() > need - depth - 2:",
+        (f"{ENUM}::test_invariant_counts_match_per_forest_filter",
          f"{ENUM}::test_fixed_stream_is_the_per_forest_filter"),
-        "rotation dropped at `> left - 1`",
+        "rotation cut at `> need - depth - 2`",
     ),
     Mutant(
-        "d1-flush-dropped", "enumeration.py",
-        "    if tally and plain:\n        counts[1] += ones\n",
+        "tally-flush-dropped", "enumeration.py",
+        "    if tally:\n        counts[0] += total\n",
         "",
-        (f"{ENUM}::test_counts_match_formula",),
-        "the d = 1 flush dropped",
+        (f"{ENUM}::test_frozen_invariant_values",
+         f"{ENUM}::test_counts_match_formula"),
+        "the tally flush dropped",
+    ),
+    Mutant(
+        "rotation-state-not-restored", "enumeration.py",
+        "v, u, star[u], top[u], tops, rsp = undo.pop()",
+        "v, u, star[u], top[u], tops, _ = undo.pop()",
+        (f"{ENUM}::test_fixed_stream_is_the_per_forest_filter",
+         f"{ENUM}::test_invariant_counts_past_ten_match_closed_form"),
+        "r(prefix) not restored on the undo pop",
     ),
     # the orbit walk and its stream
     Mutant(

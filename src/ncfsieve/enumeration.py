@@ -25,25 +25,24 @@ subtrees that hold no forest asked for, so the walk still meets every one:
   nowhere. Neither does any later candidate at that node, whose first end
   is no smaller, so the node is left there;
 * rotation: a forest fixed by r holds r(S) for every S inside it, so
-  r(S) minus S must lie among the chords still to choose. Each rotation
-  carries S and r(S) down the walk, one OR per chosen chord, and is
-  dropped below the first node where r(S) minus S outnumbers the chords
-  still to choose or holds a chord outside the node's candidates. A
-  subtree with no rotation left, when d = 1 is not asked for, is not
-  entered.
+  r(S) minus S must lie among the chords still to choose. At d >= 2 the
+  walk carries S and r(S) down, one OR per chosen chord, and does not
+  enter a node where r(S) minus S outnumbers the chords still to choose
+  or holds a chord outside the node's candidates.
 
 At a node one chord short of a forest, every remaining candidate completes
 one, so the walk handles the prefix with its whole completing mask instead
 of visiting the leaves one by one. This group is also where the fixed-point
-filter runs: for each rotation asked for, the walk tests the prefix once
-and keeps the mask of completions that give a fixed forest. Enumeration
-has the walk yield each mask and expands it low bit first, which keeps the
-stream lexicographic and lazy. Counting hands the walk a dict instead, and
-the walk adds each mask's popcount to it in place, yielding nothing: no
-group leaves the walk and no forest is built. No forest is rotated whole,
-so the filter route's count (count_forests with d, or invariant_counts for
-every d at once) and its stream (enumerate_forests with d) read the same
-test.
+filter runs: at d >= 2 the walk tests the prefix once against the
+rotation and keeps the mask of completions that give a fixed forest. One
+walk serves one d. Enumeration has the walk yield each mask and expands it
+low bit first, which keeps the stream lexicographic and lazy. Counting
+hands the walk a one-entry list instead, and the walk adds each mask's
+popcount to a local sum, flushed into the list when the walk ends, yielding
+nothing: no group leaves the walk and no forest is built. No forest is
+rotated whole, so the filter route's count (count_forests with d, which
+invariant_counts runs for every d) and its stream (enumerate_forests with
+d) read the same test.
 
 Rotation-fixed forests can additionally be generated directly by
 backtracking over whole chord orbits of the rotation, which stays cheap at
@@ -123,24 +122,21 @@ def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     )
 
 
-def _leaf_groups(
-    n: int, k: int, ds: tuple[int, ...] = (1,), counts: dict[int, int] | None = None
-):
-    """Yield (prefix, d, fixed) for every node of the walk that is one chord
-    short of a forest in F(n, k), for k < n, and every d in ds for which
-    fixed is not 0.
+def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
+    """Yield (prefix, fixed) for every node of the walk that is one chord
+    short of a forest in F(n, k), for k < n, at which fixed is not 0.
 
-    Given counts, a dict with a key for every d in ds, the walk yields
-    nothing: it adds fixed.bit_count() to counts[d] at each group instead,
-    so a drained walk leaves counts[d] raised by the number of forests in
-    F(n, k) that the rotation of order d fixes. The d = 1 popcounts go into
-    a local int, added to counts[1] when the walk ends.
+    Given counts, a one-entry list, the walk yields nothing: it adds
+    fixed.bit_count() to a local int at each group instead, and adds that
+    to counts[0] when the walk ends, so a drained walk leaves counts[0]
+    raised by the number of forests in F(n, k) that the rotation of order
+    d fixes.
 
     prefix is the increasing list of chosen chord indices (one list, reused:
     copy it to keep it) and fixed the mask of chords j after prefix[-1] such
     that prefix + [j] is a forest of F(n, k) that the rotation r of order d
-    maps onto itself. At d = 1 every completion counts. For d >= 2 let S be
-    the prefix; since |r(S)| = |S|:
+    maps onto itself. At d = 1 every completion counts and no rotation is
+    tested. For d >= 2 let S be the prefix; since |r(S)| = |S|:
 
     * r(S) = S: the fixed forests are those whose j is fixed by r itself;
     * r(S) minus S is one chord j: only S + {j} can be fixed, and it is
@@ -156,37 +152,30 @@ def _leaf_groups(
     chords as are still to choose and lies inside the candidates of the
     node below: chords after the last one chosen that cross no chord of S
     and join no two vertices S connects. At the last level it is the test
-    above, and the r(prefix) carried down makes that test one OR per
-    candidate and rotation. Groups come in lexicographic order of prefix,
-    so expanding each mask low bit first lists the forests in
-    lexicographic order.
+    above, and the r(prefix) carried down, one mask on the undo stack
+    beside tops, makes that test one OR per candidate. Groups come in
+    lexicographic order of prefix, so expanding each mask low bit first
+    lists the forests in lexicographic order.
     """
     need = n - k
     chords = chord_table(n)
     cross = _cross_masks(n)
     m = len(chords)
     full = (1 << m) - 1
-    plain = 1 in ds  # d = 1 takes every completion, with no rotation tested
-    rots = []  # (d, rotated bit per chord, fixed chords, r(prefix))
-    for d in ds:
-        if d > 1:
-            perm = rotation_perm(n, n // d)
-            fixed = sum(1 << i for i in range(m) if perm[i] == i)
-            rots.append((d, tuple(1 << j for j in perm), fixed, 0))
+    rot = d > 1
+    if rot:
+        perm = rotation_perm(n, n // d)
+        rbit = tuple(1 << j for j in perm)  # the rotated bit per chord
+        fixed = sum(1 << i for i in range(m) if perm[i] == i)
+    else:
+        fixed = full
     prefix: list[int] = []
     tally = counts is not None
-    ones = 0  # the d = 1 popcounts, when tallying
     if need == 1:
-        if plain:
-            if tally:
-                counts[1] += m
-            else:
-                yield prefix, 1, full
-        for d, _, fixed, _ in rots:
-            if tally:
-                counts[d] += fixed.bit_count()
-            elif fixed:
-                yield prefix, d, fixed
+        if tally:
+            counts[0] += fixed.bit_count()
+        elif fixed:
+            yield prefix, fixed
         return
     star = [0] * (n + 1)
     for i, (u, v) in enumerate(chords):
@@ -197,17 +186,17 @@ def _leaf_groups(
     top = list(range(n + 1))  # largest vertex of each root's component
     tops = (1 << (n + 1)) - 2  # bit w: w is the top of its component
     below = [(1 << u) - 1 for u in range(n + 1)]  # the vertices below u
-    undo: list[tuple[int, int, int, int, int]] = []
+    undo: list[tuple[int, int, int, int, int, int]] = []
     last = need - 2  # depth whose chosen chord leaves one to go
     stack = [full]  # candidate mask per depth
-    lives = [rots]  # rotations still possible below each depth
     sp = 0  # the prefix as a mask
+    rsp = rs = 0  # r(prefix), and r of the prefix with one chord more
+    total = 0  # the popcounts, when tallying
     # Inline union-find: a root-find call per chord made this walk 6% slower.
     while stack:
         depth = len(stack) - 1
         cand = stack[-1]
         if depth == last:
-            live = lives[-1]
             prefix.append(0)
             while cand:
                 low = cand & -cand
@@ -223,27 +212,21 @@ def _leaf_groups(
                 completing = cand & ~(cross[i] | star[u] & star[v])
                 if not completing:
                     continue
-                prefix[last] = i
-                if plain:
-                    if tally:
-                        ones += completing.bit_count()
-                    else:
-                        yield prefix, 1, completing
-                if live:
+                if rot:
                     s = sp | low
-                    for d, rbit, fixed, rsp in live:
-                        rs = rsp | rbit[i]
-                        miss = rs & ~s
-                        if not miss:
-                            found = completing & fixed
-                        elif miss & (miss - 1) or rbit[miss.bit_length() - 1] != s & ~rs:
-                            continue
-                        else:
-                            found = completing & miss
-                        if tally:
-                            counts[d] += found.bit_count()
-                        elif found:
-                            yield prefix, d, found
+                    rs = rsp | rbit[i]
+                    miss = rs & ~s
+                    if not miss:
+                        completing &= fixed
+                    elif miss & (miss - 1) or rbit[miss.bit_length() - 1] != s & ~rs:
+                        continue
+                    else:
+                        completing &= miss
+                if tally:
+                    total += completing.bit_count()
+                elif completing:
+                    prefix[last] = i
+                    yield prefix, completing
             prefix.pop()
         elif cand.bit_count() >= need - depth:
             low = cand & -cand
@@ -257,21 +240,15 @@ def _leaf_groups(
                 while parent[v] != v:
                     v = parent[v]
                 nxt = cand & ~(cross[i] | star[u] & star[v])
-                s = sp | low
-                left = need - depth - 1
-                live = []  # the rotation cut
-                for d, rbit, fixed, rsp in lives[-1]:
+                if rot:
                     rs = rsp | rbit[i]
-                    miss = rs & ~s
-                    if not miss & ~nxt and miss.bit_count() <= left:
-                        live.append((d, rbit, fixed, rs))
-                if not (plain or live):
-                    continue
+                    miss = rs & ~(sp | low)
+                    if miss & ~nxt or miss.bit_count() > need - depth - 1:
+                        continue  # the rotation cut
                 if size[u] < size[v]:
                     u, v = v, u
                 stack.append(nxt)
-                lives.append(live)
-                undo.append((v, u, star[u], top[u], tops))
+                undo.append((v, u, star[u], top[u], tops, rsp))
                 parent[v] = u
                 size[u] += size[v]
                 star[u] |= star[v]
@@ -281,17 +258,17 @@ def _leaf_groups(
                     tops ^= 1 << top[u]
                     top[u] = top[v]
                 prefix.append(i)
-                sp = s
+                sp |= low
+                rsp = rs
                 continue
         stack.pop()
-        lives.pop()
         if undo:
-            v, u, star[u], top[u], tops = undo.pop()
+            v, u, star[u], top[u], tops, rsp = undo.pop()
             parent[v] = v
             size[u] -= size[v]
             sp ^= 1 << prefix.pop()
-    if tally and plain:
-        counts[1] += ones
+    if tally:
+        counts[0] += total
 
 
 def enumerate_forests(n: int, k: int, d: int = 1):
@@ -311,7 +288,7 @@ def enumerate_forests(n: int, k: int, d: int = 1):
         yield NonCrossingForest._unchecked(n, ())
         return
     chords = chord_table(n)
-    for prefix, _, fixed in _leaf_groups(n, k, (d,)):
+    for prefix, fixed in _leaf_groups(n, k, d):
         head = tuple(chords[i] for i in prefix)
         while fixed:
             low = fixed & -fixed
@@ -329,23 +306,18 @@ def count_forests(n: int, k: int, d: int = 1) -> int:
     check_d(d, n)
     if k == n:
         return 1
-    counts = {d: 0}
-    for _ in _leaf_groups(n, k, (d,), counts):
+    counts = [0]
+    for _ in _leaf_groups(n, k, d, counts):
         pass  # a counting walk yields nothing
-    return counts[d]
+    return counts[0]
 
 
 def invariant_counts(n: int, k: int) -> dict[int, int]:
-    """Fixed-forest counts for every d | n in one pass of the walk, which
-    adds its popcounts for each d in place."""
+    """Fixed-forest counts for every d | n: the filter route's count, one
+    walk per d. Past d = 1 the rotation cut leaves almost all of F(n, k)
+    unwalked, so those walks add little to the one at d = 1."""
     check_n(n, k)
-    ds = divisors(n)
-    if k == n:
-        return dict.fromkeys(ds, 1)
-    counts = dict.fromkeys(ds, 0)
-    for _ in _leaf_groups(n, k, ds, counts):
-        pass  # a counting walk yields nothing
-    return counts
+    return {d: count_forests(n, k, d) for d in divisors(n)}
 
 
 # One entry per (n, d), 35 for n <= 12 (csp-sweep: 81 hits, 17 misses).

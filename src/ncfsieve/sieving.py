@@ -100,8 +100,8 @@ class Route(NamedTuple):
 # time, so whatever is bound to that name (a tracer's wrapper, say) is what
 # runs. Order is the column order of the report. The orbit route walks its
 # own orbits at d = 1 too, but there every orbit is one chord and its walk
-# over every cell with n <= 10 takes about 6x what invariant_counts takes,
-# so verify_csp reports it from d = 2.
+# over every cell with n <= 10 takes about 6x what the filter route's walks
+# take, so verify_csp reports it from d = 2.
 ROUTES: dict[str, Route] = {
     "filter": Route(
         lambda n, k, d: enumeration.count_forests(n, k, d),
@@ -161,20 +161,13 @@ class CspRow:
 
 def verify_csp(n: int, k: int | None = None) -> tuple[CspRow, ...]:
     """Run every route of ROUTES over all divisors of n, for one k or all
-    of them, and give one row per (k, d) cell.
-
-    The filter counts for all divisors come from a single enumeration pass
-    per k.
-    """
+    of them, and give one row per (k, d) cell. Every count, the filter
+    route's included, is its route's count of that one cell."""
     check_n(n, k)
     rows = []
     for kk in (k,) if k is not None else range(1, n + 1):
-        filtered = enumeration.invariant_counts(n, kk)
         for d in enumeration.divisors(n):
-            counts = {
-                name: filtered[d] if name == "filter" else r.count(n, kk, d)
-                for name, r in ROUTES.items()
-                if d >= r.least_d
-            }
+            counts = {name: r.count(n, kk, d)
+                      for name, r in ROUTES.items() if d >= r.least_d}
             rows.append(CspRow(n, kk, d, counts))
     return tuple(rows)

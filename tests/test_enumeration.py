@@ -224,12 +224,10 @@ def _per_forest_filter(n: int, k: int) -> dict[int, int]:
     return counts
 
 
-def test_invariant_counts_batches_single_d_counts():
+def test_invariant_counts_match_per_forest_filter():
     for n in range(1, 10):
         for k in range(1, n + 1):
-            batch = invariant_counts(n, k)
-            assert batch == _per_forest_filter(n, k), (n, k)
-            assert {d: count_forests(n, k, d) for d in batch} == batch, (n, k)
+            assert invariant_counts(n, k) == _per_forest_filter(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n, least_k", [(11, 6), (12, 8)])
@@ -245,13 +243,13 @@ def test_filter_count_walks_only_its_d(monkeypatch):
     # one cell's count tests one rotation, not every divisor of n
     seen = []
 
-    def recording(n, k, ds=(1,), counts=None):
-        seen.append(ds)
+    def recording(n, k, d=1, counts=None):
+        seen.append(d)
         return iter(())
 
     monkeypatch.setattr(enumeration, "_leaf_groups", recording)
     ROUTES["filter"].count(12, 6, 2)
-    assert seen == [(2,)]
+    assert seen == [2]
 
 
 def test_fixed_stream_is_the_per_forest_filter():

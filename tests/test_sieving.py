@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from ncfsieve import enumeration
 from ncfsieve.bijections import decompose_periodic, enumerate_images, tree_extents
 from ncfsieve.enumeration import (
     count_forests,
@@ -142,6 +143,26 @@ def test_verify_csp_row_shape():
         else:
             assert list(row.counts) == list(ROUTES)
         assert len(set(row.counts.values())) == 1
+
+
+def test_verify_csp_reads_every_route_through_routes(monkeypatch):
+    # each column is its route's count of the cell, the filter route's
+    # included: no batch entry point stands in for it
+    sentinels = {name: object() for name in ROUTES}
+    for name, route in ROUTES.items():
+        monkeypatch.setitem(ROUTES, name, route._replace(
+            count=lambda n, k, d, s=sentinels[name]: s))
+
+    def no_batch(*args):
+        raise AssertionError("verify_csp reached invariant_counts")
+
+    monkeypatch.setattr(enumeration, "invariant_counts", no_batch)
+    rows = verify_csp(6)
+    assert len(rows) == 6 * len(divisors(6))
+    for row in rows:
+        assert row.counts, (row.k, row.d)
+        for name, count in row.counts.items():
+            assert count is sentinels[name], (row.k, row.d, name)
 
 
 def test_report_json_layout():
