@@ -20,6 +20,7 @@ class Mutant(NamedTuple):
 
 ENUM = "tests/test_enumeration.py"
 BIJ = "tests/test_bijections.py"
+CLI = "tests/test_cli.py"
 
 MUTANTS = (
     # the filter walk
@@ -111,6 +112,42 @@ MUTANTS = (
         ("tests/test_forest.py::test_innermost_is_kept_but_is_no_field",
          "tests/test_forest.py::test_check_matches_pairwise_oracle"),
         "region list cached from the edges before they are sorted",
+    ),
+    # the command line's bounds and argument rules
+    Mutant(
+        "check-bound-ge", "sieving.py",
+        "    if n > max_n:\n",
+        "    if n >= max_n:\n",
+        (f"{CLI}::test_route_bounds", f"{CLI}::test_closed_bound"),
+        "`check_bound` with `>=` in place of `>`",
+    ),
+    Mutant(
+        "eval-no-poly-bound", "cli.py",
+        '    check_bound("poly", args.n)\n    check_bound("closed", args.n)\n',
+        '    check_bound("closed", args.n)\n',
+        (f"{CLI}::test_poly_bound",),
+        "`eval` with no poly bound",
+    ),
+    Mutant(
+        "enumerate-no-bound", "cli.py",
+        "    check_bound(args.method, args.n)\n    stream = ",
+        "    stream = ",
+        (f"{CLI}::test_route_bounds",),
+        "`enumerate` with no `check_bound`",
+    ),
+    Mutant(
+        "verify-closed-bound-only", "cli.py",
+        "    for name in ROUTES:\n        check_bound(name, top)\n",
+        '    check_bound("closed", top)\n',
+        (f"{CLI}::test_size_guard",),
+        "`verify` checking only the closed bound",
+    ),
+    Mutant(
+        "verify-n-plain-int", "cli.py",
+        'scope.add_argument("n", type=_positive_int, nargs="?")',
+        'scope.add_argument("n", type=int, nargs="?")',
+        (f"{CLI}::test_verify_rejects_empty_sweep",),
+        "`verify`'s `n` typed `int` in place of `_positive_int`",
     ),
     # tree extents
     Mutant(

@@ -4,15 +4,15 @@ Counting, q-polynomials, root-of-unity evaluation, streaming enumeration,
 fixed-point counts, the structural bijections, and the verification sweep.
 Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
-Exit status: 0 on success, 1 when a verification ran and found a mismatch,
-2 for bad input, a size over a bound, an arithmetic error (such as a
-division promised exact that left a remainder) or memory running out (as
-reading a huge forest file can), 130 when interrupted by Ctrl-C. Every
-count is taken from a route of sieving.ROUTES, and every bound on n is that
-route's max_n, checked by sieving.check_bound before the route runs:
-n <= 12 for the routes that enumerate, n <= 100 for the q-polynomial and
-n <= 2000 for the closed form. A forest that construct or decompose reads,
-or that construct builds, has at most MAX_FOREST_N vertices.
+Exit status: 0 on success, 1 when a verification found a mismatch, 2 for
+a command line argparse refuses, bad input, a size over a bound, an
+arithmetic error (such as an exact division that left a remainder) or
+memory running out (as reading a huge forest file can), 130 on Ctrl-C.
+Every count is taken from a route of sieving.ROUTES, and every bound on n
+is that route's max_n, checked by sieving.check_bound before the route
+runs: n <= 12 for the routes that enumerate, n <= 100 for the q-polynomial
+and n <= 2000 for the closed form. A forest that construct or decompose
+reads, or that construct builds, has at most MAX_FOREST_N vertices.
 """
 
 from __future__ import annotations
@@ -56,22 +56,12 @@ def _read_forest(path: str) -> NonCrossingForest:
 
 def _cmd_count(args) -> int:
     check_bound("closed", args.n)
-    if args.brute:
-        check_bound("filter", args.n)
     count = ROUTES["closed"].count(args.n, args.k, 1)
-    brute = ROUTES["filter"].count(args.n, args.k, 1) if args.brute else None
     if args.json:
-        out = {"n": args.n, "k": args.k, "count": count}
-        if brute is not None:
-            out["brute"] = brute
-            out["agree"] = brute == count
-        print(json.dumps(out))
-    elif brute is None:
-        print(count)
+        print(json.dumps({"n": args.n, "k": args.k, "count": count}))
     else:
-        tag = "ok" if brute == count else "MISMATCH"
-        print(f"count={count} brute={brute} {tag}")
-    return 0 if brute is None or brute == count else 1
+        print(count)
+    return 0
 
 
 def _cmd_qpoly(args) -> int:
@@ -106,13 +96,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     check_bound(args.method, args.n)
-    route = ROUTES[args.method]
-    if args.count:
-        # the route's own count, which for the filter and orbit routes builds
-        # no forest
-        print(route.count(args.n, args.k, args.invariant))
-        return 0
-    for i, forest in enumerate(route.stream(args.n, args.k, args.invariant)):
+    stream = ROUTES[args.method].stream(args.n, args.k, args.invariant)
+    for i, forest in enumerate(stream):
         if args.dot:
             print(forest.to_dot(name=f"f{i}"))
         else:
@@ -183,16 +168,8 @@ def _row_line(r: sieving.CspRow) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.n is None and args.max_n is None:
-        raise ValueError("give n, or --max-n for a sweep")
-    if args.n is not None and args.max_n is not None:
-        raise ValueError("give either n or --max-n, not both")
     if args.k is not None and args.n is None:
         raise ValueError("--k needs an explicit n")
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"n must be at least 1, got {args.n}")
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     top = args.n if args.n is not None else args.max_n
     for name in ROUTES:
         check_bound(name, top)
@@ -245,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="number of non-crossing forests")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--brute", action="store_true",
-                   help="also count by enumeration and compare")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -272,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="orbit", help="route that streams the forests",
                    choices=[name for name, r in ROUTES.items() if r.stream])
     p.add_argument("--dot", action="store_true", help="Graphviz output instead of JSON")
-    p.add_argument("--count", action="store_true", help="print only how many")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("fixed", help="count forests fixed by a rotation")
@@ -306,9 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="run every count route and compare")
-    p.add_argument("n", type=int, nargs="?")
+    scope = p.add_mutually_exclusive_group(required=True)
+    scope.add_argument("n", type=_positive_int, nargs="?")
+    scope.add_argument("--max-n", type=_positive_int,
+                       help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--k", type=int)
-    p.add_argument("--max-n", type=int, help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes, at most one per core and per cell")
     p.add_argument("--json", action="store_true")

@@ -1,5 +1,6 @@
 """Drive the CLI through main(argv) and check wiring, exit codes, and JSON."""
 
+import argparse
 import io
 import json
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import pytest
 
 from ncfsieve import bijections, enumeration, qpoly, sieving
-from ncfsieve.cli import MAX_FOREST_N, main
+from ncfsieve.cli import MAX_FOREST_N, _build_parser, main
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import ExactDivisionError, QPoly, forest_count, forest_count_poly
 from ncfsieve.sieving import (
@@ -25,6 +26,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv):
+    """argparse's own refusal: SystemExit(2), nothing on stdout. Gives stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, ""), argv
+    return captured.err
+
+
+# Every (command, option) pair the command line takes, "" for the top level;
+# positionals by name, --help left out. A new option fails
+# test_option_inventory until it is listed here, so it shows in a reviewed diff.
+OPTIONS = {
+    ("", "--version"),
+    ("count", "n"), ("count", "k"), ("count", "--json"),
+    ("qpoly", "n"), ("qpoly", "k"), ("qpoly", "--pretty"), ("qpoly", "--json"),
+    ("eval", "n"), ("eval", "k"), ("eval", "d"), ("eval", "--json"),
+    ("enumerate", "n"), ("enumerate", "k"), ("enumerate", "--invariant"),
+    ("enumerate", "--method"), ("enumerate", "--dot"),
+    ("fixed", "n"), ("fixed", "k"), ("fixed", "d"), ("fixed", "--method"),
+    ("fixed", "--json"),
+    ("construct", "--vertex"), ("construct", "--mark"), ("construct", "--d"),
+    ("construct", "--mark-edge"), ("construct", "forest"),
+    ("decompose", "--d"), ("decompose", "forest"),
+    ("verify", "n"), ("verify", "--max-n"), ("verify", "--k"), ("verify", "--workers"),
+    ("verify", "--json"),
+}
+
+
+def test_option_inventory():
+    def options(parser):
+        return {max(a.option_strings, key=len) if a.option_strings else a.dest
+                for a in parser._actions
+                if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {("", o) for o in options(parser)}
+    found |= {(name, o) for name, p in sub.choices.items() for o in options(p)}
+    assert found == OPTIONS
+
+
 def test_count_plain(capsys):
     code, out, _ = run(capsys, "count", "6", "3")
     assert code == 0
@@ -32,10 +75,17 @@ def test_count_plain(capsys):
 
 
 def test_count_brute_json(capsys):
-    code, out, _ = run(capsys, "count", "5", "2", "--brute", "--json")
+    # count is the closed form alone; verify N --k K is the cross-check that
+    # --brute was, with the filter walk ("brute") and every other route
+    assert "unrecognized arguments: --brute" in refused(
+        capsys, "count", "5", "2", "--brute", "--json")
+    code, out, _ = run(capsys, "count", "5", "2", "--json")
+    assert code == 0 and json.loads(out) == {"n": 5, "k": 2, "count": 75}
+    code, out, _ = run(capsys, "verify", "5", "--k", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"n": 5, "k": 2, "count": 75, "brute": 75, "agree": True}
+    assert doc["all_agree"] is True
+    assert [(r["brute"], r["closed"]) for r in doc["rows"] if r["d"] == 1] == [(75, 75)]
 
 
 def test_count_bad_args(capsys):
@@ -101,35 +151,40 @@ def test_enumerate_stream(capsys):
 
 
 def test_enumerate_count_only(capsys):
-    code, out, _ = run(capsys, "enumerate", "6", "2", "--count")
-    assert code == 0
-    assert out.strip() == str(forest_count(6, 2))
+    # enumerate only streams; fixed prints one route's count of one cell
+    assert "unrecognized arguments: --count" in refused(
+        capsys, "enumerate", "6", "2", "--count")
+    code, out, _ = run(capsys, "fixed", "6", "2", "1")
+    assert (code, out) == (0, f"{forest_count(6, 2)}\n")
 
 
-def test_enumerate_count_builds_no_forest(capsys, monkeypatch):
+def test_fixed_count_builds_no_forest(capsys, monkeypatch):
     # the default method is the orbit route, whose count walks chord masks
     def no_forest(*args):
         raise AssertionError("a count built a forest")
 
     monkeypatch.setattr(NonCrossingForest, "_unchecked", classmethod(no_forest))
     monkeypatch.setattr(NonCrossingForest, "__init__", no_forest)
-    for argv, expected in ((("9", "3"), forest_count(9, 3)),
-                           (("12", "3", "--invariant", "2"), 6006)):
-        code, out, _ = run(capsys, "enumerate", *argv, "--count")
+    for argv, expected in ((("9", "3", "1"), forest_count(9, 3)),
+                           (("12", "3", "2"), 6006)):
+        code, out, _ = run(capsys, "fixed", *argv)
         assert (code, out.strip()) == (0, str(expected)), argv
 
 
 @pytest.mark.parametrize("name", [name for name, r in ROUTES.items() if r.stream])
 def test_enumerate_count_is_length_of_stream(capsys, name):
-    # --count prints the route's count; the stream is drained here instead
-    route = ROUTES[name]
+    # fixed prints the route's count, which must be the number of forests
+    # enumerate streams along the same route
     for n, k, d in ((6, 3, 1), (6, 3, 2), (7, 6, 1), (8, 4, 2), (8, 5, 2), (9, 4, 1)):
-        if d < route.least_d:
+        if d < ROUTES[name].least_d:
             continue
-        code, out, _ = run(capsys, "enumerate", str(n), str(k), "--invariant", str(d),
-                           "--method", name, "--count")
+        cell = (str(n), str(k))
+        code, out, _ = run(capsys, "enumerate", *cell, "--invariant", str(d),
+                           "--method", name)
         assert code == 0
-        assert int(out) == sum(1 for _ in route.stream(n, k, d)), (name, n, k, d)
+        lines = out.count("\n")
+        code, out, _ = run(capsys, "fixed", *cell, str(d), "--method", name)
+        assert (code, int(out)) == (0, lines), (name, n, k, d)
 
 
 def test_enumerate_invariant(capsys):
@@ -144,9 +199,8 @@ def test_enumerate_invariant(capsys):
 
 def test_enumerate_bijection_rejects_d_1(capsys):
     # the same refusal as `fixed 6 2 1 --method bijection`
-    for argv in (("enumerate", "6", "2", "--invariant", "1", "--method", "bijection",
-                  "--count"),
-                 ("enumerate", "6", "2", "--method", "bijection", "--count"),
+    for argv in (("enumerate", "6", "2", "--invariant", "1", "--method", "bijection"),
+                 ("enumerate", "6", "2", "--method", "bijection"),
                  ("fixed", "6", "2", "1", "--method", "bijection")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -348,22 +402,27 @@ def test_verify_sweep_and_workers(capsys):
 
 
 def test_verify_arg_conflicts(capsys):
-    code, _, err = run(capsys, "verify")
-    assert code == 2
-    code, _, err = run(capsys, "verify", "6", "--max-n", "8")
-    assert code == 2
-    code, _, err = run(capsys, "verify", "--k", "3")
-    assert code == 2
+    # argparse holds the rules on n and --max-n: exactly one of them
+    required = "one of the arguments n --max-n is required"
+    for argv, message in ((("verify",), required),
+                          (("verify", "--k", "3"), required),
+                          (("verify", "6", "--max-n", "8"),
+                           "argument --max-n: not allowed with argument n")):
+        err = refused(capsys, *argv)
+        assert err.startswith("usage: ncfsieve verify"), argv
+        assert f"ncfsieve verify: error: {message}\n" in err, argv
+    # the one rule left to the command itself
+    code, out, err = run(capsys, "verify", "--max-n", "5", "--k", "3")
+    assert (code, out, err) == (2, "", "error: --k needs an explicit n\n")
 
 
 @pytest.mark.parametrize("argv", [("0",), ("-2",), ("0", "--json"),
                                   ("--max-n", "0"), ("--max-n", "-3"),
                                   ("--max-n", "0", "--json")])
 def test_verify_rejects_empty_sweep(capsys, argv):
-    code, out, err = run(capsys, "verify", *argv)
-    assert code == 2, argv
-    assert out == ""
-    assert err.startswith("error:")
+    err = refused(capsys, "verify", *argv)
+    name = "--max-n" if "--max-n" in argv else "n"
+    assert f"ncfsieve verify: error: argument {name}: must be at least 1" in err
 
 
 @pytest.mark.parametrize("cpus, argv, pool_size", [
@@ -410,33 +469,26 @@ def test_verify_rejects_workers_below_1(capsys, monkeypatch, workers):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "3", "--workers", workers])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--workers" in captured.err
+    assert "--workers" in refused(capsys, "verify", "3", "--workers", workers)
 
 
 def test_verify_has_no_bijection_switch(capsys):
     # every verify run takes the bijection route; no flag skips it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "3", "--no-bijection"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --no-bijection" in capsys.readouterr().err
+    assert "unrecognized arguments: --no-bijection" in refused(
+        capsys, "verify", "3", "--no-bijection")
 
 
 def test_size_guard(capsys, monkeypatch):
     # the enumeration bound is a fixed constant, which no environment knob
-    # lifts; count without --brute takes the closed route and its bound
+    # lifts; count takes the closed route and its bound
     def unreachable(*args):
         raise AssertionError("the walk ran past the enumeration bound")
 
     monkeypatch.setattr(enumeration, "_leaf_groups", unreachable)
     monkeypatch.setenv("NCF_SIEVE_MAX_N", "20")
     over = str(MAX_ENUM_N + 1)
-    for argv in (("enumerate", over, over, "--count"), ("count", over, "3", "--brute"),
-                 ("verify", over)):
+    for argv in (("enumerate", over, over, "--method", "filter"),
+                 ("verify", over, "--k", "3"), ("verify", over)):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and f"({MAX_ENUM_N})" in err, argv
@@ -455,7 +507,7 @@ def test_route_bounds(capsys, monkeypatch, name):
     over = str(route.max_n + 1)
     argvs = [("fixed", over, "1", "1", "--method", name)]
     if route.stream is not None:
-        argvs.append(("enumerate", over, "1", "--method", name, "--count"))
+        argvs.append(("enumerate", over, "1", "--method", name))
     with monkeypatch.context() as m:
         m.setitem(ROUTES, name, route._replace(count=unreachable, stream=unreachable))
         for argv in argvs:
@@ -469,8 +521,8 @@ def test_route_bounds(capsys, monkeypatch, name):
     assert code == 0 and int(out) == expected
     if route.stream is not None:
         code, out, _ = run(capsys, "enumerate", str(n), str(k), "--invariant", str(d),
-                           "--method", name, "--count")
-        assert code == 0 and int(out) == expected
+                           "--method", name)
+        assert code == 0 and out.count("\n") == expected
 
 
 def test_verify_checks_bound_before_allocating(capsys):
