@@ -166,4 +166,23 @@ MUTANTS = (
         (f"{BIJ}::test_tree_extents_keeps_the_overlap_guard",),
         "overlap guard dropped",
     ),
+    # the bijection route's check of each image against its source
+    Mutant(
+        "image-check-dropped-periodic", "bijections.py",
+        "                if decompose_periodic(image, d) != (phi, v):\n"
+        '                    raise BijectionError(f"cell ({n}, {k}, {d}): source "\n'
+        '                                         f"({phi}, {v}) is not recovered")\n',
+        "",
+        (f"{BIJ}::test_route_refuses_a_map_that_collapses_sources",),
+        "periodic image check dropped",
+    ),
+    Mutant(
+        "image-check-dropped-diameter", "bijections.py",
+        "                if decompose_diameter(image) != (phi, mark):\n"
+        '                    raise BijectionError(f"cell ({n}, {k}, 2): source "\n'
+        '                                         f"({phi}, {mark}) is not recovered")\n',
+        "",
+        (f"{BIJ}::test_route_refuses_a_map_that_collapses_sources",),
+        "diameter image check dropped",
+    ),
 )

@@ -36,13 +36,12 @@ label per vertex and finds where every tree hands off to its rotated image
 in one sweep around the circle.
 
 enumerate_images is the bijection count route: it builds every fixed forest
-of one cell from the small side and insists the images are distinct. It
-takes each small forest phi from the orbit walk at d = 1
-(enumeration.enumerate_invariant), so it shares no walk with the filter
-route.
-A validated forest keeps the region sweep its check made (innermost), so
-classify_vertices on a phi built by a map or by the constructor sweeps
-nothing again.
+of one cell from the small side and decomposes each back to its own source,
+so distinct sources prove distinct images. It takes each small forest phi
+from the orbit walk at d = 1 (enumeration.enumerate_invariant), so it shares
+no walk with the filter route. A validated forest keeps the region sweep its
+check made (innermost), so classify_vertices on a phi built by a map or by
+the constructor sweeps nothing again.
 """
 
 from __future__ import annotations
@@ -411,31 +410,27 @@ def _scan_window_start(forest: NonCrossingForest, d: int) -> int:
 
 
 def enumerate_images(n: int, k: int, d: int):
-    """Stream the forests in F(n, k) fixed by the rotation of order d >= 2,
-    sorted canonically: the bijection route. Every forest is built from
-    the small side through the structural map of its regime, and two
-    inputs with one image raise BijectionError. Nothing is yielded when
-    neither map applies, which is the claim that no fixed forest exists.
-    The edge lists of the images are held and sorted because the sort is
-    the distinctness check; each image was validated when it was built,
-    and only its edges are kept. Library calls are unbounded; the command
-    line bounds n by the route's check_bound before it runs."""
+    """Stream the forests in F(n, k) fixed by the rotation of order d >= 2:
+    the bijection route. Each is built from its source, (phi, v) or (phi,
+    mark), by its regime's map and yielded once the inverse gives that source
+    back, so distinct sources prove distinct images; phi in orbit-walk order,
+    then v ascending or all_marks order. None when neither map applies: no
+    fixed forest exists. Library calls are unbounded (see check_bound)."""
     check_n(n, k)
     check_d(d, n, least=2)
-    out = []
     if k % d == 0:
         for phi in enumerate_invariant(n // d, k // d, 1):
             for v in sorted(classify_vertices(phi)):
-                out.append(construct_periodic(phi, v, d).edges)
+                image = construct_periodic(phi, v, d)
+                if decompose_periodic(image, d) != (phi, v):
+                    raise BijectionError(f"cell ({n}, {k}, {d}): source "
+                                         f"({phi}, {v}) is not recovered")
+                yield image
     elif d == 2 and k % 2 == 1:
         for phi in enumerate_invariant(n // 2, (k + 1) // 2, 1):
             for mark in all_marks(phi):
-                out.append(construct_diameter(phi, mark).edges)
-    out.sort()
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise BijectionError(
-                f"bijection route hit a duplicate image at n={n}, k={k}, d={d}"
-            )
-    for edges in out:
-        yield NonCrossingForest._unchecked(n, edges)
+                image = construct_diameter(phi, mark)
+                if decompose_diameter(image) != (phi, mark):
+                    raise BijectionError(f"cell ({n}, {k}, 2): source "
+                                         f"({phi}, {mark}) is not recovered")
+                yield image

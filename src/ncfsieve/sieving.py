@@ -9,7 +9,7 @@ counted five ways:
   group of forests that share all chords but the last once per rotation
   instead of rotating whole forests,
 * bijection (d >= 2 only): actually build every fixed forest from the small
-  side through the structural maps and count distinct images,
+  side and count the images, each decomposed back to its own source,
 * closed: a product formula with a case split on how d meets k,
 * poly: evaluate the count q-polynomial at a primitive d-th root of unity.
 
@@ -80,8 +80,8 @@ def poly_eval(n: int, k: int, d: int) -> int:
 
 
 def fixed_count_bijection(n: int, k: int, d: int) -> int:
-    """Count fixed forests by building them all from the small side and
-    checking the images are distinct. Zero when neither structural map
+    """Count fixed forests by building them all from the small side, each
+    decomposed back to its own source. Zero when neither structural map
     applies (which is the claim that no fixed forest exists)."""
     return sum(1 for _ in bijections.enumerate_images(n, k, d))
 

@@ -8,11 +8,13 @@ convention breaks these before anything subtle does.
 
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfsieve import bijections
 from ncfsieve import forest as forest_module
 from ncfsieve.bijections import (
     BijectionError,
@@ -30,6 +32,7 @@ from ncfsieve.bijections import (
 )
 from ncfsieve.enumeration import divisors, enumerate_forests, enumerate_invariant
 from ncfsieve.forest import NonCrossingForest
+from ncfsieve.sieving import ROUTES
 from window_oracle import (
     components,
     handoff,
@@ -109,6 +112,49 @@ def test_golden_complete_small_fiber():
             ((1, 4), (2, 3), (2, 4)),
         ]
     )
+
+
+# --------------------------------------------------------- the bijection route
+
+
+@pytest.mark.parametrize("cell", [(8, 4, 2), (8, 3, 2)], ids=["periodic", "diameter"])
+def test_route_refuses_a_map_that_collapses_sources(monkeypatch, cell):
+    # Each map made many-to-one: every phi cut at its least good vertex
+    # whatever v is asked for, and every mark stripped of its edge. Each
+    # image is still a valid fixed forest; only the route's own check that
+    # it decomposes back to its source sees the collapse.
+    periodic, diameter = bijections.construct_periodic, bijections.construct_diameter
+    monkeypatch.setattr(
+        bijections, "construct_periodic",
+        lambda phi, v, d: periodic(phi, min(classify_vertices(phi)), d))
+    monkeypatch.setattr(bijections, "construct_diameter",
+                        lambda phi, mark: diameter(phi, Mark(mark.vertex)))
+    with pytest.raises(BijectionError):
+        ROUTES["bijection"].count(*cell)
+
+
+def test_bijection_route_holds_no_images():
+    # 6006 images of the diameter regime; holding their edge lists took
+    # 3.8 MB of traced peak, streaming them about 0.01 MB
+    stream = ROUTES["bijection"].stream(12, 3, 2)
+    tracemalloc.start()
+    try:
+        drained = sum(1 for _ in stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drained == 6006
+    assert peak < 500_000, f"traced peak {peak} bytes"
+
+
+def test_bijection_route_yields_before_its_walk_ends(monkeypatch):
+    def one_phi(n, k, d):
+        yield next(enumerate_invariant(n, k, d))
+        raise RuntimeError("the walk was drained past its first forest")
+
+    monkeypatch.setattr(bijections, "enumerate_invariant", one_phi)
+    first = next(ROUTES["bijection"].stream(12, 3, 2))
+    assert first.n == 12 and first.is_d_invariant(2)
 
 
 # ------------------------------------------------------------ vertex classes

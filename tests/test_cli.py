@@ -3,7 +3,11 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -605,3 +609,47 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ------------------------------------------------------ the real entry point
+
+# What the installed ncfsieve script runs: main() with no argv reads
+# sys.argv, and its return value becomes the exit status.
+ENTRY = "import sys; from ncfsieve.cli import main; sys.exit(main())"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def script(argv):
+    """Run the entry point in a fresh interpreter on a shell-style argv."""
+    return subprocess.run(
+        [sys.executable, "-c", ENTRY, *argv.split()],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", ["verify 0", "verify", "enumerate 6 2 --count"])
+def test_entry_point_refusal_exits_2(argv):
+    done = script(argv)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", ["verify --max-n 6 --json", "verify 9 --k 3"])
+def test_entry_point_verify_exits_0(argv):
+    done = script(argv)
+    assert done.returncode == 0 and done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argvs, expected", [
+    # the orbit walk, the filter walk and the closed form on |F(9, 3)|
+    (("fixed 9 3 1", "fixed 9 3 1 --method filter", "count 9 3"),
+     forest_count(9, 3)),
+    # the filter walk with its rotation, the orbit walk and the q-polynomial
+    # on the forests of F(12, 6) fixed at d = 2
+    (("fixed 12 6 2 --method filter", "fixed 12 6 2", "eval 12 6 2"), 1100),
+], ids=["F(9,3)", "F(12,6)-at-d=2"])
+def test_entry_point_counts_agree(argvs, expected):
+    for argv in argvs:
+        done = script(argv)
+        assert (done.returncode, done.stdout) == (0, f"{expected}\n"), (argv, done.stderr)
