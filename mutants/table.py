@@ -21,6 +21,7 @@ class Mutant(NamedTuple):
 ENUM = "tests/test_enumeration.py"
 BIJ = "tests/test_bijections.py"
 CLI = "tests/test_cli.py"
+QP = "tests/test_qpoly.py"
 
 MUTANTS = (
     # the filter walk
@@ -184,5 +185,46 @@ MUTANTS = (
         "",
         (f"{BIJ}::test_route_refuses_a_map_that_collapses_sources",),
         "diameter image check dropped",
+    ),
+    # the poly route's neighbour step and its cache
+    Mutant(
+        "step-factor-off-by-one", "qpoly.py",
+        "3 * n - 2 * k - 2)",
+        "3 * n - 2 * k - 3)",
+        (f"{QP}::test_forest_step_matches_the_ladder",
+         f"{QP}::test_every_step_is_a_checked_kernel_pass"),
+        "factor [3n-2k-2]_q of the step as [3n-2k-3]_q",
+    ),
+    Mutant(
+        "step-up-as-step-down", "qpoly.py",
+        "    if j == k + 1:\n"
+        "        downs, ups = _neighbour_sides(n, k)\n"
+        "    else:\n"
+        "        ups, downs = _neighbour_sides(n, j)\n",
+        "    downs, ups = _neighbour_sides(n, k)\n",
+        (f"{QP}::test_forest_step_matches_the_ladder",
+         f"{QP}::test_forest_count_poly_matches_the_digest_in_any_order"),
+        "step up taking the step down's factor lists",
+    ),
+    Mutant(
+        "step-sign-check-dropped", "qpoly.py",
+        "        cs = _ratio_q_int(cs, 1, b)\n    return _nonnegative(n, k, cs)\n",
+        "        cs = _ratio_q_int(cs, 1, b)\n    return QPoly(cs)\n",
+        (f"{QP}::test_forest_step_rejects_a_negative_coefficient",),
+        "nonnegativity check dropped from the step",
+    ),
+    Mutant(
+        "cache-before-check", "qpoly.py",
+        "    check_n(n, k)\n    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n",
+        "    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n        check_n(n, k)\n",
+        (f"{QP}::test_forest_count_poly_checks_before_the_cache",),
+        "`check_n` only on a cache miss",
+    ),
+    Mutant(
+        "cache-one-over", "qpoly.py",
+        "if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:",
+        "if len(_FOREST_POLYS) > _FOREST_POLYS_MAX:",
+        (f"{QP}::test_forest_count_poly_cache_is_bounded",),
+        "cache eviction at `>` in place of `>=`",
     ),
 )

@@ -13,7 +13,10 @@ Every q-polynomial is built from one primitive: multiply by the ratio
 coefficients. A q-binomial is a ladder of such steps, one per factor
 [a-b+i]_q / [i]_q, and the forest polynomial carries the same ladder from
 its first q-binomial through the second before the last step by
-[1]_q / [2n-k]_q, so no two dense polynomials are ever multiplied. The
+[1]_q / [2n-k]_q, so no two dense polynomials are ever multiplied. A
+forest polynomial whose neighbour f(n, k +- 1) is cached is built from it
+instead, in six steps by single q-integers: three multiplied in, then
+three divided out, from the identity that ties neighbouring cells. The
 cyclotomic polynomials are built by the same steps, from q-integers over
 the squarefree divisors of d. The one long division left is the remainder
 modulo a cyclotomic polynomial that evaluates at a root of unity.
@@ -149,32 +152,89 @@ def forest_count(n: int, k: int) -> int:
     return q
 
 
-# typed: forest_count_poly(2.0, 1) or (True, 1) must reach the check, not
-# the cached entry of (2, 1) or (1, 1). Bounded, since n <= 100 allows 5050
-# keys whose polynomials run to thousands of large coefficients; 128 holds
-# every key a sweep reuses (poly-large: 30 live keys, 210 hits and 30
-# misses; csp-sweep: 55 keys in sequence, 115 hits and 55 misses).
-@lru_cache(maxsize=128, typed=True)
-def forest_count_poly(n: int, k: int) -> QPoly:
-    """q-analogue of the forest count: the q-binomial product divided
-    exactly by [2n-k]_q.
+def _nonnegative(n: int, k: int, cs) -> QPoly:
+    """cs as the QPoly f(n, k), refused if a coefficient is negative:
+    nonnegativity is a theorem about f, so a negative one is a bug."""
+    f = QPoly(cs)
+    if min(f.coeffs, default=0) < 0:
+        raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
+    return f
 
-    The small factor [n choose k-1]_q comes from the q_binomial table and
-    the large one [3n-2k-1 choose n-k]_q is multiplied into it by ratio
-    steps, never tabled on its own; starting from the small factor keeps
-    every step's polynomial short. Polynomiality and nonnegativity of the
-    coefficients are theorems about this quotient; both are enforced here
-    so any arithmetic regression surfaces as a hard error.
+
+def _forest_ladder(n: int, k: int) -> QPoly:
+    """f(n, k) from nothing: [n choose k-1]_q by its ladder, then
+    [3n-2k-1 choose n-k]_q multiplied into it by ratio steps, never built
+    on its own, then one step by [1]_q / [2n-k]_q. Starting from the small
+    factor keeps every step's polynomial short."""
+    num = _times_q_binomial(q_binomial(n, k - 1).coeffs, 3 * n - 2 * k - 1, n - k)
+    return _nonnegative(n, k, _ratio_q_int(num, 1, 2 * n - k))
+
+
+def _neighbour_sides(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The q-integers on each side of the identity, for 1 <= k < n,
+    f(n, k) [n-k+1]_q [n-k]_q [2n-k]_q = f(n, k+1) [k]_q [3n-2k-1]_q [3n-2k-2]_q,
+    which the product formula gives: f(n, k)'s side first."""
+    return (n - k + 1, n - k, 2 * n - k), (k, 3 * n - 2 * k - 1, 3 * n - 2 * k - 2)
+
+
+def _forest_step(n: int, k: int, j: int, cs) -> QPoly:
+    """f(n, k) from the coefficients cs of its neighbour f(n, j), j = k +- 1,
+    in six checked passes: the neighbour's side of the identity is
+    multiplied in by three q-integers, then f(n, k)'s side divided out by
+    three. Every partial quotient is f(n, k) times the q-integers still to
+    divide, a polynomial, so each division must leave no remainder."""
+    if j == k + 1:
+        downs, ups = _neighbour_sides(n, k)
+    else:
+        ups, downs = _neighbour_sides(n, j)
+    for a in ups:
+        cs = _ratio_q_int(cs, a, 1)
+    for b in downs:
+        cs = _ratio_q_int(cs, 1, b)
+    return _nonnegative(n, k, cs)
+
+
+# (n, k) -> f(n, k), in order of last use. Bounded, since n <= 100 allows
+# 5050 keys whose polynomials run to thousands of large coefficients; 128
+# holds every key a sweep reuses (poly-large: 30 keys, csp-sweep: 55). A
+# full table drops its least recently used entry. Keys are only ever
+# checked pairs of ints, so (2.0, 1) or (True, 1) never reach an entry.
+_FOREST_POLYS: dict[tuple[int, int], QPoly] = {}
+_FOREST_POLYS_MAX = 128
+
+
+def forest_count_poly(n: int, k: int) -> QPoly:
+    """q-analogue of the forest count: the q-binomial product
+    [n choose k-1]_q [3n-2k-1 choose n-k]_q divided exactly by [2n-k]_q.
+
+    A cell whose neighbour f(n, k+1) or f(n, k-1) is cached is one step
+    from it, six passes of one q-integer each (_forest_step); any other
+    cell climbs the ladder of about n passes (_forest_ladder). Both give
+    the same polynomial. Polynomiality and nonnegativity of the
+    coefficients are theorems about this quotient; both are enforced on
+    either path, so any arithmetic regression surfaces as a hard error.
+    forest_count_poly.cache_clear() empties the cache.
 
     >>> forest_count_poly(3, 1).coeffs
     (1, 0, 1, 0, 1)
     """
     check_n(n, k)
-    num = _times_q_binomial(q_binomial(n, k - 1).coeffs, 3 * n - 2 * k - 1, n - k)
-    f = QPoly(_ratio_q_int(num, 1, 2 * n - k))
-    if min(f.coeffs, default=0) < 0:
-        raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
+    f = _FOREST_POLYS.pop((n, k), None)
+    if f is None:
+        for j in (k + 1, k - 1):
+            near = _FOREST_POLYS.get((n, j))
+            if near is not None:
+                f = _forest_step(n, k, j, near.coeffs)
+                break
+        else:
+            f = _forest_ladder(n, k)
+        if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:
+            del _FOREST_POLYS[next(iter(_FOREST_POLYS))]
+    _FOREST_POLYS[n, k] = f
     return f
+
+
+forest_count_poly.cache_clear = _FOREST_POLYS.clear
 
 
 # One short entry per root order d <= 100 (csp-sweep: 160 hits, 10 misses).

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
@@ -281,15 +282,24 @@ def _recording_step(monkeypatch, at=None):
     return calls
 
 
-# every step forest_count_poly(6, 2) and cyclotomic(30) take, in order:
-# the ladders of [6 choose 1]_q and [13 choose 4]_q, the last step by
-# [1]_q / [10]_q, and the cyclotomic's multiplications before its divisions
+# coefficients of the ladder's f(6, k), the neighbours the steps start from
+_LADDER_6 = {k: qp._forest_ladder(6, k).coeffs for k in (2, 3)}
+
+# every step each kernel call takes, in order. The ladder of f(6, 2): the
+# ladders of [6 choose 1]_q and [13 choose 4]_q, then the step by
+# [1]_q / [10]_q. The step down from f(6, 3) and the step up from f(6, 2):
+# three q-integers multiplied in, then three divided out. cyclotomic(30):
+# its multiplications before its divisions
 KERNEL_STEPS = {
     "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
+    "forest-down": [(2, 1), (13, 1), (12, 1), (1, 5), (1, 4), (1, 10)],
+    "forest-up": [(5, 1), (4, 1), (10, 1), (1, 2), (1, 13), (1, 12)],
     "cyclotomic": [(30, 1), (5, 1), (3, 1), (2, 1), (1, 15), (1, 10), (1, 6), (1, 1)],
 }
 KERNEL_CALLS = {
-    "forest": lambda: forest_count_poly.__wrapped__(6, 2),
+    "forest": lambda: qp._forest_ladder(6, 2),
+    "forest-down": lambda: qp._forest_step(6, 2, 3, _LADDER_6[3]),
+    "forest-up": lambda: qp._forest_step(6, 3, 2, _LADDER_6[2]),
     "cyclotomic": lambda: cyclotomic.__wrapped__(30),
 }
 
@@ -319,7 +329,67 @@ def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
 
     monkeypatch.setattr(qp, "_ratio_q_int", negated_last_step)
     with pytest.raises(ArithmeticError, match="negative coefficient"):
-        forest_count_poly.__wrapped__(6, 2)
+        qp._forest_ladder(6, 2)
+
+
+@pytest.mark.parametrize("k, near", [(2, 3), (3, 2)])
+def test_forest_step_rejects_a_negative_coefficient(monkeypatch, k, near):
+    # the neighbour is cached, so forest_count_poly(6, k) takes the step,
+    # whose sixth and last pass is negated here
+    forest_count_poly.cache_clear()
+    forest_count_poly(6, near)
+    calls = []
+
+    def negated_sixth_pass(cs, a, b):
+        calls.append((a, b))
+        out = _RATIO_Q_INT(cs, a, b)
+        if len(calls) == 6:
+            out[0] = -out[0]
+        return out
+
+    monkeypatch.setattr(qp, "_ratio_q_int", negated_sixth_pass)
+    with pytest.raises(ArithmeticError, match="negative coefficient"):
+        forest_count_poly(6, k)
+    assert calls == KERNEL_STEPS["forest-down" if near > k else "forest-up"]
+    assert (6, k) not in qp._FOREST_POLYS
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_forest_step_matches_the_ladder(n):
+    ladder = [None] + [qp._forest_ladder(n, k) for k in range(1, n + 1)]
+    for k in range(1, n + 1):
+        if k < n:
+            assert qp._forest_step(n, k, k + 1, ladder[k + 1].coeffs) == ladder[k], k
+        if k > 1:
+            assert qp._forest_step(n, k, k - 1, ladder[k - 1].coeffs) == ladder[k], k
+
+
+def test_forest_sweep_takes_one_step_per_cell(monkeypatch):
+    # a count of kernel passes, not a timing: the ladder's 40 at k = 1,
+    # then six per step (a fresh ladder per cell would take 1220)
+    forest_count_poly.cache_clear()
+    calls = _recording_step(monkeypatch)
+    forest_count_poly(40, 1)
+    assert len(calls) == 40
+    for k in range(2, 41):
+        forest_count_poly(40, k)
+    assert len(calls) == 40 + 6 * 39
+
+
+def test_forest_count_poly_checks_before_the_cache():
+    forest_count_poly(2, 1)
+    forest_count_poly(1, 1)
+    for bad in ((2.0, 1), (True, 1), (2, True)):
+        with pytest.raises(ValueError):
+            forest_count_poly(*bad)
+
+
+def test_forest_count_poly_cache_is_bounded():
+    forest_count_poly.cache_clear()
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            forest_count_poly(n, k)
+    assert len(qp._FOREST_POLYS) == 128
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[int]:
@@ -523,6 +593,19 @@ def test_forest_count_poly_matches_the_frozen_digest():
     for n, k in FOREST_POLY_CELLS:
         h.update(f"{n} {k} {forest_count_poly(n, k).coeffs}\n".encode())
     assert (len(FOREST_POLY_CELLS), h.hexdigest()) == (824, FOREST_POLY_DIGEST)
+
+
+def test_forest_count_poly_matches_the_digest_in_any_order():
+    # shuffled, a cell meets its neighbours cached from above, from below
+    # or not at all, and every path must give the frozen polynomials
+    forest_count_poly.cache_clear()
+    order = FOREST_POLY_CELLS[:]
+    random.Random(22).shuffle(order)
+    got = {cell: forest_count_poly(*cell).coeffs for cell in order}
+    h = hashlib.sha256()
+    for n, k in FOREST_POLY_CELLS:
+        h.update(f"{n} {k} {got[n, k]}\n".encode())
+    assert h.hexdigest() == FOREST_POLY_DIGEST
 
 
 def test_forest_count_poly_specializes():

@@ -1,7 +1,7 @@
 """Route independence as a checked ledger.
 
 Each route of sieving.ROUTES is run on its own under sys.setprofile, with
-every lru table of the package emptied first, so a cached helper is seen
+every cache of the package emptied first, so a cached helper is seen
 by every route that reaches it. The functions of ncfsieve each route
 reaches are collected, and every function two routes share must be in
 SHARED with a reason. A new sharing fails here until SHARED grows, so it
@@ -128,3 +128,11 @@ def test_every_shared_function_has_a_reason():
     assert not unlisted, unlisted
     stale = SHARED.keys() - set().union(*shared.values())
     assert not stale, sorted(stale)
+
+
+def test_every_cache_is_emptied_before_a_trace():
+    # forest_count_poly keeps its own table, not an lru one; a warm entry
+    # would hide the poly route's kernel from its trace
+    qpoly.forest_count_poly(5, 2)
+    _clear_caches()
+    assert not qpoly._FOREST_POLYS
