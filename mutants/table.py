@@ -90,6 +90,23 @@ MUTANTS = (
          f"{ENUM}::test_orbit_route_streams"),
         "leaf orbit left out of the sort",
     ),
+    Mutant(
+        "self-crossing-orbit-kept", "enumeration.py",
+        "        if not row & omask:\n            orbits.append((row, omask))\n",
+        "        orbits.append((row, omask))\n",
+        (f"{ENUM}::test_orbit_stream_order_is_pinned",
+         f"{ENUM}::test_random_cell_against_filter"),
+        "orbit table's self-crossing drop removed",
+    ),
+    Mutant(
+        "orbit-crossing-least-chord", "enumeration.py",
+        "enumerate(orbits) if row & omask)",
+        "enumerate(orbits) if row & omask & -omask)",
+        (f"{ENUM}::test_orbit_stream_order_is_pinned",
+         f"{ENUM}::test_random_cell_against_filter",
+         f"{ENUM}::test_orbit_table_matches_the_all_pairs_table"),
+        "crossing of orbits read against the other orbit's least chord alone",
+    ),
     # forests
     Mutant(
         "region-count-lt", "forest.py",
@@ -226,5 +243,27 @@ MUTANTS = (
         "if len(_FOREST_POLYS) > _FOREST_POLYS_MAX:",
         (f"{QP}::test_forest_count_poly_cache_is_bounded",),
         "cache eviction at `>` in place of `>=`",
+    ),
+    # q-polynomials and their printing
+    Mutant(
+        "cyclotomic-composite-step", "qpoly.py",
+        "if rest % p == 0:  # p is prime",
+        "if d % p == 0:  # p is prime",
+        (f"{QP}::test_cyclotomic_frozen", f"{QP}::test_cyclotomic_product_identity"),
+        "`cyclotomic` stepping on a composite p",
+    ),
+    Mutant(
+        "pretty-drops-negatives", "qpoly.py",
+        "            if c == 0:\n                continue\n",
+        "            if c <= 0:\n                continue\n",
+        (f"{QP}::test_pretty",),
+        "`pretty` skipping negative terms",
+    ),
+    Mutant(
+        "pretty-unit-q", "qpoly.py",
+        'term = "q" if mag == 1 else',
+        'term = "q" if mag >= 1 else',
+        (f"{QP}::test_pretty",),
+        "`pretty` printing `2*q` as `q`",
     ),
 )

@@ -244,7 +244,9 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
     the good vertex of v's region).
     """
     check_vertex(v, phi.n)
-    check_d(d, phi.n, least=2, glue=True)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValueError(f"fold d = {d!r} must be an integer >= 2 to glue copies of "
+                         f"a forest on {phi.n} vertices")
     good = classify_vertices(phi)
     if v not in good:
         raise BijectionError(

@@ -55,6 +55,10 @@ which is after(last) & ~crossing & fits(left) with
 * fits(left): the orbits with at most as many chords as are still to
   choose.
 
+The orbit table behind those masks reads its own crossings, one row per
+orbit, the chords its least chord crosses (rotation maps crossings to
+crossings), and none of the filter walk's all-pairs masks.
+
 An orbit that closes a cycle is found by union-find when it is tried. One
 cut keeps the walk off dead ends: no orbit has more than d chords, so a
 frame whose candidates number fewer than (chords still to choose) / d
@@ -90,14 +94,14 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-# One entry per n <= 12 the walks reach (csp-sweep: 261 hits, 9 misses).
+# One entry per n <= 12 the walks reach (csp-sweep: 206 hits, 9 misses).
 @lru_cache(maxsize=None)
 def chord_table(n: int) -> tuple[Chord, ...]:
     """All chords of the n-circle in lexicographic order."""
     return tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
 
 
-# One entry per n <= 12 the walks reach (csp-sweep: 78 hits, 9 misses).
+# One entry per n <= 12 the walks reach (csp-sweep: 134 hits, 9 misses).
 @lru_cache(maxsize=None)
 def _cross_masks(n: int) -> tuple[int, ...]:
     chords = chord_table(n)
@@ -111,7 +115,7 @@ def _cross_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-# One entry per (n, n/d), 35 for n <= 12 (csp-sweep: 98 hits, 17 misses).
+# One entry per (n, n/d), 35 for n <= 12 (csp-sweep: 98 hits, 21 misses).
 @lru_cache(maxsize=None)
 def rotation_perm(n: int, s: int) -> tuple[int, ...]:
     """Permutation of chord indices induced by rotating s steps."""
@@ -320,46 +324,43 @@ def invariant_counts(n: int, k: int) -> dict[int, int]:
     return {d: count_forests(n, k, d) for d in divisors(n)}
 
 
-# One entry per (n, d), 35 for n <= 12 (csp-sweep: 81 hits, 17 misses).
+# One entry per (n, d), 35 for n <= 12 (csp-sweep: 102 hits, 21 misses).
 @lru_cache(maxsize=None)
 def _orbit_table(n: int, d: int):
     """Chord orbits under rotation by n/d steps, dropping orbits whose own
-    members cross each other (no invariant forest can use them), sorted by
-    least member chord. Returns (sizes, crossing, ends, fits): per orbit
+    members cross each other (no invariant forest can use them), in order
+    of least member chord. Returns (sizes, crossing, ends, fits): per orbit
     its chord count, the mask of the orbits it crosses and its member
     chords in order; fits[r] is the mask of the orbits with at most r
-    chords, for 0 <= r < n."""
+    chords, for 0 <= r < n.
+
+    One row per orbit, the chords its least chord crosses, is enough:
+    rotation maps crossings to crossings, so an orbit meets another, or
+    itself, exactly when its row holds a chord of that orbit.
+    """
     perm = rotation_perm(n, n // d)
-    cross = _cross_masks(n)
     chords = chord_table(n)
-    m = len(perm)
-    seen = [False] * m
-    orbits = []
-    for i in range(m):
+    seen = [False] * len(chords)
+    orbits = []  # (row, members mask) per orbit kept
+    for i, least in enumerate(chords):
         if seen[i]:
-            continue
-        orb = [i]
-        j = perm[i]
-        while j != i:
-            orb.append(j)
-            j = perm[j]
+            continue  # else i is the least chord of its orbit
         omask = 0
-        cmask = 0
-        for j in orb:
+        j = i
+        while not seen[j]:
             seen[j] = True
             omask |= 1 << j
-            cmask |= cross[j]
-        if not cmask & omask:
-            orbits.append((min(orb), len(orb), cmask, omask))
-    orbits.sort()
-    sizes = tuple(sz for _, sz, _, _ in orbits)
+            j = perm[j]
+        row = sum(1 << j for j, c in enumerate(chords) if crosses(least, c, n))
+        if not row & omask:
+            orbits.append((row, omask))
+    sizes = tuple(omask.bit_count() for _, omask in orbits)
     crossing = tuple(
-        sum(1 << b for b, other in enumerate(orbits) if cmask & other[3])
-        for _, _, cmask, _ in orbits
+        sum(1 << b for b, (_, omask) in enumerate(orbits) if row & omask)
+        for row, _ in orbits
     )
     ends = tuple(
-        tuple(chords[j] for j in range(m) if omask >> j & 1)
-        for _, _, _, omask in orbits
+        tuple(c for j, c in enumerate(chords) if omask >> j & 1) for _, omask in orbits
     )
     fits = tuple(
         sum(1 << a for a, sz in enumerate(sizes) if sz <= r) for r in range(n)

@@ -39,19 +39,11 @@ def check_n(n: int, k: int | None = None) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
 
 
-def check_d(d: int, n: int, least: int = 1, *, glue: bool = False) -> None:
+def check_d(d: int, n: int, least: int = 1) -> None:
     """Raise ValueError unless d is a divisor of the (already checked) n
-    with d >= least. With glue=True, d instead counts the copies of a
-    forest on n vertices to glue into one, and only d >= least is asked."""
-    if (isinstance(d, int) and not isinstance(d, bool) and d >= least
-            and (glue or n % d == 0)):
-        return
-    if glue:
-        raise ValueError(
-            f"fold d = {d!r} must be an integer >= {least} to glue copies of a forest "
-            f"on {n} vertices"
-        )
-    raise ValueError(f"d = {d!r} must be a divisor of n = {n} with d >= {least}")
+    with d >= least."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < least or n % d:
+        raise ValueError(f"d = {d!r} must be a divisor of n = {n} with d >= {least}")
 
 
 def check_vertex(x: int, n: int) -> None:

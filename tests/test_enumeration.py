@@ -30,6 +30,7 @@ from ncfsieve.enumeration import (
 from ncfsieve.forest import NonCrossingForest, crosses
 from ncfsieve.qpoly import forest_count
 from ncfsieve.sieving import ROUTES, closed_form_eval
+from window_oracle import orbit_table_by_pairs
 
 
 def _census_by_subsets(n: int) -> dict[int, set]:
@@ -305,6 +306,27 @@ def test_orbit_stream_order_is_pinned(n):
         for d in divisors(n)[1:]:
             h.update(repr([f.edges for f in enumerate_invariant(n, k, d)]).encode())
     assert h.hexdigest() == ORBIT_STREAM_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_orbit_table_matches_the_all_pairs_table(n):
+    # the table reads one crossing row per orbit; the oracle ORs the filter
+    # walk's all-pairs row of every member chord and sorts the orbits
+    for d in divisors(n):
+        assert enumeration._orbit_table(n, d) == orbit_table_by_pairs(n, d), d
+
+
+def test_orbit_route_matches_closed_form_past_twelve():
+    # every d >= 2 cell with 13 <= n <= 24 and n/d <= 6: 551 cells and
+    # 12,203 fixed forests, where no other test reaches the orbit count
+    cells = [(n, k, d) for n in range(13, 25) for d in divisors(n)[1:]
+             if n <= 6 * d for k in range(1, n + 1)]
+    assert len(cells) == 551
+    t0 = time.perf_counter()
+    for cell in cells:
+        assert ROUTES["orbit"].count(*cell) == closed_form_eval(*cell), cell
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"551 cells took {elapsed:.2f}s"
 
 
 def test_orbit_walk_at_d_1_is_the_plain_stream():

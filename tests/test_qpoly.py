@@ -142,6 +142,20 @@ def test_zero_and_trim():
     assert QPoly(()).degree == -1
 
 
+# what `qpoly --pretty` and poly_eval's non-integer error print: signs,
+# unit coefficients and skipped zero terms
+@pytest.mark.parametrize("coeffs, text", [
+    ((), "0"),
+    ((-1,), "-1"),
+    ((1, 1), "1 + q"),
+    ((2, -2), "2 - 2*q"),
+    ((0, -1, 0, 2, -3), "-q + 2*q^3 - 3*q^4"),
+    ((0, 0, 1), "q^2"),
+])
+def test_pretty(coeffs, text):
+    assert QPoly(coeffs).pretty() == text
+
+
 coeff_lists = st.lists(st.integers(-30, 30), min_size=0, max_size=12)
 wide_coeffs = st.one_of(
     st.integers(-30, 30),

@@ -49,8 +49,9 @@ SHARED = {
     "enumeration.chord_table": (
         "the chords in lexicographic order, a definition that test_rotation_"
         "perm_matches_label_arithmetic writes out"),
-    "enumeration._cross_masks": "one crosses call per pair of chords",
     "forest.crosses": (
+        "the filter route reaches it through its all-pairs table _cross_masks "
+        "and the orbit route through one row per orbit in _orbit_table; "
         "pinned alone against the validator's chord sweep on every pair of "
         "chords with n <= 12 (test_crosses_matches_the_validator_sweep)"),
     "forest.check_vertex": _CROSSES,

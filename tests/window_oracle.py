@@ -10,9 +10,13 @@ sets_tree_extents finds the trees by a graph search and each handoff by a
 sorted merge of one tree with its image. rotate builds a forest's rotation
 whole, the oracle for NonCrossingForest.is_d_invariant, and components
 groups the vertices by NonCrossingForest.component_labels.
+orbit_table_by_pairs builds the orbit walk's table from the filter walk's
+all-pairs crossing masks, one row per chord, where the library reads one
+row per orbit.
 """
 
 from ncfsieve.bijections import BijectionError, TreeExtent
+from ncfsieve.enumeration import _cross_masks, chord_table, rotation_perm
 from ncfsieve.forest import NonCrossingForest
 
 
@@ -141,3 +145,45 @@ def components(forest: NonCrossingForest) -> tuple[frozenset[int], ...]:
     for x, root in enumerate(forest.component_labels()[1:], 1):
         groups.setdefault(root, []).append(x)
     return tuple(frozenset(g) for g in groups.values())
+
+
+def orbit_table_by_pairs(n: int, d: int):
+    """Independent derivation of enumeration._orbit_table(n, d): each
+    orbit's crossing mask is the OR of the all-pairs rows of every member
+    chord, and the orbits are sorted by least member chord."""
+    perm = rotation_perm(n, n // d)
+    cross = _cross_masks(n)
+    chords = chord_table(n)
+    m = len(perm)
+    seen = [False] * m
+    orbits = []
+    for i in range(m):
+        if seen[i]:
+            continue
+        orb = [i]
+        j = perm[i]
+        while j != i:
+            orb.append(j)
+            j = perm[j]
+        omask = 0
+        cmask = 0
+        for j in orb:
+            seen[j] = True
+            omask |= 1 << j
+            cmask |= cross[j]
+        if not cmask & omask:
+            orbits.append((min(orb), len(orb), cmask, omask))
+    orbits.sort()
+    sizes = tuple(sz for _, sz, _, _ in orbits)
+    crossing = tuple(
+        sum(1 << b for b, other in enumerate(orbits) if cmask & other[3])
+        for _, _, cmask, _ in orbits
+    )
+    ends = tuple(
+        tuple(chords[j] for j in range(m) if omask >> j & 1)
+        for _, _, _, omask in orbits
+    )
+    fits = tuple(
+        sum(1 << a for a, sz in enumerate(sizes) if sz <= r) for r in range(n)
+    )
+    return sizes, crossing, ends, fits
