@@ -12,7 +12,8 @@ unchanged copy, or no kill would mean anything.
 
 It prints one line per mutant with the time taken, and exits 1 when a
 mutant survives or a row is stale: its snippet is not found exactly once,
-its CHANGES.md phrase is missing, or it names a test file that is gone.
+its CHANGES.md phrase is missing, or it names a test file or a test that
+is gone. A stale row is reported by name and left out of every run.
 """
 
 from __future__ import annotations
@@ -52,7 +53,20 @@ def run_tests(tree: Path, tests) -> tuple[bool, str]:
     return done.returncode == 0, lines[-1] if lines else ""
 
 
-def stale_reason(row, changes: str) -> str | None:
+def collected(tree: Path, files) -> set[str]:
+    """The pytest node ids that the test files collect in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "--collect-only",
+           "-p", "no:cacheprovider", *files]
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    if done.returncode != 0:
+        lines = (done.stdout + done.stderr).strip().splitlines()
+        raise SystemExit(f"the tests fail to collect: {lines[-1] if lines else ''}")
+    return {line for line in done.stdout.splitlines() if "::" in line}
+
+
+def stale_reason(row, changes: str, ids: set[str]) -> str | None:
     text = (ROOT / "src" / "ncfsieve" / row.file).read_text()
     found = text.count(row.snippet)
     if found != 1:
@@ -62,6 +76,9 @@ def stale_reason(row, changes: str) -> str | None:
     for test in row.tests:
         if not (ROOT / test.split("::")[0]).is_file():
             return f"no test file {test}"
+        # a parametrized test collects as test[id]
+        if "::" in test and not any(i == test or i.startswith(test + "[") for i in ids):
+            return f"no test {test}"
     return None
 
 
@@ -76,17 +93,23 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
-        tests = sorted({t for r in rows for t in r.tests})
-        ok, tail = run_tests(base, tests)
+        files = sorted({t.split("::")[0] for r in rows for t in r.tests
+                        if (ROOT / t.split("::")[0]).is_file()})
+        ids = collected(base, files)
+        fresh = []
+        for row in rows:
+            reason = stale_reason(row, changes, ids)
+            if reason is None:
+                fresh.append(row)
+            else:
+                print(f"STALE     {row.name}: {reason}")
+                bad += 1
+        tests = sorted({t for r in fresh for t in r.tests})
+        ok, tail = run_tests(base, tests) if tests else (True, "")
         if not ok:
             print(f"the tests fail with no mutant: {tail}")
             return 1
-        for row in rows:
-            reason = stale_reason(row, changes)
-            if reason is not None:
-                print(f"STALE     {row.name}: {reason}")
-                bad += 1
-                continue
+        for row in fresh:
             tree = Path(tmp) / row.name
             copy_tree(tree)
             path = tree / "src" / "ncfsieve" / row.file

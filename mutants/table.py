@@ -37,7 +37,7 @@ MUTANTS = (
         "rotation-cut-early", "enumeration.py",
         "miss.bit_count() > need - depth - 1:",
         "miss.bit_count() > need - depth - 2:",
-        (f"{ENUM}::test_invariant_counts_match_per_forest_filter",
+        (f"{ENUM}::test_filter_counts_match_per_forest_filter",
          f"{ENUM}::test_fixed_stream_is_the_per_forest_filter"),
         "rotation cut at `> need - depth - 2`",
     ),
@@ -54,7 +54,7 @@ MUTANTS = (
         "v, u, star[u], top[u], tops, rsp = undo.pop()",
         "v, u, star[u], top[u], tops, _ = undo.pop()",
         (f"{ENUM}::test_fixed_stream_is_the_per_forest_filter",
-         f"{ENUM}::test_invariant_counts_past_ten_match_closed_form"),
+         f"{ENUM}::test_filter_counts_past_ten_match_closed_form"),
         "r(prefix) not restored on the undo pop",
     ),
     # the orbit walk and its stream
@@ -203,32 +203,48 @@ MUTANTS = (
         (f"{BIJ}::test_route_refuses_a_map_that_collapses_sources",),
         "diameter image check dropped",
     ),
-    # the poly route's neighbour step and its cache
+    # the poly route's passes, their runner and its cache
     Mutant(
         "step-factor-off-by-one", "qpoly.py",
-        "3 * n - 2 * k - 2)",
-        "3 * n - 2 * k - 3)",
+        "3 * n - 2 * m - 2)",
+        "3 * n - 2 * m - 3)",
         (f"{QP}::test_forest_step_matches_the_ladder",
          f"{QP}::test_every_step_is_a_checked_kernel_pass"),
-        "factor [3n-2k-2]_q of the step as [3n-2k-3]_q",
+        "factor [3n-2m-2]_q of the neighbour passes as [3n-2m-3]_q",
     ),
     Mutant(
         "step-up-as-step-down", "qpoly.py",
-        "    if j == k + 1:\n"
-        "        downs, ups = _neighbour_sides(n, k)\n"
-        "    else:\n"
-        "        ups, downs = _neighbour_sides(n, j)\n",
-        "    downs, ups = _neighbour_sides(n, k)\n",
+        "    ups, downs = (high, low) if j > k else (low, high)\n",
+        "    ups, downs = high, low\n",
         (f"{QP}::test_forest_step_matches_the_ladder",
          f"{QP}::test_forest_count_poly_matches_the_digest_in_any_order"),
-        "step up taking the step down's factor lists",
+        "passes up from a neighbour taking the passes down",
     ),
     Mutant(
         "step-sign-check-dropped", "qpoly.py",
-        "        cs = _ratio_q_int(cs, 1, b)\n    return _nonnegative(n, k, cs)\n",
-        "        cs = _ratio_q_int(cs, 1, b)\n    return QPoly(cs)\n",
-        (f"{QP}::test_forest_step_rejects_a_negative_coefficient",),
-        "nonnegativity check dropped from the step",
+        "        if min(f.coeffs, default=0) < 0:\n"
+        '            raise ArithmeticError(f"negative coefficient in forest polynomial '
+        'n={n}, k={k}")\n',
+        "",
+        (f"{QP}::test_forest_step_rejects_a_negative_coefficient",
+         f"{QP}::test_forest_count_poly_rejects_a_negative_coefficient"),
+        "the one nonnegativity check of `forest_count_poly` dropped",
+    ),
+    Mutant(
+        "binomial-pass-dropped", "qpoly.py",
+        "for i in range(1, b + 1)]",
+        "for i in range(1, b)]",
+        (f"{QP}::test_q_binomial_counts_partitions_in_box",
+         f"{QP}::test_times_q_binomial_matches_product"),
+        "the binomial ladder's last pass dropped",
+    ),
+    Mutant(
+        "runner-skips-last-pass", "qpoly.py",
+        "    for a, b in passes:\n",
+        "    for a, b in passes[:-1]:\n",
+        (f"{QP}::test_q_binomial_edge_cases", f"{QP}::test_cyclotomic_frozen",
+         f"{QP}::test_every_step_is_a_checked_kernel_pass"),
+        "`_run` skipping the last pass",
     ),
     Mutant(
         "cache-before-check", "qpoly.py",

@@ -23,7 +23,6 @@ from .enumeration import (
     divisors,
     enumerate_forests,
     enumerate_invariant,
-    invariant_counts,
 )
 from .forest import NonCrossingForest, chord, crosses, rotate_label
 from .qpoly import (
@@ -71,7 +70,6 @@ __all__ = [
     "fixed_count_bijection",
     "forest_count",
     "forest_count_poly",
-    "invariant_counts",
     "poly_eval",
     "q_binomial",
     "q_lucas",

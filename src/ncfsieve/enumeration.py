@@ -40,9 +40,8 @@ low bit first, which keeps the stream lexicographic and lazy. Counting
 hands the walk a one-entry list instead, and the walk adds each mask's
 popcount to a local sum, flushed into the list when the walk ends, yielding
 nothing: no group leaves the walk and no forest is built. No forest is
-rotated whole, so the filter route's count (count_forests with d, which
-invariant_counts runs for every d) and its stream (enumerate_forests with
-d) read the same test.
+rotated whole, so the filter route's count (count_forests with d) and its
+stream (enumerate_forests with d) read the same test.
 
 Rotation-fixed forests can additionally be generated directly by
 backtracking over whole chord orbits of the rotation, which stays cheap at
@@ -314,14 +313,6 @@ def count_forests(n: int, k: int, d: int = 1) -> int:
     for _ in _leaf_groups(n, k, d, counts):
         pass  # a counting walk yields nothing
     return counts[0]
-
-
-def invariant_counts(n: int, k: int) -> dict[int, int]:
-    """Fixed-forest counts for every d | n: the filter route's count, one
-    walk per d. Past d = 1 the rotation cut leaves almost all of F(n, k)
-    unwalked, so those walks add little to the one at d = 1."""
-    check_n(n, k)
-    return {d: count_forests(n, k, d) for d in divisors(n)}
 
 
 # One entry per (n, d), 35 for n <= 12 (csp-sweep: 102 hits, 21 misses).

@@ -10,16 +10,18 @@ d-th cyclotomic polynomial; no floating point anywhere.
 
 Every q-polynomial is built from one primitive: multiply by the ratio
 [a]_q / [b]_q of two q-integers, in one checked pass over the
-coefficients. A q-binomial is a ladder of such steps, one per factor
-[a-b+i]_q / [i]_q, and the forest polynomial carries the same ladder from
-its first q-binomial through the second before the last step by
-[1]_q / [2n-k]_q, so no two dense polynomials are ever multiplied. A
-forest polynomial whose neighbour f(n, k +- 1) is cached is built from it
-instead, in six steps by single q-integers: three multiplied in, then
-three divided out, from the identity that ties neighbouring cells. The
-cyclotomic polynomials are built by the same steps, from q-integers over
-the squarefree divisors of d. The one long division left is the remainder
-modulo a cyclotomic polynomial that evaluates at a root of unity.
+coefficients. A q-polynomial is a start polynomial and a list of passes
+(a, b), and one runner, _run, applies them in order; no other code calls
+the primitive. A q-binomial is a ladder of passes, one per factor
+[a-b+i]_q / [i]_q. The forest polynomial starts from its first q-binomial
+and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
+two dense polynomials are ever multiplied; or, when its neighbour
+f(n, k +- 1) is cached, it starts from that and takes six passes by single
+q-integers, three multiplied in, then three divided out, from the identity
+that ties neighbouring cells. A cyclotomic polynomial is a list of passes
+by q-integers over the squarefree divisors of d. The one long division
+left is the remainder modulo a cyclotomic polynomial that evaluates at a
+root of unity.
 """
 
 from __future__ import annotations
@@ -110,24 +112,29 @@ class QPoly:
         return " ".join(parts)
 
 
-def _times_q_binomial(cs, a: int, b: int) -> list[int]:
-    """Coefficients of P(q) * [a choose b]_q, where P has coefficients cs;
-    empty outside 0 <= b <= a.
+def _run(cs, passes) -> list[int]:
+    """Coefficients of P(q) times [a]_q / [b]_q for each pass (a, b) in
+    turn, where P has coefficients cs: one pass of _ratio_q_int each, every
+    one checked to leave no remainder, not assumed to."""
+    for a, b in passes:
+        cs = _ratio_q_int(cs, a, b)
+    return cs
 
-    Built by the ratio recurrence
+
+def _binomial_passes(a: int, b: int) -> list[tuple[int, int]]:
+    """The passes that multiply by [a choose b]_q, which is zero outside
+    0 <= b <= a: there, one pass by [0]_q.
+
+    The ratio recurrence
     [a-b+i choose i]_q = [a-b+i-1 choose i-1]_q * [a-b+i]_q / [i]_q for
     i = 1 .. b, with b replaced by min(b, a - b). Every partial product is
-    P times a q-binomial, so coefficients stay as small as the answer's, and
-    each step is one pass of _ratio_q_int. Every step is checked to leave no
-    remainder, not assumed to.
+    the start times a q-binomial, so coefficients stay as small as the
+    answer's.
     """
     if b < 0 or b > a:
-        return []
+        return [(0, 1)]
     b = min(b, a - b)
-    cs = list(cs)
-    for i in range(1, b + 1):
-        cs = _ratio_q_int(cs, a - b + i, i)
-    return cs
+    return [(a - b + i, i) for i in range(1, b + 1)]
 
 
 def q_binomial(a: int, b: int) -> QPoly:
@@ -138,7 +145,7 @@ def q_binomial(a: int, b: int) -> QPoly:
     """
     if a < 0:
         raise ValueError(f"q_binomial needs a >= 0, got {a}")
-    return QPoly(_times_q_binomial([1], a, b))
+    return QPoly(_run([1], _binomial_passes(a, b)))
 
 
 def forest_count(n: int, k: int) -> int:
@@ -152,46 +159,29 @@ def forest_count(n: int, k: int) -> int:
     return q
 
 
-def _nonnegative(n: int, k: int, cs) -> QPoly:
-    """cs as the QPoly f(n, k), refused if a coefficient is negative:
-    nonnegativity is a theorem about f, so a negative one is a bug."""
-    f = QPoly(cs)
-    if min(f.coeffs, default=0) < 0:
-        raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
-    return f
+def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
+    """The passes that give f(n, k) from its neighbour f(n, j), j = k +- 1,
+    or, for j None, from [n choose k-1]_q.
 
+    From [n choose k-1]_q, [3n-2k-1 choose n-k]_q is multiplied in by its
+    ladder, never built on its own, then one pass by [1]_q / [2n-k]_q.
+    Starting from the small factor keeps every pass's polynomial short.
 
-def _forest_ladder(n: int, k: int) -> QPoly:
-    """f(n, k) from nothing: [n choose k-1]_q by its ladder, then
-    [3n-2k-1 choose n-k]_q multiplied into it by ratio steps, never built
-    on its own, then one step by [1]_q / [2n-k]_q. Starting from the small
-    factor keeps every step's polynomial short."""
-    num = _times_q_binomial(q_binomial(n, k - 1).coeffs, 3 * n - 2 * k - 1, n - k)
-    return _nonnegative(n, k, _ratio_q_int(num, 1, 2 * n - k))
-
-
-def _neighbour_sides(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The q-integers on each side of the identity, for 1 <= k < n,
-    f(n, k) [n-k+1]_q [n-k]_q [2n-k]_q = f(n, k+1) [k]_q [3n-2k-1]_q [3n-2k-2]_q,
-    which the product formula gives: f(n, k)'s side first."""
-    return (n - k + 1, n - k, 2 * n - k), (k, 3 * n - 2 * k - 1, 3 * n - 2 * k - 2)
-
-
-def _forest_step(n: int, k: int, j: int, cs) -> QPoly:
-    """f(n, k) from the coefficients cs of its neighbour f(n, j), j = k +- 1,
-    in six checked passes: the neighbour's side of the identity is
-    multiplied in by three q-integers, then f(n, k)'s side divided out by
-    three. Every partial quotient is f(n, k) times the q-integers still to
-    divide, a polynomial, so each division must leave no remainder."""
-    if j == k + 1:
-        downs, ups = _neighbour_sides(n, k)
-    else:
-        ups, downs = _neighbour_sides(n, j)
-    for a in ups:
-        cs = _ratio_q_int(cs, a, 1)
-    for b in downs:
-        cs = _ratio_q_int(cs, 1, b)
-    return _nonnegative(n, k, cs)
+    From a neighbour, the product formula gives, for 1 <= m < n,
+    f(n, m) [n-m+1]_q [n-m]_q [2n-m]_q = f(n, m+1) [m]_q [3n-2m-1]_q [3n-2m-2]_q,
+    with m = min(k, j): low is f(n, m)'s side and high f(n, m+1)'s. The
+    neighbour's side is multiplied in by three q-integers, then f(n, k)'s
+    side divided out by three. Every partial quotient is f(n, k) times the
+    q-integers still to divide, a polynomial, so each division must leave
+    no remainder.
+    """
+    if j is None:
+        return _binomial_passes(3 * n - 2 * k - 1, n - k) + [(1, 2 * n - k)]
+    m = min(k, j)
+    low = (n - m + 1, n - m, 2 * n - m)
+    high = (m, 3 * n - 2 * m - 1, 3 * n - 2 * m - 2)
+    ups, downs = (high, low) if j > k else (low, high)
+    return [(a, 1) for a in ups] + [(1, b) for b in downs]
 
 
 # (n, k) -> f(n, k), in order of last use. Bounded, since n <= 100 allows
@@ -207,12 +197,13 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     """q-analogue of the forest count: the q-binomial product
     [n choose k-1]_q [3n-2k-1 choose n-k]_q divided exactly by [2n-k]_q.
 
-    A cell whose neighbour f(n, k+1) or f(n, k-1) is cached is one step
-    from it, six passes of one q-integer each (_forest_step); any other
-    cell climbs the ladder of about n passes (_forest_ladder). Both give
-    the same polynomial. Polynomiality and nonnegativity of the
-    coefficients are theorems about this quotient; both are enforced on
-    either path, so any arithmetic regression surfaces as a hard error.
+    A cell whose neighbour f(n, k+1) or f(n, k-1) is cached starts from
+    it and takes six passes of one q-integer each; any other cell starts
+    from [n choose k-1]_q and takes a ladder of about n passes
+    (_forest_passes). Both give the same polynomial, through one run. The
+    division is checked exact pass by pass, and nonnegativity of the
+    coefficients, a theorem about this quotient, is checked on the result,
+    so any arithmetic regression surfaces as a hard error.
     forest_count_poly.cache_clear() empties the cache.
 
     >>> forest_count_poly(3, 1).coeffs
@@ -221,13 +212,11 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     check_n(n, k)
     f = _FOREST_POLYS.pop((n, k), None)
     if f is None:
-        for j in (k + 1, k - 1):
-            near = _FOREST_POLYS.get((n, j))
-            if near is not None:
-                f = _forest_step(n, k, j, near.coeffs)
-                break
-        else:
-            f = _forest_ladder(n, k)
+        j = next((j for j in (k + 1, k - 1) if (n, j) in _FOREST_POLYS), None)
+        start = q_binomial(n, k - 1) if j is None else _FOREST_POLYS[n, j]
+        f = QPoly(_run(start.coeffs, _forest_passes(n, k, j)))
+        if min(f.coeffs, default=0) < 0:
+            raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
         if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:
             del _FOREST_POLYS[next(iter(_FOREST_POLYS))]
     _FOREST_POLYS[n, k] = f
@@ -266,12 +255,7 @@ def cyclotomic(d: int) -> QPoly:
             ups, downs = ups + [m // p for m in downs], downs + [m // p for m in ups]
             while rest % p == 0:
                 rest //= p
-    cs = [1]
-    for m in ups:
-        cs = _ratio_q_int(cs, m, 1)
-    for m in downs:
-        cs = _ratio_q_int(cs, 1, m)
-    return QPoly(cs)
+    return QPoly(_run([1], [(m, 1) for m in ups] + [(1, m) for m in downs]))
 
 
 def eval_at_root(p: QPoly, d: int) -> QPoly:

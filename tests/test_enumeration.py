@@ -24,7 +24,6 @@ from ncfsieve.enumeration import (
     divisors,
     enumerate_forests,
     enumerate_invariant,
-    invariant_counts,
     rotation_perm,
 )
 from ncfsieve.forest import NonCrossingForest, crosses
@@ -50,6 +49,11 @@ def _census_by_subsets(n: int) -> dict[int, set]:
             if nx.is_forest(g):
                 out[n - r].add(tuple(sorted(sub)))
     return out
+
+
+def _filter_counts(n: int, k: int) -> dict[int, int]:
+    """The filter route's count of (n, k) at every d | n."""
+    return {d: count_forests(n, k, d) for d in divisors(n)}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -122,9 +126,8 @@ def test_counting_builds_no_forest(monkeypatch):
     monkeypatch.setattr(NonCrossingForest, "_unchecked", classmethod(no_forest))
     monkeypatch.setattr(NonCrossingForest, "__init__", no_forest)
     for n, k in ((6, 5), (8, 7), (7, 3), (8, 4), (9, 2)):  # n - k = 1 first
-        counts = invariant_counts(n, k)
+        counts = _filter_counts(n, k)
         assert counts[1] == forest_count(n, k), (n, k)
-        assert counts == {d: count_forests(n, k, d) for d in divisors(n)}, (n, k)
 
 
 def test_orbit_count_builds_no_forest(monkeypatch):
@@ -225,18 +228,18 @@ def _per_forest_filter(n: int, k: int) -> dict[int, int]:
     return counts
 
 
-def test_invariant_counts_match_per_forest_filter():
+def test_filter_counts_match_per_forest_filter():
     for n in range(1, 10):
         for k in range(1, n + 1):
-            assert invariant_counts(n, k) == _per_forest_filter(n, k), (n, k)
+            assert _filter_counts(n, k) == _per_forest_filter(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n, least_k", [(11, 6), (12, 8)])
-def test_invariant_counts_past_ten_match_closed_form(n, least_k):
+def test_filter_counts_past_ten_match_closed_form(n, least_k):
     # the walk's floor and rotation cuts act on component and chord counts
     # that grow with n; above n = 10 the cells with few edges stay cheap
     for k in range(least_k, n + 1):
-        assert invariant_counts(n, k) == {
+        assert _filter_counts(n, k) == {
             d: closed_form_eval(n, k, d) for d in divisors(n)}, (n, k)
 
 
@@ -377,15 +380,15 @@ def test_invariant_rejects_bad_method_and_divisor():
     with pytest.raises(TypeError):
         list(enumerate_invariant(6, 2, 2, method="filter"))
     with pytest.raises(ValueError):
-        invariant_counts(6, 0)
+        count_forests(6, 0)
 
 
 def test_frozen_invariant_values():
-    assert invariant_counts(4, 3)[2] == 2
-    assert invariant_counts(4, 2)[4] == 0
-    assert invariant_counts(4, 1)[2] == 4
+    assert count_forests(4, 3, 2) == 2
+    assert count_forests(4, 2, 4) == 0
+    assert count_forests(4, 1, 2) == 4
     for n in range(1, 9):
-        assert invariant_counts(n, n) == dict.fromkeys(divisors(n), 1)
+        assert _filter_counts(n, n) == dict.fromkeys(divisors(n), 1)
     inv = sorted(f.edges for f in enumerate_invariant(4, 2, 2))
     assert inv == [((1, 2), (3, 4)), ((1, 4), (2, 3))]
 

@@ -201,11 +201,11 @@ def test_ratio_q_int_rejects_perturbation(a, m, pos, delta, top):
 
 @given(wide_lists, st.integers(0, 14), st.integers(-2, 16))
 def test_times_q_binomial_matches_product(a, top, b):
-    # any start polynomial, not only [1]: the ratio ladder must divide
-    # exactly whatever it is carried through
+    # any start polynomial, not only [1]: the binomial's passes must divide
+    # exactly whatever they are run from, and give zero outside 0 <= b <= top
     p = QPoly(tuple(a))
-    assert QPoly(qp._times_q_binomial(p.coeffs, top, b)) == _schoolbook_mul(
-        p.coeffs, q_binomial(top, b).coeffs)
+    assert QPoly(qp._run(p.coeffs, qp._binomial_passes(top, b))) == _schoolbook_mul(
+        p.coeffs, _ref_q_binomial(top, b).coeffs)
 
 
 def test_ratio_q_int_edges():
@@ -296,14 +296,20 @@ def _recording_step(monkeypatch, at=None):
     return calls
 
 
-# coefficients of the ladder's f(6, k), the neighbours the steps start from
-_LADDER_6 = {k: qp._forest_ladder(6, k).coeffs for k in (2, 3)}
+def _forest_6(k, near=None):
+    """forest_count_poly(6, k) with only its neighbour f(6, near) cached, or
+    with nothing cached, so that it starts from [6 choose k-1]_q."""
+    forest_count_poly.cache_clear()
+    if near is not None:
+        qp._FOREST_POLYS[6, near] = _ref_forest_count_poly(6, near)
+    return forest_count_poly(6, k)
 
-# every step each kernel call takes, in order. The ladder of f(6, 2): the
-# ladders of [6 choose 1]_q and [13 choose 4]_q, then the step by
-# [1]_q / [10]_q. The step down from f(6, 3) and the step up from f(6, 2):
-# three q-integers multiplied in, then three divided out. cyclotomic(30):
-# its multiplications before its divisions
+
+# every pass each kernel call takes, in order. f(6, 2) from nothing: the
+# ladders of [6 choose 1]_q and [13 choose 4]_q, then the pass by
+# [1]_q / [10]_q. f(6, 2) from f(6, 3) and f(6, 3) from f(6, 2): three
+# q-integers multiplied in, then three divided out. cyclotomic(30): its
+# multiplications before its divisions
 KERNEL_STEPS = {
     "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
     "forest-down": [(2, 1), (13, 1), (12, 1), (1, 5), (1, 4), (1, 10)],
@@ -311,11 +317,17 @@ KERNEL_STEPS = {
     "cyclotomic": [(30, 1), (5, 1), (3, 1), (2, 1), (1, 15), (1, 10), (1, 6), (1, 1)],
 }
 KERNEL_CALLS = {
-    "forest": lambda: qp._forest_ladder(6, 2),
-    "forest-down": lambda: qp._forest_step(6, 2, 3, _LADDER_6[3]),
-    "forest-up": lambda: qp._forest_step(6, 3, 2, _LADDER_6[2]),
+    "forest": lambda: _forest_6(2),
+    "forest-down": lambda: _forest_6(2, 3),
+    "forest-up": lambda: _forest_6(3, 2),
     "cyclotomic": lambda: cyclotomic.__wrapped__(30),
 }
+
+
+def test_forest_passes_are_the_kernel_steps():
+    assert qp._forest_passes(6, 2, 3) == KERNEL_STEPS["forest-down"]
+    assert qp._forest_passes(6, 3, 2) == KERNEL_STEPS["forest-up"]
+    assert qp._forest_passes(6, 2, None) == KERNEL_STEPS["forest"][1:]
 
 
 @pytest.mark.parametrize("what", sorted(KERNEL_STEPS))
@@ -335,6 +347,8 @@ def test_every_step_is_a_checked_kernel_pass(monkeypatch, what):
 
 
 def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
+    # nothing is cached, so forest_count_poly(6, 2) starts from
+    # [6 choose 1]_q, and its last pass is negated here
     def negated_last_step(cs, a, b):
         out = _RATIO_Q_INT(cs, a, b)
         if (a, b) == (1, 10):
@@ -343,13 +357,14 @@ def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
 
     monkeypatch.setattr(qp, "_ratio_q_int", negated_last_step)
     with pytest.raises(ArithmeticError, match="negative coefficient"):
-        qp._forest_ladder(6, 2)
+        _forest_6(2)
+    assert (6, 2) not in qp._FOREST_POLYS
 
 
 @pytest.mark.parametrize("k, near", [(2, 3), (3, 2)])
 def test_forest_step_rejects_a_negative_coefficient(monkeypatch, k, near):
-    # the neighbour is cached, so forest_count_poly(6, k) takes the step,
-    # whose sixth and last pass is negated here
+    # the neighbour is cached, so forest_count_poly(6, k) starts from it,
+    # and its sixth and last pass is negated here
     forest_count_poly.cache_clear()
     forest_count_poly(6, near)
     calls = []
@@ -370,12 +385,15 @@ def test_forest_step_rejects_a_negative_coefficient(monkeypatch, k, near):
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_forest_step_matches_the_ladder(n):
-    ladder = [None] + [qp._forest_ladder(n, k) for k in range(1, n + 1)]
+    # both starts of every cell: [n choose k-1]_q with the ladder, and each
+    # neighbour with its six passes
+    ladder = [None] + [qp._run(q_binomial(n, k - 1).coeffs, qp._forest_passes(n, k, None))
+                       for k in range(1, n + 1)]
     for k in range(1, n + 1):
         if k < n:
-            assert qp._forest_step(n, k, k + 1, ladder[k + 1].coeffs) == ladder[k], k
+            assert qp._run(ladder[k + 1], qp._forest_passes(n, k, k + 1)) == ladder[k], k
         if k > 1:
-            assert qp._forest_step(n, k, k - 1, ladder[k - 1].coeffs) == ladder[k], k
+            assert qp._run(ladder[k - 1], qp._forest_passes(n, k, k - 1)) == ladder[k], k
 
 
 def test_forest_sweep_takes_one_step_per_cell(monkeypatch):

@@ -8,14 +8,26 @@ SHARED with a reason. A new sharing fails here until SHARED grows, so it
 shows in a reviewed diff; an entry no pair shares any more fails too. The
 same trace shows that the function OWN names for each route is reached by
 that route alone.
+
+The routes, the command line on ARGVS and the library calls of
+BENCH_CALLS must between them reach every function of the package; one
+that none of them reaches must be in UNREACHED with a reason, so code
+that nothing runs shows in a reviewed diff.
 """
 
+import argparse
 import inspect
+import json
 import sys
+from collections.abc import Iterator
+from functools import cache
 from itertools import combinations
 
 from ncfsieve import bijections, cli, enumeration, forest, qpoly, sieving
+from ncfsieve.bijections import Mark
+from ncfsieve.forest import NonCrossingForest
 from ncfsieve.sieving import ROUTES
+from test_cli import OPTIONS
 
 MODULES = (forest, enumeration, qpoly, bijections, sieving, cli)
 
@@ -68,6 +80,63 @@ SHARED = {
 }
 
 
+# Forests the command line reads, by the name that stands for their file
+# in ARGVS.
+_PHI = NonCrossingForest(4, [(1, 2), (2, 4)])
+_PHI3 = NonCrossingForest(3, [(1, 3)])
+FOREST_FILES = {
+    "PHI": _PHI,
+    "PHI3": _PHI3,
+    "GLUED": bijections.construct_periodic(_PHI, 1, 3),
+    "FOLDED": bijections.construct_diameter(_PHI3, Mark(1, (1, 3))),
+}
+
+# Command lines that use every (command, option) pair of the parser, and
+# verify always with one worker, so the trace sees every call in this
+# process.
+ARGVS = (
+    ("--version",),
+    ("count", "6", "3", "--json"),
+    ("qpoly", "6", "2", "--pretty"),
+    ("qpoly", "6", "2", "--json"),
+    ("eval", "6", "2", "3", "--json"),
+    ("enumerate", "4", "2", "--invariant", "2", "--method", "filter", "--dot"),
+    ("fixed", "6", "2", "3", "--method", "bijection", "--json"),
+    ("construct", "--vertex", "1", "--d", "3", "PHI"),
+    ("construct", "--mark", "1", "--mark-edge", "1", "3", "PHI3"),
+    ("decompose", "--d", "3", "GLUED"),
+    ("decompose", "--d", "2", "FOLDED"),
+    ("verify", "4", "--k", "2", "--workers", "1", "--json"),
+    ("verify", "--max-n", "3", "--workers", "1"),
+)
+
+# The library calls that perfbench/worker.py makes beside cli.main: the
+# poly-large cell pair, the roundtrip stream, and each fixed forest's round
+# trip through both maps and its tree extents.
+_GLUED_SOURCE = bijections.decompose_periodic(FOREST_FILES["GLUED"], 3)
+_FOLDED_SOURCE = bijections.decompose_diameter(FOREST_FILES["FOLDED"])
+BENCH_CALLS = (
+    (sieving.poly_eval, 6, 2, 3),
+    (sieving.closed_form_eval, 6, 2, 3),
+    (enumeration.enumerate_invariant, 6, 2, 2),
+    (bijections.decompose_periodic, FOREST_FILES["GLUED"], 3),
+    (bijections.construct_periodic, *_GLUED_SOURCE, 3),
+    (bijections.decompose_diameter, FOREST_FILES["FOLDED"]),
+    (bijections.construct_diameter, *_FOLDED_SOURCE),
+    (bijections.tree_extents, FOREST_FILES["GLUED"], 3),
+)
+
+# Functions that no route, no command line of ARGVS and no call of
+# BENCH_CALLS reaches.
+UNREACHED = {
+    "qpoly.q_lucas": (
+        "only acceptance criterion 5 calls it; ROADMAP item 3 either builds a "
+        "route on it or deletes it"),
+    "forest.NonCrossingForest.__str__": (
+        "only the messages of a BijectionError format a forest"),
+}
+
+
 def _code_names() -> dict:
     """Map the code object of every function and method defined in the
     package's modules to its name, module.qualname."""
@@ -92,8 +161,15 @@ def _clear_caches() -> None:
                 obj.cache_clear()
 
 
-def _reached(name: str, names: dict) -> set[str]:
-    route = ROUTES[name]
+def _drain(result) -> None:
+    if isinstance(result, Iterator):
+        for _ in result:
+            pass
+
+
+def _trace(names: dict, run) -> set[str]:
+    """The names of the package's functions that run() calls, every cache
+    emptied first."""
     seen: set[str] = set()
 
     def profile(frame, event, arg):
@@ -102,24 +178,37 @@ def _reached(name: str, names: dict) -> set[str]:
             if fn is not None:
                 seen.add(fn)
 
-    cells = [(n, k, d) for n in CELL_NS for k in range(1, n + 1)
-             for d in enumeration.divisors(n) if d >= route.least_d]
     _clear_caches()
     sys.setprofile(profile)
     try:
-        for n, k, d in cells:
-            route.count(n, k, d)
-            if route.stream is not None:
-                for _ in route.stream(n, k, d):
-                    pass
+        run()
     finally:
         sys.setprofile(None)
     return seen
 
 
-def test_every_shared_function_has_a_reason():
+def _reached(name: str, names: dict) -> set[str]:
+    route = ROUTES[name]
+    cells = [(n, k, d) for n in CELL_NS for k in range(1, n + 1)
+             for d in enumeration.divisors(n) if d >= route.least_d]
+
+    def run():
+        for n, k, d in cells:
+            route.count(n, k, d)
+            if route.stream is not None:
+                _drain(route.stream(n, k, d))
+
+    return _trace(names, run)
+
+
+@cache
+def _route_reach() -> dict[str, set[str]]:
     names = _code_names()
-    reached = {name: _reached(name, names) for name in ROUTES}
+    return {name: _reached(name, names) for name in ROUTES}
+
+
+def test_every_shared_function_has_a_reason():
+    reached = _route_reach()
     # each route's own work is seen, and no other route reaches it
     for name, own in OWN.items():
         assert [r for r in ROUTES if own in reached[r]] == [name], (name, own)
@@ -137,3 +226,52 @@ def test_every_cache_is_emptied_before_a_trace():
     qpoly.forest_count_poly(5, 2)
     _clear_caches()
     assert not qpoly._FOREST_POLYS
+
+
+def test_argvs_use_every_option():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    used = set()
+    for argv in ARGVS:
+        command = sub.choices.get(argv[0])
+        if command is None:  # a top-level option
+            used |= {("", a) for a in argv}
+            continue
+        args = command.parse_args(argv[1:])
+        for a in command._actions:
+            if a.option_strings:
+                if set(a.option_strings) & set(argv):
+                    used.add((argv[0], max(a.option_strings, key=len)))
+            elif getattr(args, a.dest, a.default) != a.default:
+                used.add((argv[0], a.dest))
+        assert "verify" not in argv or ("--workers", "1") in zip(argv, argv[1:]), argv
+    # OPTIONS is every (command, option) pair, which test_option_inventory
+    # pins to the parser
+    assert sorted(OPTIONS - used) == []
+
+
+def test_every_function_is_reached(capsys, tmp_path):
+    names = _code_names()
+    paths = {}
+    for name, f in FOREST_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(f.to_json()))
+
+    def run():
+        for argv in ARGVS:
+            try:
+                code = cli.main([str(paths.get(a, a)) for a in argv])
+            except SystemExit as exc:  # --version
+                code = exc.code
+            assert code == 0, argv
+        for fn, *args in BENCH_CALLS:
+            _drain(fn(*args))
+
+    seen = set().union(*_route_reach().values(), _trace(names, run))
+    capsys.readouterr()
+    # dataclass-generated methods (__init__, __eq__, ...) are compiled
+    # from a string; they are no code of the package's own
+    defined = {name for code, name in names.items() if code.co_filename != "<string>"}
+    unreached = defined - seen
+    assert sorted(unreached - UNREACHED.keys()) == []
+    assert sorted(UNREACHED.keys() - unreached) == [], "stale UNREACHED entries"

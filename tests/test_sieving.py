@@ -8,7 +8,6 @@ from math import comb
 
 import pytest
 
-from ncfsieve import enumeration
 from ncfsieve.bijections import decompose_periodic, enumerate_images, tree_extents
 from ncfsieve.enumeration import (
     count_forests,
@@ -16,7 +15,6 @@ from ncfsieve.enumeration import (
     divisors,
     enumerate_forests,
     enumerate_invariant,
-    invariant_counts,
 )
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import forest_count, forest_count_poly
@@ -152,11 +150,6 @@ def test_verify_csp_reads_every_route_through_routes(monkeypatch):
     for name, route in ROUTES.items():
         monkeypatch.setitem(ROUTES, name, route._replace(
             count=lambda n, k, d, s=sentinels[name]: s))
-
-    def no_batch(*args):
-        raise AssertionError("verify_csp reached invariant_counts")
-
-    monkeypatch.setattr(enumeration, "invariant_counts", no_batch)
     rows = verify_csp(6)
     assert len(rows) == 6 * len(divisors(6))
     for row in rows:
@@ -214,8 +207,8 @@ ENTRY_POINTS = [
     if getattr(route, part) is not None
 ] + [
     (fn.__name__, fn, 2)
-    for fn in (enumerate_forests, count_forests, invariant_counts, forest_count,
-               forest_count_poly, verify_csp)
+    for fn in (enumerate_forests, count_forests, forest_count, forest_count_poly,
+               verify_csp)
 ] + [("NonCrossingForest", NonCrossingForest, 1)]
 
 # Entry points that take d with a forest on n = 6 vertices.
