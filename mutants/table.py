@@ -26,20 +26,28 @@ QP = "tests/test_qpoly.py"
 MUTANTS = (
     # the filter walk
     Mutant(
+        "count-cut-strict", "enumeration.py",
+        "while cand.bit_count() >= want:",
+        "while cand.bit_count() > want:",
+        (f"{ENUM}::test_counts_match_formula",
+         f"{ENUM}::test_matches_recursive_generator"),
+        "count cut made strict",
+    ),
+    Mutant(
         "floor-cut-early", "enumeration.py",
-        "if (tops & below[u]).bit_count() < k:  # else the floor cut",
-        "if (tops & below[u]).bit_count() < k - 1:  # else the floor cut",
+        "if (tops & below[u]).bit_count() >= k:",
+        "if (tops & below[u]).bit_count() >= k - 1:",
         (f"{ENUM}::test_counts_match_formula",
          f"{ENUM}::test_matches_recursive_generator"),
         "floor cut one component early",
     ),
     Mutant(
         "rotation-cut-early", "enumeration.py",
-        "miss.bit_count() > need - depth - 1:",
-        "miss.bit_count() > need - depth - 2:",
+        "miss.bit_count() > want - 1):",
+        "miss.bit_count() > want - 2):",
         (f"{ENUM}::test_filter_counts_match_per_forest_filter",
          f"{ENUM}::test_fixed_stream_is_the_per_forest_filter"),
-        "rotation cut at `> need - depth - 2`",
+        "rotation cut at `> want - 2`",
     ),
     Mutant(
         "tally-flush-dropped", "enumeration.py",

@@ -57,6 +57,7 @@ from .forest import (
     check_n,
     check_vertex,
     chord,
+    is_int,
 )
 
 
@@ -244,7 +245,7 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
     the good vertex of v's region).
     """
     check_vertex(v, phi.n)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+    if not is_int(d) or d < 2:
         raise ValueError(f"fold d = {d!r} must be an integer >= 2 to glue copies of "
                          f"a forest on {phi.n} vertices")
     good = classify_vertices(phi)

@@ -228,8 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qpoly", help="coefficients of the count q-polynomial")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--pretty", action="store_true", help="print as a polynomial")
-    p.add_argument("--json", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--pretty", action="store_true", help="print as a polynomial")
+    form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_qpoly)
 
     p = sub.add_parser("eval", help="q-polynomial at a primitive d-th root of unity")

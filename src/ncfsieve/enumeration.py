@@ -9,15 +9,16 @@ still join the selection, which is ~(banned | closed) & after(last) with
 * closed: the chords whose two endpoints already lie in one component,
 * after(last): the chords after the last one chosen.
 
-Choosing chord i removes from the candidates the chords that cross it
-and, as i merges components A and B, the chords with one end in each:
-star[A] & star[B], where star[r] is the OR of the chords incident to the
-vertices of the component rooted at r. A union-find with an undo stack
-finds those two roots, once per chosen chord, and keeps the largest vertex
-of each component. Three cuts keep the walk off dead ends; each drops only
+Every frame runs one candidate loop, lowest chord first. Choosing chord
+i removes from the candidates the chords that cross it and, as i merges
+components A and B, the chords with one end in each: star[A] & star[B],
+where star[r] is the OR of the chords incident to the vertices of the
+component rooted at r. A union-find with an undo stack finds those two
+roots, once per candidate tried, and keeps the largest vertex of each
+component. Three cuts keep the walk off dead ends; each drops only
 subtrees that hold no forest asked for, so the walk still meets every one:
 
-* count: a node with fewer candidates than chords still to choose is cut;
+* count: the loop's condition, no fewer candidates than chords to choose;
 * floor: every chord after (u, v) in the order has both ends at u or
   above, so once (u, v) is chosen a component whose largest vertex is below
   u is final. The forest keeps those components and has at least one more,
@@ -30,18 +31,19 @@ subtrees that hold no forest asked for, so the walk still meets every one:
   enter a node where r(S) minus S outnumbers the chords still to choose
   or holds a chord outside the node's candidates.
 
-At a node one chord short of a forest, every remaining candidate completes
-one, so the walk handles the prefix with its whole completing mask instead
-of visiting the leaves one by one. This group is also where the fixed-point
-filter runs: at d >= 2 the walk tests the prefix once against the
-rotation and keeps the mask of completions that give a fixed forest. One
-walk serves one d. Enumeration has the walk yield each mask and expands it
-low bit first, which keeps the stream lexicographic and lazy. Counting
-hands the walk a one-entry list instead, and the walk adds each mask's
-popcount to a local sum, flushed into the list when the walk ends, yielding
-nothing: no group leaves the walk and no forest is built. No forest is
-rotated whole, so the filter route's count (count_forests with d) and its
-stream (enumerate_forests with d) read the same test.
+One chord short of a forest, the candidates below chord i are the chords
+that complete the prefix with i, so the loop pushes no frame and handles
+the prefix with its whole completing mask instead of visiting the leaves
+one by one. This group is also where the fixed-point filter runs: at
+d >= 2 the walk tests the prefix once against the rotation and keeps the
+mask of completions that give a fixed forest. One walk serves one d.
+Enumeration has the walk yield each mask and expands it low bit first,
+which keeps the stream lexicographic and lazy. Counting hands the walk a
+one-entry list instead, and the walk adds each mask's popcount to a local
+sum, flushed into the list when the walk ends, yielding nothing: no group
+leaves the walk and no forest is built. No forest is rotated whole, so
+the filter route's count (count_forests with d) and its stream
+(enumerate_forests with d) read the same test.
 
 Rotation-fixed forests can additionally be generated directly by
 backtracking over whole chord orbits of the rotation, which stays cheap at
@@ -146,19 +148,23 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
       when j completes S and r(j) is the one chord of S outside r(S);
     * otherwise none is, and the test stops at the second missing chord.
 
-    On the way down the walk applies the count, floor and rotation cuts of
-    the module docstring. The floor cut is exact because no chord chosen
-    later touches a vertex below the floor, the first end of the last chord
-    chosen, so a component final there is a component of every forest below
-    the node. The rotation cut is exact because a fixed forest F that holds
-    S holds r(S) too, and r(S) minus S lies in F minus S, which has as many
-    chords as are still to choose and lies inside the candidates of the
-    node below: chords after the last one chosen that cross no chord of S
-    and join no two vertices S connects. At the last level it is the test
-    above, and the r(prefix) carried down, one mask on the undo stack
-    beside tops, makes that test one OR per candidate. Groups come in
-    lexicographic order of prefix, so expanding each mask low bit first
-    lists the forests in lexicographic order.
+    One candidate loop runs per frame, with the count cut as its condition,
+    exact at the last level too: the chord tried needs one more after it. A
+    candidate i meets the floor cut, which leaves the node, then the root
+    finds that give nxt, the candidates below it. At the last level nxt, the
+    completions of prefix + [i], goes through the test above; higher up the
+    rotation cut and the push follow. The floor cut is exact because no
+    chord chosen later touches a vertex below the floor, the first end of
+    the last chord chosen, so a component final there is a component of
+    every forest below the node. The rotation cut is exact because a fixed
+    forest F that holds S holds r(S) too, and r(S) minus S lies in F minus
+    S, which has as many chords as are still to choose and lies inside the
+    candidates of the node below: chords after the last one chosen that
+    cross no chord of S and join no two vertices S connects. At the last
+    level it is the test above, and the r(prefix) carried down, one mask on
+    the undo stack beside tops, makes that test one OR per candidate. Groups
+    come in lexicographic order of prefix, so expanding each mask low bit
+    first lists the forests in lexicographic order.
     """
     need = n - k
     chords = chord_table(n)
@@ -190,86 +196,72 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
     tops = (1 << (n + 1)) - 2  # bit w: w is the top of its component
     below = [(1 << u) - 1 for u in range(n + 1)]  # the vertices below u
     undo: list[tuple[int, int, int, int, int, int]] = []
-    last = need - 2  # depth whose chosen chord leaves one to go
     stack = [full]  # candidate mask per depth
     sp = 0  # the prefix as a mask
     rsp = rs = 0  # r(prefix), and r of the prefix with one chord more
     total = 0  # the popcounts, when tallying
     # Inline union-find: a root-find call per chord made this walk 6% slower.
     while stack:
-        depth = len(stack) - 1
         cand = stack[-1]
-        if depth == last:
-            prefix.append(0)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                u, v = chords[i]
-                if (tops & below[u]).bit_count() >= k:
-                    break  # floor cut; later candidates start no lower
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                completing = cand & ~(cross[i] | star[u] & star[v])
-                if not completing:
-                    continue
+        want = need + 1 - len(stack)  # chords still to choose, this one included
+        while cand.bit_count() >= want:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            u, v = chords[i]
+            if (tops & below[u]).bit_count() >= k:
+                cand = 0  # the floor cut; later candidates start no lower
+                continue
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            nxt = cand & ~(cross[i] | star[u] & star[v])
+            if rot:
+                s = sp | low
+                rs = rsp | rbit[i]
+                miss = rs & ~s
+            if want == 2:  # nxt is the mask of chords completing prefix + [i]
                 if rot:
-                    s = sp | low
-                    rs = rsp | rbit[i]
-                    miss = rs & ~s
                     if not miss:
-                        completing &= fixed
+                        nxt &= fixed
                     elif miss & (miss - 1) or rbit[miss.bit_length() - 1] != s & ~rs:
                         continue
                     else:
-                        completing &= miss
+                        nxt &= miss
                 if tally:
-                    total += completing.bit_count()
-                elif completing:
-                    prefix[last] = i
-                    yield prefix, completing
-            prefix.pop()
-        elif cand.bit_count() >= need - depth:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            u, v = chords[i]
-            if (tops & below[u]).bit_count() < k:  # else the floor cut
-                cand ^= low
-                stack[-1] = cand
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                nxt = cand & ~(cross[i] | star[u] & star[v])
-                if rot:
-                    rs = rsp | rbit[i]
-                    miss = rs & ~(sp | low)
-                    if miss & ~nxt or miss.bit_count() > need - depth - 1:
-                        continue  # the rotation cut
-                if size[u] < size[v]:
-                    u, v = v, u
-                stack.append(nxt)
-                undo.append((v, u, star[u], top[u], tops, rsp))
-                parent[v] = u
-                size[u] += size[v]
-                star[u] |= star[v]
-                if top[v] < top[u]:
-                    tops ^= 1 << top[v]
-                else:
-                    tops ^= 1 << top[u]
-                    top[u] = top[v]
-                prefix.append(i)
-                sp |= low
-                rsp = rs
+                    total += nxt.bit_count()
+                elif nxt:
+                    prefix.append(i)
+                    yield prefix, nxt
+                    prefix.pop()
                 continue
-        stack.pop()
-        if undo:
-            v, u, star[u], top[u], tops, rsp = undo.pop()
-            parent[v] = v
-            size[u] -= size[v]
-            sp ^= 1 << prefix.pop()
+            if rot and (miss & ~nxt or miss.bit_count() > want - 1):
+                continue  # the rotation cut
+            if size[u] < size[v]:
+                u, v = v, u
+            stack[-1] = cand
+            stack.append(nxt)
+            undo.append((v, u, star[u], top[u], tops, rsp))
+            parent[v] = u
+            size[u] += size[v]
+            star[u] |= star[v]
+            if top[v] < top[u]:
+                tops ^= 1 << top[v]
+            else:
+                tops ^= 1 << top[u]
+                top[u] = top[v]
+            prefix.append(i)
+            sp |= low
+            rsp = rs
+            break
+        else:
+            stack.pop()
+            if undo:
+                v, u, star[u], top[u], tops, rsp = undo.pop()
+                parent[v] = v
+                size[u] -= size[v]
+                sp ^= 1 << prefix.pop()
     if tally:
         counts[0] += total
 

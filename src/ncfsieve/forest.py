@@ -24,30 +24,34 @@ def chord(u: int, v: int) -> Chord:
     return (u, v) if u < v else (v, u)
 
 
-# The argument checks every module shares. A bool is rejected wherever an
-# int is asked for, so True never stands in for 1.
+# The argument checks every module shares, each through is_int: a bool is
+# rejected wherever an int is asked for, so True never stands in for 1.
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def check_n(n: int, k: int | None = None) -> None:
     """Raise ValueError unless n is a positive integer and, when k is
     given, 1 <= k <= n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if k is None:
         return
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+    if not is_int(k) or not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
 
 
 def check_d(d: int, n: int, least: int = 1) -> None:
     """Raise ValueError unless d is a divisor of the (already checked) n
     with d >= least."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < least or n % d:
+    if not is_int(d) or d < least or n % d:
         raise ValueError(f"d = {d!r} must be a divisor of n = {n} with d >= {least}")
 
 
 def check_vertex(x: int, n: int) -> None:
-    if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
+    if not is_int(x) or not 1 <= x <= n:
         raise ValueError(f"vertex {x!r} out of range 1..{n}")
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .forest import check_n
+from .forest import check_n, is_int
 
 
 class ExactDivisionError(ArithmeticError):
@@ -143,8 +143,8 @@ def q_binomial(a: int, b: int) -> QPoly:
     >>> q_binomial(4, 2).coeffs
     (1, 1, 2, 1, 1)
     """
-    if a < 0:
-        raise ValueError(f"q_binomial needs a >= 0, got {a}")
+    if not is_int(a) or not is_int(b) or a < 0:
+        raise ValueError(f"q_binomial needs ints a >= 0 and b, got a={a!r}, b={b!r}")
     return QPoly(_run([1], _binomial_passes(a, b)))
 
 
@@ -227,7 +227,8 @@ forest_count_poly.cache_clear = _FOREST_POLYS.clear
 
 
 # One short entry per root order d <= 100 (csp-sweep: 160 hits, 10 misses).
-@lru_cache(maxsize=None)
+# Typed, so that a cached 1 never answers for True, which the check refuses.
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(d: int) -> QPoly:
     """The d-th cyclotomic polynomial; cyclotomic(1) = q - 1.
 
@@ -242,8 +243,8 @@ def cyclotomic(d: int) -> QPoly:
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
     """
-    if d < 1:
-        raise ValueError(f"cyclotomic needs d >= 1, got {d}")
+    if not is_int(d) or d < 1:
+        raise ValueError(f"cyclotomic needs an int d >= 1, got {d!r}")
     if d == 1:
         return QPoly((-1, 1))
     # ups holds d/e for the e with an even number of prime factors, downs
@@ -267,7 +268,8 @@ def eval_at_root(p: QPoly, d: int) -> QPoly:
     leading term is then cancelled by a shifted copy of the divisor, from
     the top degree down.
 
-    For d = 1 this is reduction mod q - 1, i.e. the constant p(1).
+    For d = 1 this is reduction mod q - 1, i.e. the constant p(1). The
+    call to cyclotomic checks d before anything else.
 
     >>> eval_at_root(QPoly((0, 0, 1)), 4).coeffs
     (-1,)
@@ -287,9 +289,8 @@ def q_lucas(a: int, b: int, d: int) -> QPoly:
     """Value of [a choose b]_q at a primitive d-th root of unity via the
     q-Lucas factorization C(a//d, b//d) * [a mod d choose b mod d]_q(w),
     as the same remainder eval_at_root gives."""
-    if a < 0 or b < 0:
-        raise ValueError(f"q_lucas needs a, b >= 0, got a={a}, b={b}")
-    if d < 2:
-        raise ValueError(f"q_lucas needs d >= 2, got {d}")
+    if not (is_int(a) and is_int(b) and is_int(d)) or min(a, b) < 0 or d < 2:
+        raise ValueError(f"q_lucas needs ints a, b >= 0 and d >= 2, got a={a!r}, "
+                         f"b={b!r}, d={d!r}")
     scale = math.comb(a // d, b // d)
     return eval_at_root(QPoly([scale * c for c in q_binomial(a % d, b % d).coeffs]), d)

@@ -1,6 +1,7 @@
 """Drive the CLI through main(argv) and check wiring, exit codes, and JSON."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -131,6 +132,11 @@ def test_qpoly_json(capsys):
     doc = json.loads(out)
     assert doc["coeffs"] == list(forest_count_poly(3, 1).coeffs)
     assert doc["n"] == 3 and doc["k"] == 1
+
+
+def test_qpoly_refuses_pretty_with_json(capsys):
+    err = refused(capsys, "qpoly", "3", "1", "--pretty", "--json")
+    assert "not allowed with argument" in err
 
 
 def test_eval_agrees(capsys):
@@ -403,6 +409,15 @@ def test_verify_sweep_and_workers(capsys):
     code, out2, _ = run(capsys, "verify", "--max-n", "5", "--workers", "2", "--json")
     assert code == 0
     assert json.loads(out1) == json.loads(out2)
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    # every route's count on every cell with n <= 8, and the report's layout,
+    # byte for byte
+    code, out, _ = run(capsys, "verify", "--max-n", "8", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f54509dcd9cf9b49e5eb26a2fd19cfeca4af6697bb45d83cf7c6151d06cea2c")
 
 
 def test_verify_arg_conflicts(capsys):

@@ -501,6 +501,26 @@ def test_cyclotomic_rejects_d_below_1():
         cyclotomic(0)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (cyclotomic, (True,)),
+    (cyclotomic, (1.0,)),
+    (cyclotomic, (2.0,)),
+    (q_binomial, (True, True)),
+    (q_binomial, (2.5, 1)),
+    (q_binomial, (4, 2.0)),
+    (eval_at_root, (QPoly((1, 1)), True)),
+    (eval_at_root, (QPoly((1, 1)), 2.0)),
+    (q_lucas, (True, 1, 2)),
+    (q_lucas, (4, 2.0, 2)),
+    (q_lucas, (4, 2, 2.0)),
+])
+def test_rejects_bools_and_non_ints(fn, args):
+    # the int 1 cached first: a cache keyed on 1 == True must not answer True
+    assert cyclotomic(1) == QPoly((-1, 1))
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_cyclotomic_degree_is_totient():
     def totient(m):
         return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)

@@ -56,6 +56,7 @@ _PHI = ("the bijection route takes each small forest phi, on n/d <= 6 "
 SHARED = {
     "forest.check_n": "argument validation, the one check every route shares",
     "forest.check_d": "argument validation, the one check every route shares",
+    "forest.is_int": "the integer test inside check_n and check_d",
     "forest.NonCrossingForest._unchecked": (
         "stores n and edges of a streamed forest and computes nothing"),
     "enumeration.chord_table": (
