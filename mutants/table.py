@@ -250,7 +250,7 @@ MUTANTS = (
         "runner-skips-last-pass", "qpoly.py",
         "    for a, b in passes:\n",
         "    for a, b in passes[:-1]:\n",
-        (f"{QP}::test_q_binomial_edge_cases", f"{QP}::test_cyclotomic_frozen",
+        (f"{QP}::test_q_binomial_edge_cases",
          f"{QP}::test_every_step_is_a_checked_kernel_pass"),
         "`_run` skipping the last pass",
     ),
@@ -268,14 +268,16 @@ MUTANTS = (
         (f"{QP}::test_forest_count_poly_cache_is_bounded",),
         "cache eviction at `>` in place of `>=`",
     ),
-    # q-polynomials and their printing
+    # the poly route's evaluation at a root of unity
     Mutant(
-        "cyclotomic-composite-step", "qpoly.py",
-        "if rest % p == 0:  # p is prime",
-        "if d % p == 0:  # p is prime",
-        (f"{QP}::test_cyclotomic_frozen", f"{QP}::test_cyclotomic_product_identity"),
-        "`cyclotomic` stepping on a composite p",
+        "fold-class-check-dropped", "sieving.py",
+        "if c != b[g]:",
+        "if c != b[s]:",
+        (f"{QP}::test_poly_eval_refuses_a_fold_that_is_no_class_function",
+         f"{CLI}::test_non_integer_root_value_exits_2"),
+        "the gcd-class check of `poly_eval` dropped",
     ),
+    # q-polynomials and their printing
     Mutant(
         "pretty-drops-negatives", "qpoly.py",
         "            if c == 0:\n                continue\n",

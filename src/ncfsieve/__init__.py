@@ -1,7 +1,8 @@
 """Exact verification of the cyclic sieving phenomenon for non-crossing
-forests on a circle: enumeration, q-analogues evaluated in cyclotomic
-quotient rings, and the structural bijections behind the fixed-point
-counts. Everything is exact integer arithmetic; no floats anywhere."""
+forests on a circle: enumeration, q-analogues evaluated at roots of unity
+from their coefficients folded modulo q^d - 1, and the structural
+bijections behind the fixed-point counts. Everything is exact integer
+arithmetic; no floats anywhere."""
 
 __version__ = "0.1.0"
 
@@ -28,12 +29,9 @@ from .forest import NonCrossingForest, chord, crosses, rotate_label
 from .qpoly import (
     ExactDivisionError,
     QPoly,
-    cyclotomic,
-    eval_at_root,
     forest_count,
     forest_count_poly,
     q_binomial,
-    q_lucas,
 )
 from .sieving import (
     CspRow,
@@ -59,20 +57,17 @@ __all__ = [
     "construct_periodic",
     "count_forests",
     "crosses",
-    "cyclotomic",
     "decompose_diameter",
     "decompose_periodic",
     "divisors",
     "enumerate_forests",
     "enumerate_images",
     "enumerate_invariant",
-    "eval_at_root",
     "fixed_count_bijection",
     "forest_count",
     "forest_count_poly",
     "poly_eval",
     "q_binomial",
-    "q_lucas",
     "rotate_label",
     "tree_extents",
     "verify_csp",

@@ -4,9 +4,10 @@ Polynomials in q are dense integer coefficient tuples (index = exponent),
 trailing zeros trimmed. Everything that is a theorem about integrality is
 asserted at runtime rather than assumed: q-binomials and the forest-count
 polynomial are built as products followed by divisions that must leave a
-zero remainder, never through rational arithmetic. "Evaluation at a
-primitive d-th root of unity" is performed exactly as reduction modulo the
-d-th cyclotomic polynomial; no floating point anywhere.
+zero remainder, never through rational arithmetic; no floating point
+anywhere. Evaluation at a root of unity is not done here: the poly route
+(sieving.poly_eval) folds a polynomial's coefficients and sums them in
+integers.
 
 Every q-polynomial is built from one primitive: multiply by the ratio
 [a]_q / [b]_q of two q-integers, in one checked pass over the
@@ -18,17 +19,14 @@ and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
 two dense polynomials are ever multiplied; or, when its neighbour
 f(n, k +- 1) is cached, it starts from that and takes six passes by single
 q-integers, three multiplied in, then three divided out, from the identity
-that ties neighbouring cells. A cyclotomic polynomial is a list of passes
-by q-integers over the squarefree divisors of d. The one long division
-left is the remainder modulo a cyclotomic polynomial that evaluates at a
-root of unity.
+that ties neighbouring cells. These checked passes are the only
+arithmetic on polynomials in this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -84,11 +82,6 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
 
     def pretty(self) -> str:
         """Human-readable form, ascending powers: '1 + q^2 + q^4'."""
@@ -224,73 +217,3 @@ def forest_count_poly(n: int, k: int) -> QPoly:
 
 
 forest_count_poly.cache_clear = _FOREST_POLYS.clear
-
-
-# One short entry per root order d <= 100 (csp-sweep: 160 hits, 10 misses).
-# Typed, so that a cached 1 never answers for True, which the check refuses.
-@lru_cache(maxsize=None, typed=True)
-def cyclotomic(d: int) -> QPoly:
-    """The d-th cyclotomic polynomial; cyclotomic(1) = q - 1.
-
-    For d >= 2 it is the product of [d/e]_q^mu(e) over the squarefree
-    divisors e of d: Moebius inversion of q^m - 1 = (q - 1) [m]_q, whose
-    factors q - 1 cancel because the mu(e) sum to zero. For example
-    Phi_6 = [6]_q [1]_q / ([3]_q [2]_q). Every multiplication by a
-    q-integer comes first, then every division, each checked to leave no
-    remainder; the factors are never paired, so every partial product is a
-    polynomial.
-
-    >>> cyclotomic(6).coeffs
-    (1, -1, 1)
-    """
-    if not is_int(d) or d < 1:
-        raise ValueError(f"cyclotomic needs an int d >= 1, got {d!r}")
-    if d == 1:
-        return QPoly((-1, 1))
-    # ups holds d/e for the e with an even number of prime factors, downs
-    # for those with an odd number.
-    ups, downs = [d], []
-    rest = d
-    for p in range(2, d + 1):
-        if rest % p == 0:  # p is prime: its smaller prime factors are gone
-            ups, downs = ups + [m // p for m in downs], downs + [m // p for m in ups]
-            while rest % p == 0:
-                rest //= p
-    return QPoly(_run([1], [(m, 1) for m in ups] + [(1, m) for m in downs]))
-
-
-def eval_at_root(p: QPoly, d: int) -> QPoly:
-    """p evaluated at a primitive d-th root of unity, exactly: its canonical
-    remainder modulo the d-th cyclotomic, so two values at one d are equal
-    exactly when their remainders are. The coefficients are first folded
-    modulo q^d - 1, which the cyclotomic divides, so the long division by
-    the monic cyclotomic only ever sees a polynomial of degree below d; each
-    leading term is then cancelled by a shifted copy of the divisor, from
-    the top degree down.
-
-    For d = 1 this is reduction mod q - 1, i.e. the constant p(1). The
-    call to cyclotomic checks d before anything else.
-
-    >>> eval_at_root(QPoly((0, 0, 1)), 4).coeffs
-    (-1,)
-    """
-    divisor = cyclotomic(d).coeffs
-    cs = [sum(p.coeffs[r::d]) for r in range(d)]
-    top = len(divisor) - 1
-    for i in range(d - 1, top - 1, -1):
-        c = cs[i]
-        if c:
-            for j, x in enumerate(divisor):
-                cs[i - top + j] -= c * x
-    return QPoly(cs[:top])
-
-
-def q_lucas(a: int, b: int, d: int) -> QPoly:
-    """Value of [a choose b]_q at a primitive d-th root of unity via the
-    q-Lucas factorization C(a//d, b//d) * [a mod d choose b mod d]_q(w),
-    as the same remainder eval_at_root gives."""
-    if not (is_int(a) and is_int(b) and is_int(d)) or min(a, b) < 0 or d < 2:
-        raise ValueError(f"q_lucas needs ints a, b >= 0 and d >= 2, got a={a!r}, "
-                         f"b={b!r}, d={d!r}")
-    scale = math.comb(a // d, b // d)
-    return eval_at_root(QPoly([scale * c for c in q_binomial(a % d, b % d).coeffs]), d)

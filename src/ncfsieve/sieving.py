@@ -11,7 +11,9 @@ counted five ways:
 * bijection (d >= 2 only): actually build every fixed forest from the small
   side and count the images, each decomposed back to its own source,
 * closed: a product formula with a case split on how d meets k,
-* poly: evaluate the count q-polynomial at a primitive d-th root of unity.
+* poly: evaluate the count q-polynomial at a primitive d-th root of unity,
+  from its coefficients folded modulo q^d - 1 and a Moebius sum over the
+  divisors of d, in integers only.
 
 ROUTES is the one table of them: for each route its count of one cell, its
 stream of fixed forests when it has one, and the bound on n the command
@@ -28,12 +30,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from . import bijections, enumeration
 from .forest import NonCrossingForest, check_d, check_n
-from .qpoly import eval_at_root, forest_count, forest_count_poly
+from .qpoly import forest_count, forest_count_poly
 
 # The routes that enumerate walk sets that grow about sevenfold per vertex:
 # at n = 12 the largest cell, F(12, 3), holds 31 million forests.
@@ -67,16 +69,48 @@ def closed_form_eval(n: int, k: int, d: int) -> int:
     return 0
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function of m >= 1: 0 when a square divides m, else -1
+    to the number of its prime factors.
+
+    >>> [_mobius(m) for m in range(1, 11)]
+    [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    """
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
 def poly_eval(n: int, k: int, d: int) -> int:
     """The count q-polynomial of F(n, k) evaluated at a primitive d-th root
-    of unity, computed exactly in the cyclotomic quotient ring."""
+    of unity w, in integers only.
+
+    Folded modulo q^d - 1, the polynomial leaves b_s for s = 1 .. d: the
+    sum of its coefficients at the exponents congruent to s mod d. Its
+    value at every root of order dividing d is an integer exactly when b_s
+    depends only on gcd(s, d) (Reiner, Stanton and White 2004, Prop. 2.1);
+    this is checked, and the first s that breaks it is named. Then the
+    powers w^s with gcd(s, d) = g sum to the Ramanujan sum mu(d/g), so
+    f(w) is the sum of mu(d/g) b_g over the divisors g of d. No polynomial
+    is divided.
+    """
     check_n(n, k)
     check_d(d, n)
-    value = eval_at_root(forest_count_poly(n, k), d)
-    if value.degree > 0:
-        raise ValueError(f"value {value.pretty()} at a primitive {d}-th root "
-                         "of unity is not an integer")
-    return value.coeffs[0] if value.coeffs else 0
+    cs = forest_count_poly(n, k).coeffs
+    b = {s: sum(cs[s % d::d]) for s in range(1, d + 1)}
+    for s, c in b.items():
+        g = gcd(s, d)
+        if c != b[g]:
+            raise ValueError(f"value at a primitive {d}-th root of unity is not an "
+                             f"integer: modulo q^{d} - 1, q^{s} has coefficient {c} "
+                             f"and q^{g}, with gcd({s}, {d}) = {g}, has {b[g]}")
+    return sum(_mobius(d // g) * c for g, c in b.items() if d % g == 0)
 
 
 def fixed_count_bijection(n: int, k: int, d: int) -> int:

@@ -596,13 +596,16 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
 
 
 def test_non_integer_root_value_exits_2(capsys, monkeypatch):
-    # a value of degree 1 at a primitive 4-th root of unity is i, no count
+    # q is i at a primitive 4-th root of unity, no count: folded modulo
+    # q^4 - 1, q^3 and q^1 differ though both are prime to 4
     monkeypatch.setattr(sieving, "forest_count_poly", lambda n, k: QPoly((0, 1)))
     code, out, err = run(capsys, "eval", "4", "2", "4")
     assert code == 2
     assert out == ""
     assert err.strip() == (
-        "error: value q at a primitive 4-th root of unity is not an integer")
+        "error: value at a primitive 4-th root of unity is not an integer: modulo "
+        "q^4 - 1, q^3 has coefficient 0 and q^1, with gcd(3, 4) = 1, has 1")
+    assert "Traceback" not in err
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):

@@ -5,7 +5,8 @@ import math
 import random
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb
+from math import comb, gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -16,12 +17,9 @@ from ncfsieve import sieving
 from ncfsieve.qpoly import (
     ExactDivisionError,
     QPoly,
-    cyclotomic,
-    eval_at_root,
     forest_count,
     forest_count_poly,
     q_binomial,
-    q_lucas,
 )
 
 
@@ -75,7 +73,7 @@ def _ref_exact_div(p: QPoly, divisor: QPoly) -> QPoly:
     quot, rem = _ref_divmod(p, divisor)
     if rem.coeffs:
         raise ExactDivisionError(
-            f"remainder {rem.coeffs} dividing degree-{p.degree} polynomial"
+            f"remainder {rem.coeffs} dividing degree-{len(p.coeffs) - 1} polynomial"
         )
     return quot
 
@@ -89,6 +87,20 @@ def _ref_cyclotomic(d: int) -> QPoly:
         if d % e == 0:
             p = _ref_exact_div(p, _ref_cyclotomic(e))
     return p
+
+
+def _ref_residue(p: QPoly, d: int) -> QPoly:
+    """Reference value of p at a primitive d-th root of unity: its
+    remainder modulo the d-th cyclotomic, by long division. The value is an
+    integer exactly when the remainder is a constant."""
+    return _ref_divmod(p, _ref_cyclotomic(d))[1]
+
+
+def _poly_eval_of(p: QPoly, d: int) -> int:
+    """The poly route's value of p at a primitive d-th root of unity:
+    poly_eval(d, 1, d) with the count polynomial replaced by p."""
+    with patch.object(sieving, "forest_count_poly", lambda n, k: p):
+        return sieving.poly_eval(d, 1, d)
 
 
 @lru_cache(maxsize=None)
@@ -138,12 +150,10 @@ def test_zero_and_trim():
     assert QPoly(()).coeffs == ()
     assert QPoly((0, 0, 0)) == QPoly(())
     assert QPoly((1, 2, 0, 0)).coeffs == (1, 2)
-    assert QPoly((1,)).degree == 0
-    assert QPoly(()).degree == -1
 
 
-# what `qpoly --pretty` and poly_eval's non-integer error print: signs,
-# unit coefficients and skipped zero terms
+# what `qpoly --pretty` prints: signs, unit coefficients and skipped zero
+# terms
 @pytest.mark.parametrize("coeffs, text", [
     ((), "0"),
     ((-1,), "-1"),
@@ -221,11 +231,29 @@ def test_ratio_q_int_edges():
         qp._ratio_q_int([1], 1, 0)
 
 
-@given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12))
-def test_folded_residue_matches_long_division(a, d):
-    p = QPoly(tuple(a))
-    _, rem = _ref_divmod(p, _ref_cyclotomic(d))
-    assert eval_at_root(p, d) == rem
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12),
+       st.lists(st.integers(-50, 50), min_size=12, max_size=12))
+def test_folded_residue_matches_long_division(a, d, v):
+    # a: any polynomial. fixed: a with its fold modulo q^d - 1 moved onto
+    # the class function s -> v[gcd(s, d)], so its value at every root of
+    # order dividing d is an integer, which the fold and Moebius sum must
+    # give as the reference remainder
+    fixed = list(a) + [0] * d
+    for s in range(d):
+        fixed[s] += v[gcd(s, d) - 1] - sum(fixed[s::d])
+    fixed = QPoly(fixed)
+    assert QPoly((_poly_eval_of(fixed, d),)) == _ref_residue(fixed, d)
+    # a itself: a value is the reference remainder; a remainder that is not
+    # a constant is not an integer, so poly_eval must refuse it
+    rem = _ref_residue(QPoly(a), d)
+    try:
+        got = QPoly((_poly_eval_of(QPoly(a), d),))
+    except ValueError:
+        got = None  # not an integer at some root of order dividing d
+    if got is not None:
+        assert got == rem
+    if len(rem.coeffs) > 1:
+        assert got is None
 
 
 @given(coeff_lists, coeff_lists)
@@ -241,7 +269,7 @@ def test_divmod_reconstructs(a, b):
         return
     rest = QPoly([x - r for x, r in zip_longest(pa.coeffs, rem.coeffs, fillvalue=0)])
     assert _schoolbook_mul(quot.coeffs, pb.coeffs) == rest
-    assert rem.degree < pb.degree
+    assert len(rem.coeffs) < len(pb.coeffs)
 
 
 @given(coeff_lists, coeff_lists)
@@ -308,19 +336,16 @@ def _forest_6(k, near=None):
 # every pass each kernel call takes, in order. f(6, 2) from nothing: the
 # ladders of [6 choose 1]_q and [13 choose 4]_q, then the pass by
 # [1]_q / [10]_q. f(6, 2) from f(6, 3) and f(6, 3) from f(6, 2): three
-# q-integers multiplied in, then three divided out. cyclotomic(30): its
-# multiplications before its divisions
+# q-integers multiplied in, then three divided out
 KERNEL_STEPS = {
     "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
     "forest-down": [(2, 1), (13, 1), (12, 1), (1, 5), (1, 4), (1, 10)],
     "forest-up": [(5, 1), (4, 1), (10, 1), (1, 2), (1, 13), (1, 12)],
-    "cyclotomic": [(30, 1), (5, 1), (3, 1), (2, 1), (1, 15), (1, 10), (1, 6), (1, 1)],
 }
 KERNEL_CALLS = {
     "forest": lambda: _forest_6(2),
     "forest-down": lambda: _forest_6(2, 3),
     "forest-up": lambda: _forest_6(3, 2),
-    "cyclotomic": lambda: cyclotomic.__wrapped__(30),
 }
 
 
@@ -470,15 +495,15 @@ def test_q_binomial_symmetric_unimodal():
             assert is_unimodal(p)
 
 
-# ------------------------------------------------------------- cyclotomics
+# --------------------------------------------------- reference cyclotomics
 
 
 def test_cyclotomic_frozen():
-    assert cyclotomic(1).coeffs == (-1, 1)
-    assert cyclotomic(2).coeffs == (1, 1)
-    assert cyclotomic(4).coeffs == (1, 0, 1)
-    assert cyclotomic(6).coeffs == (1, -1, 1)
-    assert cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
+    assert _ref_cyclotomic(1).coeffs == (-1, 1)
+    assert _ref_cyclotomic(2).coeffs == (1, 1)
+    assert _ref_cyclotomic(4).coeffs == (1, 0, 1)
+    assert _ref_cyclotomic(6).coeffs == (1, -1, 1)
+    assert _ref_cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 61))
@@ -486,39 +511,9 @@ def test_cyclotomic_product_identity(m):
     prod = QPoly((1,))
     for e in range(1, m + 1):
         if m % e == 0:
-            prod = _schoolbook_mul(prod.coeffs, cyclotomic(e).coeffs)
+            prod = _schoolbook_mul(prod.coeffs, _ref_cyclotomic(e).coeffs)
     expect = QPoly(tuple([-1] + [0] * (m - 1) + [1]))
     assert prod == expect
-
-
-def test_cyclotomic_matches_recursive_oracle():
-    for d in range(1, 301):
-        assert cyclotomic(d) == _ref_cyclotomic(d), d
-
-
-def test_cyclotomic_rejects_d_below_1():
-    with pytest.raises(ValueError):
-        cyclotomic(0)
-
-
-@pytest.mark.parametrize("fn, args", [
-    (cyclotomic, (True,)),
-    (cyclotomic, (1.0,)),
-    (cyclotomic, (2.0,)),
-    (q_binomial, (True, True)),
-    (q_binomial, (2.5, 1)),
-    (q_binomial, (4, 2.0)),
-    (eval_at_root, (QPoly((1, 1)), True)),
-    (eval_at_root, (QPoly((1, 1)), 2.0)),
-    (q_lucas, (True, 1, 2)),
-    (q_lucas, (4, 2.0, 2)),
-    (q_lucas, (4, 2, 2.0)),
-])
-def test_rejects_bools_and_non_ints(fn, args):
-    # the int 1 cached first: a cache keyed on 1 == True must not answer True
-    assert cyclotomic(1) == QPoly((-1, 1))
-    with pytest.raises(ValueError):
-        fn(*args)
 
 
 def test_cyclotomic_degree_is_totient():
@@ -526,61 +521,111 @@ def test_cyclotomic_degree_is_totient():
         return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)
 
     for m in range(1, 40):
-        assert cyclotomic(m).degree == totient(m)
+        assert len(_ref_cyclotomic(m).coeffs) - 1 == totient(m)
 
 
-# ------------------------------------------------------ residue arithmetic
+@pytest.mark.parametrize("fn, args", [
+    (sieving.poly_eval, (4, 2, True)),
+    (sieving.poly_eval, (4, 2, 2.0)),
+    (sieving.poly_eval, (True, 1, 1)),
+    (q_binomial, (True, True)),
+    (q_binomial, (2.5, 1)),
+    (q_binomial, (4, 2.0)),
+])
+def test_rejects_bools_and_non_ints(fn, args):
+    # the ints cached first: a cache keyed on 1 == True must not answer True
+    assert forest_count_poly(1, 1) == QPoly((1,))
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+# ------------------------------------------------- values at roots of unity
 
 
 def test_residue_reduces():
-    # q^2 == -1 mod q^2+1, and q^5 folds to q before the division
-    assert eval_at_root(QPoly((0, 0, 1)), 4) == QPoly((-1,))
-    assert eval_at_root(QPoly((0, 0, 0, 0, 0, 1)), 4) == QPoly((0, 1))
-    assert eval_at_root(QPoly(()), 3) == QPoly(())
+    # q^2 is -1 at a primitive 4-th root, and q^6 folds to it; q^5 folds
+    # to q, which is no integer there
+    assert _poly_eval_of(QPoly((0, 0, 1)), 4) == -1
+    assert _poly_eval_of(QPoly((0, 0, 0, 0, 0, 0, 1)), 4) == -1
+    assert _poly_eval_of(QPoly(()), 3) == 0
+    with pytest.raises(ValueError, match=r"q\^3 has coefficient 0 and q\^1"):
+        _poly_eval_of(QPoly((0, 0, 0, 0, 0, 1)), 4)
 
 
 def test_residue_as_integer_rejects_nonconstant(monkeypatch):
-    # a value of degree 1 is not an integer: the poly route refuses it
+    # q is i at a primitive 4-th root of unity, no integer: the poly route
+    # refuses it
     monkeypatch.setattr(sieving, "forest_count_poly", lambda n, k: QPoly((0, 1)))
-    assert eval_at_root(QPoly((0, 1)), 4).degree == 1
+    assert _ref_residue(QPoly((0, 1)), 4) == QPoly((0, 1))
     with pytest.raises(ValueError, match="primitive 4-th root of unity is not an integer"):
         sieving.poly_eval(4, 2, 4)
 
 
+def test_poly_eval_refuses_a_fold_that_is_no_class_function(monkeypatch):
+    # q - q^2 is 1 at a primitive 6-th root of unity but i sqrt(3) at a
+    # primitive cube root: folded modulo q^6 - 1, q^4 and q^2 differ though
+    # gcd(4, 6) = gcd(2, 6), so no count of fixed points gives it
+    p = QPoly((0, 1, -1))
+    assert _ref_residue(p, 6) == QPoly((1,))
+    assert len(_ref_residue(p, 3).coeffs) == 2
+    monkeypatch.setattr(sieving, "forest_count_poly", lambda n, k: p)
+    for k in range(1, 7):
+        with pytest.raises(ValueError) as err:
+            sieving.poly_eval(6, k, 6)
+        assert str(err.value) == (
+            "value at a primitive 6-th root of unity is not an integer: modulo "
+            "q^6 - 1, q^4 has coefficient 0 and q^2, with gcd(4, 6) = 2, has -1")
+
+
+def test_poly_eval_is_the_reference_remainder():
+    # every cell with n <= 30: the fold and Moebius sum give the remainder
+    # of f(n, k; q) modulo the d-th cyclotomic, by long division
+    cells = 0
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            f = forest_count_poly(n, k)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    assert QPoly((sieving.poly_eval(n, k, d),)) == _ref_residue(f, d), (n, k, d)
+                    cells += 1
+    assert cells == 1949
+
+
 def test_eval_at_root_rejects_d_below_1():
-    with pytest.raises(ValueError):
-        eval_at_root(QPoly((1, 1)), 0)
+    # checked before the fold, which would divide by d
+    for d in (0, -4):
+        with pytest.raises(ValueError, match="must be a divisor"):
+            sieving.poly_eval(4, 2, d)
 
 
 def test_eval_at_root_frozen():
-    assert eval_at_root(forest_count_poly(3, 1), 3) == QPoly(())
-    assert eval_at_root(q_binomial(4, 2), 2) == QPoly((2,))
+    assert sieving.poly_eval(3, 1, 3) == 0
+    assert _poly_eval_of(q_binomial(4, 2), 2) == 2
     # d = 1 means q = 1, i.e. plain counting
-    assert eval_at_root(forest_count_poly(4, 2), 1) == QPoly((14,))
+    assert sieving.poly_eval(4, 2, 1) == 14
 
 
 # ----------------------------------------------------------------- q-Lucas
 
 
 def test_q_lucas_frozen():
-    assert q_lucas(4, 2, 2) == QPoly((2,))
-    assert q_lucas(5, 3, 3) == QPoly((1,))
-    assert q_lucas(7, 3, 3) == QPoly((2,))
-
-
-def test_q_lucas_requires_d_at_least_2():
-    with pytest.raises(ValueError):
-        q_lucas(4, 2, 1)
-    with pytest.raises(ValueError):
-        q_lucas(-1, 0, 2)
+    # [a choose b]_q at a primitive d-th root: C(a//d, b//d) times
+    # [a mod d choose b mod d]_q there
+    assert _ref_residue(q_binomial(4, 2), 2) == QPoly((2,))
+    assert _ref_residue(q_binomial(5, 3), 3) == QPoly((1,))
+    assert _ref_residue(q_binomial(7, 3), 3) == QPoly((2,))
 
 
 def test_q_lucas_matches_direct_evaluation_small():
-    for a in range(0, 16):
+    # [a choose b]_q is a sieving polynomial for the b-subsets of Z/a, so
+    # at every d dividing a the poly route evaluates it, and q-Lucas gives
+    # C(a/d, b/d) when d divides b, else 0 ([0 choose b mod d]_q = 0)
+    for a in range(1, 16):
         for b in range(0, a + 1):
-            for d in range(2, 9):
-                direct = eval_at_root(q_binomial(a, b), d)
-                assert direct == q_lucas(a, b, d), (a, b, d)
+            for d in range(2, a + 1):
+                if a % d == 0:
+                    lucas = comb(a // d, b // d) if b % d == 0 else 0
+                    assert _poly_eval_of(q_binomial(a, b), d) == lucas, (a, b, d)
 
 
 def test_q_int_unit_value():
@@ -588,7 +633,7 @@ def test_q_int_unit_value():
     for d in range(2, 12):
         for a in range(1, 40):
             if a % d == 1:
-                assert eval_at_root(QPoly((1,) * a), d) == QPoly((1,)), (a, d)
+                assert _poly_eval_of(QPoly((1,) * a), d) == 1, (a, d)
 
 
 # ------------------------------------------------------------ forest counts

@@ -130,9 +130,6 @@ BENCH_CALLS = (
 # Functions that no route, no command line of ARGVS and no call of
 # BENCH_CALLS reaches.
 UNREACHED = {
-    "qpoly.q_lucas": (
-        "only acceptance criterion 5 calls it; ROADMAP item 3 either builds a "
-        "route on it or deletes it"),
     "forest.NonCrossingForest.__str__": (
         "only the messages of a BijectionError format a forest"),
 }
