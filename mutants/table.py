@@ -124,11 +124,11 @@ MUTANTS = (
         "region count `<` for `<=`",
     ),
     Mutant(
-        "crosses-guard-halved", "forest.py",
-        "    if a == c or b == d:\n        return False\n",
-        "    if b == d:\n        return False\n",
+        "crosses-one-order", "forest.py",
+        "return a < c < b < d or c < a < d < b",
+        "return a < c < b < d",
         ("tests/test_forest.py::test_crosses_matches_the_validator_sweep",),
-        "guard halved to `b == d`",
+        "`crosses` with its second disjunct dropped",
     ),
     Mutant(
         "regions-cached-unsorted", "forest.py",
@@ -148,11 +148,11 @@ MUTANTS = (
         "`check_bound` with `>=` in place of `>`",
     ),
     Mutant(
-        "eval-no-poly-bound", "cli.py",
-        '    check_bound("poly", args.n)\n    check_bound("closed", args.n)\n',
-        '    check_bound("closed", args.n)\n',
-        (f"{CLI}::test_poly_bound",),
-        "`eval` with no poly bound",
+        "verify-csp-no-route-bound", "sieving.py",
+        "if d >= r.least_d and n <= r.max_n}",
+        "if d >= r.least_d}",
+        (f"{CLI}::test_size_guard",),
+        "`verify_csp` running every route whatever its bound",
     ),
     Mutant(
         "enumerate-no-bound", "cli.py",
@@ -162,11 +162,11 @@ MUTANTS = (
         "`enumerate` with no `check_bound`",
     ),
     Mutant(
-        "verify-closed-bound-only", "cli.py",
-        "    for name in ROUTES:\n        check_bound(name, top)\n",
-        '    check_bound("closed", top)\n',
-        (f"{CLI}::test_size_guard",),
-        "`verify` checking only the closed bound",
+        "verify-one-route-enough", "sieving.py",
+        "sorted(r.max_n for r in ROUTES.values())[-2]",
+        "sorted(r.max_n for r in ROUTES.values())[-1]",
+        (f"{CLI}::test_poly_bound",),
+        "`check_verify_bound` admitting an n that one route admits",
     ),
     Mutant(
         "verify-n-plain-int", "cli.py",

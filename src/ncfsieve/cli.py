@@ -1,7 +1,7 @@
 """Command line front end.
 
-Counting, q-polynomials, root-of-unity evaluation, streaming enumeration,
-fixed-point counts, the structural bijections, and the verification sweep.
+Counting, q-polynomials, streaming enumeration, fixed-point counts, the
+structural bijections, and the verification sweep.
 Forests travel as JSON objects like {"n": 8, "edges": [[3, 4], [5, 8]]}.
 
 Exit status: 0 on success, 1 when a verification found a mismatch, 2 for
@@ -9,9 +9,11 @@ a command line argparse refuses, bad input, a size over a bound, an
 arithmetic error (such as an exact division that left a remainder) or
 memory running out (as reading a huge forest file can), 130 on Ctrl-C.
 Every count is taken from a route of sieving.ROUTES, and every bound on n
-is that route's max_n, checked by sieving.check_bound before the route
-runs: n <= 12 for the routes that enumerate, n <= 100 for the q-polynomial
-and n <= 2000 for the closed form. A forest that construct or decompose
+is that route's max_n: n <= 12 for the routes that enumerate, n <= 100 for
+the q-polynomial and n <= 2000 for the closed form. sieving.check_bound
+refuses an n over it before a single route runs. verify runs, on each
+cell, the routes that admit n, and refuses, through
+sieving.check_verify_bound, an n that fewer than two routes admit. A forest that construct or decompose
 reads, or that construct builds, has at most MAX_FOREST_N vertices.
 """
 
@@ -24,7 +26,7 @@ import sys
 
 from . import __version__, bijections, qpoly, sieving
 from .forest import NonCrossingForest
-from .sieving import ROUTES, check_bound
+from .sieving import ROUTES, check_bound, check_verify_bound
 
 # Checking a forest, classifying its vertices and finding the cut all read
 # one sweep over its sorted chords. On a glued forest with 2000 vertices and
@@ -74,24 +76,6 @@ def _cmd_qpoly(args) -> int:
     else:
         print(" ".join(str(c) for c in poly.coeffs))
     return 0
-
-
-def _cmd_eval(args) -> int:
-    check_bound("poly", args.n)
-    check_bound("closed", args.n)
-    pv = ROUTES["poly"].count(args.n, args.k, args.d)
-    cf = ROUTES["closed"].count(args.n, args.k, args.d)
-    agree = pv == cf
-    if args.json:
-        print(json.dumps(
-            {"n": args.n, "k": args.k, "d": args.d,
-             "poly": pv, "closed": cf, "agree": agree}
-        ))
-    elif agree:
-        print(pv)
-    else:
-        print(f"poly={pv} closed={cf} MISMATCH")
-    return 0 if agree else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -171,8 +155,7 @@ def _cmd_verify(args) -> int:
     if args.k is not None and args.n is None:
         raise ValueError("--k needs an explicit n")
     top = args.n if args.n is not None else args.max_n
-    for name in ROUTES:
-        check_bound(name, top)
+    check_verify_bound(top)
     if args.k is not None:
         cells = [(args.n, args.k)]
     else:
@@ -233,13 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_qpoly)
 
-    p = sub.add_parser("eval", help="q-polynomial at a primitive d-th root of unity")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_eval)
-
     p = sub.add_parser("enumerate", help="stream forests as JSON lines")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
@@ -280,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="forest JSON file, or - for stdin (default)")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("verify", help="run every count route and compare")
+    p = sub.add_parser("verify", help="run every route that admits n and compare")
     scope = p.add_mutually_exclusive_group(required=True)
     scope.add_argument("n", type=_positive_int, nargs="?")
     scope.add_argument("--max-n", type=_positive_int,

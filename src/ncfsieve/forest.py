@@ -104,16 +104,10 @@ def crosses(e1: Chord, e2: Chord, n: int) -> bool:
     c, d = chord(*e2)
     for x in (a, b, c, d):
         check_vertex(x, n)
-    # A shared end a == c or b == d can leave the other end of (c, d)
-    # inside (a, b), which the interleave test below would read as a
-    # crossing. A shared end a == d or b == c puts (c, d) wholly outside
-    # (a, b), where that test already answers False.
-    if a == c or b == d:
-        return False
-    # a < b, so "strictly between a and b clockwise" is the open interval
-    # (a, b) in the usual integer order; exactly one endpoint inside means
-    # the chords interleave.
-    return (a < c < b) != (a < d < b)
+    # a < b and c < d, so the chords interleave exactly when one starts
+    # strictly inside the other and ends strictly past it; the strict
+    # comparisons make a shared end never a crossing.
+    return a < c < b < d or c < a < d < b
 
 
 _first, _second = itemgetter(0), itemgetter(1)

@@ -16,9 +16,12 @@ counted five ways:
   divisors of d, in integers only.
 
 ROUTES is the one table of them: for each route its count of one cell, its
-stream of fixed forests when it has one, and the bound on n the command
-line puts on it, which check_bound enforces. verify_csp and every counting
-command of the command line read it, and no route's bound lives elsewhere.
+stream of fixed forests when it has one, and its bound on n. check_bound
+refuses an n over a route's bound before the command line runs that route;
+verify_csp runs on each cell every route whose bound admits n, and
+check_verify_bound refuses an n that fewer than two routes admit, where
+there would be nothing to compare. verify_csp and every counting command
+of the command line read the table, and no route's bound lives elsewhere.
 Sieving holds when every route lands on the same integer for every d. The
 routes share argument validation (forest.check_n, forest.check_d) and a
 few primitives that tests pin on their own; the route ledger test lists
@@ -121,8 +124,9 @@ def fixed_count_bijection(n: int, k: int, d: int) -> int:
 
 
 class Route(NamedTuple):
-    """One count route. max_n is the bound on n the command line puts on it;
-    least_d is the smallest d verify_csp reports it for."""
+    """One count route. max_n is its bound on n: the command line refuses a
+    larger n for it, and verify_csp does not run it there. least_d is the
+    smallest d verify_csp reports it for."""
 
     count: Callable[[int, int, int], int]
     stream: Callable[[int, int, int], Iterator[NonCrossingForest]] | None
@@ -158,11 +162,21 @@ ROUTES: dict[str, Route] = {
 
 
 def check_bound(name: str, n: int) -> None:
-    """Refuse n over the bound of route name. Library calls are not bounded;
-    the command line calls this before it runs a route."""
+    """Refuse n over the bound of route name. The command line calls this
+    before it runs a single route; the count functions themselves are not
+    bounded."""
     max_n = ROUTES[name].max_n
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the bound of the {name} route ({max_n})")
+
+
+def check_verify_bound(n: int) -> None:
+    """Refuse n that fewer than two routes admit, one route or none: a cell
+    that one route counts has nothing to be compared with."""
+    bound = sorted(r.max_n for r in ROUTES.values())[-2]
+    if n > bound:
+        raise ValueError(f"n = {n} exceeds the bound of verify ({bound}), "
+                         "past which fewer than two routes count a cell")
 
 
 # The report has always called the filter route's column "brute".
@@ -194,14 +208,16 @@ class CspRow:
 
 
 def verify_csp(n: int, k: int | None = None) -> tuple[CspRow, ...]:
-    """Run every route of ROUTES over all divisors of n, for one k or all
-    of them, and give one row per (k, d) cell. Every count, the filter
-    route's included, is its route's count of that one cell."""
+    """Run every route of ROUTES whose bound admits n over all divisors of
+    n, for one k or all of them, and give one row per (k, d) cell. Every
+    count, the filter route's included, is its route's count of that one
+    cell. n must pass check_verify_bound."""
     check_n(n, k)
+    check_verify_bound(n)
     rows = []
     for kk in (k,) if k is not None else range(1, n + 1):
         for d in enumeration.divisors(n):
-            counts = {name: r.count(n, kk, d)
-                      for name, r in ROUTES.items() if d >= r.least_d}
+            counts = {name: r.count(n, kk, d) for name, r in ROUTES.items()
+                      if d >= r.least_d and n <= r.max_n}
             rows.append(CspRow(n, kk, d, counts))
     return tuple(rows)

@@ -47,7 +47,6 @@ OPTIONS = {
     ("", "--version"),
     ("count", "n"), ("count", "k"), ("count", "--json"),
     ("qpoly", "n"), ("qpoly", "k"), ("qpoly", "--pretty"), ("qpoly", "--json"),
-    ("eval", "n"), ("eval", "k"), ("eval", "d"), ("eval", "--json"),
     ("enumerate", "n"), ("enumerate", "k"), ("enumerate", "--invariant"),
     ("enumerate", "--method"), ("enumerate", "--dot"),
     ("fixed", "n"), ("fixed", "k"), ("fixed", "d"), ("fixed", "--method"),
@@ -139,16 +138,16 @@ def test_qpoly_refuses_pretty_with_json(capsys):
     assert "not allowed with argument" in err
 
 
-def test_eval_agrees(capsys):
-    code, out, _ = run(capsys, "eval", "6", "3", "2")
-    assert code == 0
-    assert "15" in out
-
-    code, out, _ = run(capsys, "eval", "6", "3", "2", "--json")
+def test_verify_past_the_enumeration_bound(capsys):
+    # past n = 12 verify compares the two routes that still admit n
+    code, out, _ = run(capsys, "verify", "14", "--k", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["poly"] == doc["closed"] == 15
-    assert doc["agree"] is True
+    assert [r["d"] for r in doc["rows"]] == [1, 2, 7, 14]
+    for r in doc["rows"]:
+        assert list(r) == ["n", "k", "d", "poly", "closed", "agree"], r
+        assert r["poly"] == r["closed"] and r["agree"] is True, r
+    assert doc["all_agree"] is True
 
 
 def test_enumerate_stream(capsys):
@@ -499,20 +498,21 @@ def test_verify_has_no_bijection_switch(capsys):
 
 def test_size_guard(capsys, monkeypatch):
     # the enumeration bound is a fixed constant, which no environment knob
-    # lifts; count takes the closed route and its bound
+    # lifts; count takes the closed route and its bound, and verify runs
+    # past it without the walk
     def unreachable(*args):
         raise AssertionError("the walk ran past the enumeration bound")
 
     monkeypatch.setattr(enumeration, "_leaf_groups", unreachable)
     monkeypatch.setenv("NCF_SIEVE_MAX_N", "20")
     over = str(MAX_ENUM_N + 1)
-    for argv in (("enumerate", over, over, "--method", "filter"),
-                 ("verify", over, "--k", "3"), ("verify", over)):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "", argv
-        assert err.startswith("error:") and f"({MAX_ENUM_N})" in err, argv
+    code, out, err = run(capsys, "enumerate", over, over, "--method", "filter")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"({MAX_ENUM_N})" in err
     code, out, _ = run(capsys, "count", over, "3")
     assert code == 0 and int(out) == forest_count(MAX_ENUM_N + 1, 3)
+    code, out, _ = run(capsys, "verify", over, "--k", "3")
+    assert code == 0 and out.endswith("2 cells checked: all routes agree\n")
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
@@ -566,7 +566,7 @@ def test_default_size_guard(capsys):
 
 def test_poly_bound(capsys):
     over = str(MAX_POLY_N + 1)
-    for argv in (("qpoly", over, "1"), ("eval", over, "1", "1"),
+    for argv in (("qpoly", over, "1"), ("verify", over),
                  ("fixed", over, "1", "1", "--method", "poly")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -599,7 +599,7 @@ def test_non_integer_root_value_exits_2(capsys, monkeypatch):
     # q is i at a primitive 4-th root of unity, no count: folded modulo
     # q^4 - 1, q^3 and q^1 differ though both are prime to 4
     monkeypatch.setattr(sieving, "forest_count_poly", lambda n, k: QPoly((0, 1)))
-    code, out, err = run(capsys, "eval", "4", "2", "4")
+    code, out, err = run(capsys, "fixed", "4", "2", "4", "--method", "poly")
     assert code == 2
     assert out == ""
     assert err.strip() == (
@@ -665,7 +665,8 @@ def test_entry_point_verify_exits_0(argv):
      forest_count(9, 3)),
     # the filter walk with its rotation, the orbit walk and the q-polynomial
     # on the forests of F(12, 6) fixed at d = 2
-    (("fixed 12 6 2 --method filter", "fixed 12 6 2", "eval 12 6 2"), 1100),
+    (("fixed 12 6 2 --method filter", "fixed 12 6 2", "fixed 12 6 2 --method poly"),
+     1100),
 ], ids=["F(9,3)", "F(12,6)-at-d=2"])
 def test_entry_point_counts_agree(argvs, expected):
     for argv in argvs:

@@ -100,7 +100,6 @@ ARGVS = (
     ("count", "6", "3", "--json"),
     ("qpoly", "6", "2", "--pretty"),
     ("qpoly", "6", "2", "--json"),
-    ("eval", "6", "2", "3", "--json"),
     ("enumerate", "4", "2", "--invariant", "2", "--method", "filter", "--dot"),
     ("fixed", "6", "2", "3", "--method", "bijection", "--json"),
     ("construct", "--vertex", "1", "--d", "3", "PHI"),

@@ -158,6 +158,23 @@ def test_verify_csp_reads_every_route_through_routes(monkeypatch):
             assert count is sentinels[name], (row.k, row.d, name)
 
 
+def test_verify_csp_runs_each_route_up_to_its_bound(monkeypatch):
+    # past n = 12 only poly and closed admit n; past n = 100 fewer than two
+    # routes do, one (closed) or none, and there is nothing to compare
+    def unreachable(n, k, d):
+        raise AssertionError(f"an enumerating route ran at n = {n}")
+
+    for name in ("filter", "orbit", "bijection"):
+        monkeypatch.setitem(ROUTES, name, ROUTES[name]._replace(count=unreachable))
+    rows = verify_csp(13, 3)
+    assert [row.d for row in rows] == [1, 13]
+    for row in rows:
+        assert list(row.counts) == ["poly", "closed"] and row.agree
+    for n in (101, 5000):
+        with pytest.raises(ValueError, match=f"^n = {n} exceeds"):
+            verify_csp(n)
+
+
 def test_report_json_layout():
     rows = [row.to_json_dict() for row in verify_csp(4, 2)]
     assert [r["d"] for r in rows] == [1, 2, 4]
