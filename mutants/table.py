@@ -134,10 +134,17 @@ MUTANTS = (
         "regions-cached-unsorted", "forest.py",
         "        self._validate()\n",
         "        self._validate()\n"
-        '        object.__setattr__(self, "_inner", innermost_chords(n, edges))\n',
+        '        fields["_inner"] = innermost_chords(n, edges)\n',
         ("tests/test_forest.py::test_innermost_is_kept_but_is_no_field",
          "tests/test_forest.py::test_check_matches_pairwise_oracle"),
         "region list cached from the edges before they are sorted",
+    ),
+    Mutant(
+        "forest-eq-edges-only", "forest.py",
+        "return self.n == other.n and self.edges == other.edges",
+        "return self.edges == other.edges",
+        ("tests/test_forest.py::test_equality_and_hash",),
+        "`NonCrossingForest.__eq__` comparing `edges` alone",
     ),
     # the command line's bounds and argument rules
     Mutant(

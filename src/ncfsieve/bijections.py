@@ -46,7 +46,6 @@ the constructor sweeps nothing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .enumeration import enumerate_invariant
@@ -66,8 +65,7 @@ class BijectionError(ValueError):
     that failed to exist (which would mean the structure theory is wrong)."""
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     """A marked vertex, optionally with a marked incident edge."""
 
     vertex: int

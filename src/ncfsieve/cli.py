@@ -31,8 +31,9 @@ from .sieving import ROUTES, check_bound, check_verify_bound
 # Checking a forest, classifying its vertices and finding the cut all read
 # one sweep over its sorted chords. On a glued forest with 2000 vertices and
 # 1000 edges each takes under 5 ms, and under 50 ms on 20000, on one core of
-# a 2-core x86 machine; process start (about 0.16 s) costs more. The bound
-# stays as a fixed input bound; no step's cost climbs steeply past it.
+# a 2-core x86 machine; starting the process costs more (about 0.06 s for
+# `count 10 3`, 0.04 s of it the bare interpreter). The bound stays as a
+# fixed input bound; no step's cost climbs steeply past it.
 MAX_FOREST_N = 2000
 
 

@@ -11,7 +11,6 @@ s steps sends label i to ((i - 1 + s) mod n) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 Chord = tuple[int, int]
@@ -53,6 +52,13 @@ def check_d(d: int, n: int, least: int = 1) -> None:
 def check_vertex(x: int, n: int) -> None:
     if not is_int(x) or not 1 <= x <= n:
         raise ValueError(f"vertex {x!r} out of range 1..{n}")
+
+
+def read_only(self, name: str, value=None):
+    """__setattr__ and __delattr__ of the package's value classes
+    (NonCrossingForest, qpoly.QPoly): their constructors write the instance
+    dict, and nothing may change it afterwards."""
+    raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
 
 
 def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
@@ -156,7 +162,6 @@ def rotate_label(x: int, s: int, n: int) -> int:
     return (x - 1 + s) % n + 1
 
 
-@dataclass(frozen=True)
 class NonCrossingForest:
     """Immutable non-crossing forest: circle size plus sorted chord tuple.
 
@@ -169,6 +174,7 @@ class NonCrossingForest:
 
     n: int
     edges: tuple[Chord, ...]
+    __setattr__ = __delattr__ = read_only
     # innermost_chords(n, edges) once swept; a list, as a tuple copy of it
     # cost an allocation per validated forest and raised peak memory
     _inner = None
@@ -187,15 +193,15 @@ class NonCrossingForest:
                 check_vertex(v, n)
                 norm.append(chord(u, v))
         norm.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = tuple(norm)
         self._validate()
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[Chord, ...]) -> "NonCrossingForest":
         # Hot path for the enumerator: edges must already be normalized,
-        # sorted, and known valid. Writing the instance dict takes under half
-        # the time of two object.__setattr__ calls.
+        # sorted, and known valid.
         self = cls.__new__(cls)
         fields = self.__dict__
         fields["n"] = n
@@ -218,7 +224,7 @@ class NonCrossingForest:
         if len(regions) <= len(edges):
             enclosing = next(e for e in edges if e not in regions)
             raise ValueError(f"edge {enclosing} closes a cycle")
-        object.__setattr__(self, "_inner", inner)
+        self.__dict__["_inner"] = inner
 
     # -- structure ---------------------------------------------------------
 
@@ -229,8 +235,7 @@ class NonCrossingForest:
         caller shares the one list, so it is read and never changed."""
         inner = self._inner
         if inner is None:
-            inner = innermost_chords(self.n, self.edges)
-            object.__setattr__(self, "_inner", inner)
+            inner = self.__dict__["_inner"] = innermost_chords(self.n, self.edges)
         return inner
 
     def component_labels(self) -> list[int]:
@@ -304,6 +309,15 @@ class NonCrossingForest:
         lines.append("}")
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        es = ", ".join(f"{u}-{v}" for (u, v) in self.edges)
-        return f"forest(n={self.n}; {es})" if es else f"forest(n={self.n}; empty)"
+    # -- value -------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"NonCrossingForest(n={self.n!r}, edges={self.edges!r})"

@@ -26,11 +26,10 @@ arithmetic on polynomials in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .forest import check_n, is_int
+from .forest import check_n, is_int, read_only
 
 
 class ExactDivisionError(ArithmeticError):
@@ -64,7 +63,6 @@ def _ratio_q_int(cs, a: int, b: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class QPoly:
     """Dense integer polynomial in q, a value: its coefficients with
     trailing zeros trimmed.
@@ -76,12 +74,24 @@ class QPoly:
     """
 
     coeffs: tuple[int, ...]
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.__dict__["coeffs"] = tuple(cs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"QPoly(coeffs={self.coeffs!r})"
 
     def pretty(self) -> str:
         """Human-readable form, ascending powers: '1 + q^2 + q^4'."""

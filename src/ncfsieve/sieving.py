@@ -32,7 +32,6 @@ intermediate results.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -183,8 +182,7 @@ def check_verify_bound(n: int) -> None:
 _REPORT_KEYS = {"filter": "brute"}
 
 
-@dataclass(frozen=True)
-class CspRow:
+class CspRow(NamedTuple):
     """One (n, k, d) cell: the count of every route run on it, keyed by
     route name in ROUTES order."""
 

@@ -90,6 +90,12 @@ def test_golden_diameter_construct():
 def test_golden_diameter_decompose():
     assert decompose_diameter(F16_MARKV) == (F8, Mark(8))
     assert decompose_diameter(F16_MARKE) == (F8, Mark(8, (5, 8)))
+    mark = decompose_diameter(F16_MARKE)[1]
+    with pytest.raises(AttributeError):
+        mark.vertex = 1
+    with pytest.raises(AttributeError):
+        mark.edge = None
+    assert mark == Mark(8, (5, 8))
 
 
 def test_golden_tree_extents():

@@ -289,6 +289,15 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != NonCrossingForest(5, [(1, 2)])
+    assert a != NonCrossingForest(4, [(1, 3)])
+    # a forest equals a forest only, not a tuple of its fields
+    assert a != (4, ((1, 2),))
+    for name in ("n", "edges", "_inner"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and a.n == 4 and a.edges == ((1, 2),)
 
 
 def test_innermost_is_kept_but_is_no_field(monkeypatch):

@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import ncfsieve
@@ -22,3 +24,15 @@ def test_no_module_reads_the_environment():
         if "environ" in (text := path.read_text()) or "getenv" in text
     ]
     assert readers == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every command is a fresh process, which pays for each module the
+    # package imports; dataclasses alone brings in inspect, ast, dis and
+    # tokenize, about 1 MB of resident memory that nothing here needs
+    src = Path(ncfsieve.__file__).resolve().parent.parent
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import ncfsieve.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -150,6 +150,16 @@ def test_zero_and_trim():
     assert QPoly(()).coeffs == ()
     assert QPoly((0, 0, 0)) == QPoly(())
     assert QPoly((1, 2, 0, 0)).coeffs == (1, 2)
+    # a value: equality, hash and repr go by the trimmed coefficients
+    p = QPoly([1, 2, 0])
+    assert p == QPoly((1, 2)) and hash(p) == hash(QPoly((1, 2)))
+    assert p != QPoly((1, 2, 1)) and p != (1, 2)
+    assert repr(p) == "QPoly(coeffs=(1, 2))"
+    with pytest.raises(AttributeError):
+        p.coeffs = (3,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (1, 2)
 
 
 # what `qpoly --pretty` prints: signs, unit coefficients and skipped zero

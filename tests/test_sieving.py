@@ -2,6 +2,7 @@
 and the argument checks every public entry point shares."""
 
 import json
+import pickle
 import time
 from collections.abc import Iterator
 from math import comb
@@ -141,6 +142,10 @@ def test_verify_csp_row_shape():
         else:
             assert list(row.counts) == list(ROUTES)
         assert len(set(row.counts.values())) == 1
+        # immutable, and sent whole between the processes of verify --workers
+        with pytest.raises(AttributeError):
+            row.d = 1
+        assert pickle.loads(pickle.dumps(row)) == row
 
 
 def test_verify_csp_reads_every_route_through_routes(monkeypatch):
