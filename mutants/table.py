@@ -237,8 +237,8 @@ MUTANTS = (
     ),
     Mutant(
         "step-sign-check-dropped", "qpoly.py",
-        "        if min(f.coeffs, default=0) < 0:\n"
-        '            raise ArithmeticError(f"negative coefficient in forest polynomial '
+        "    if min(f.coeffs, default=0) < 0:\n"
+        '        raise ArithmeticError(f"negative coefficient in forest polynomial '
         'n={n}, k={k}")\n',
         "",
         (f"{QP}::test_forest_step_rejects_a_negative_coefficient",
@@ -255,16 +255,17 @@ MUTANTS = (
     ),
     Mutant(
         "runner-skips-last-pass", "qpoly.py",
-        "    for a, b in passes:\n",
-        "    for a, b in passes[:-1]:\n",
+        "    for a, b in passes:\n        cs = _ratio_q_int(cs, a, b)\n",
+        "    for a, b in passes[:-1]:\n        cs = _ratio_q_int(cs, a, b)\n",
         (f"{QP}::test_q_binomial_edge_cases",
          f"{QP}::test_every_step_is_a_checked_kernel_pass"),
         "`_run` skipping the last pass",
     ),
     Mutant(
         "cache-before-check", "qpoly.py",
-        "    check_n(n, k)\n    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n",
-        "    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n        check_n(n, k)\n",
+        "    check_n(n, k)\n    f = _FOREST_POLYS.pop((n, k), None)\n    if f is not None:\n",
+        "    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n        check_n(n, k)\n"
+        "    if f is not None:\n",
         (f"{QP}::test_forest_count_poly_checks_before_the_cache",),
         "`check_n` only on a cache miss",
     ),
@@ -275,6 +276,13 @@ MUTANTS = (
         (f"{QP}::test_forest_count_poly_cache_is_bounded",),
         "cache eviction at `>` in place of `>=`",
     ),
+    Mutant(
+        "start-cost-flipped", "qpoly.py",
+        "if _cost(len(f.coeffs), steps) >= _cost(1, ladder):",
+        "if _cost(len(f.coeffs), steps) < _cost(1, ladder):",
+        (f"{QP}::test_forest_count_poly_starts_from_the_cheapest_cached_cell",),
+        "the cost comparison of the cached start flipped",
+    ),
     # the poly route's evaluation at a root of unity
     Mutant(
         "fold-class-check-dropped", "sieving.py",
@@ -283,6 +291,14 @@ MUTANTS = (
         (f"{QP}::test_poly_eval_refuses_a_fold_that_is_no_class_function",
          f"{CLI}::test_non_integer_root_value_exits_2"),
         "the gcd-class check of `poly_eval` dropped",
+    ),
+    Mutant(
+        "fold-wrong-residues", "sieving.py",
+        "b = {s: sum(r[s % d::d]) for s in range(1, d + 1)}",
+        "b = {s: sum(r[s::d]) for s in range(1, d + 1)}",
+        (f"{QP}::test_poly_eval_is_the_reference_remainder",
+         f"{QP}::test_eval_at_root_frozen"),
+        "the d-fold read from the wrong residues of the n-fold",
     ),
     # q-polynomials and their printing
     Mutant(

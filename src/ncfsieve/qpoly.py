@@ -5,9 +5,10 @@ trailing zeros trimmed. Everything that is a theorem about integrality is
 asserted at runtime rather than assumed: q-binomials and the forest-count
 polynomial are built as products followed by divisions that must leave a
 zero remainder, never through rational arithmetic; no floating point
-anywhere. Evaluation at a root of unity is not done here: the poly route
-(sieving.poly_eval) folds a polynomial's coefficients and sums them in
-integers.
+anywhere. Evaluation at a root of unity is not done here: QPoly.fold(m)
+gives a polynomial's coefficients summed by exponent mod m, once per m
+and kept on the instance, and the poly route (sieving.poly_eval) sums the
+fold modulo q^n - 1 in integers.
 
 Every q-polynomial is built from one primitive: multiply by the ratio
 [a]_q / [b]_q of two q-integers, in one checked pass over the
@@ -19,8 +20,10 @@ and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
 two dense polynomials are ever multiplied; or, when its neighbour
 f(n, k +- 1) is cached, it starts from that and takes six passes by single
 q-integers, three multiplied in, then three divided out, from the identity
-that ties neighbouring cells. These checked passes are the only
-arithmetic on polynomials in this module.
+that ties neighbouring cells. A cell with no cached neighbour but some
+cached f(n, j) steps from the nearest such j, cell by cell, when those
+steps touch fewer coefficients than the ladder (_cost). These checked
+passes are the only arithmetic on polynomials in this module.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ def _ratio_q_int(cs, a: int, b: int) -> list[int]:
 
 class QPoly:
     """Dense integer polynomial in q, a value: its coefficients with
-    trailing zeros trimmed.
+    trailing zeros trimmed. It keeps each fold(m) it has computed; that is
+    no field, so ==, hash and repr read coeffs alone.
 
     >>> QPoly((1, 2, 0, 0)).coeffs
     (1, 2)
@@ -75,6 +79,8 @@ class QPoly:
 
     coeffs: tuple[int, ...]
     __setattr__ = __delattr__ = read_only
+    # m -> fold(m), for each m asked
+    _folds = None
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -92,6 +98,25 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly(coeffs={self.coeffs!r})"
+
+    def fold(self, m: int) -> tuple[int, ...]:
+        """The coefficients summed by exponent mod m, m >= 1: entry t, for
+        t = 0 .. m-1, is the sum of those at the exponents congruent to t,
+        so the polynomial is sum_t fold(m)[t] q^t modulo q^m - 1. Summed
+        once per m and kept on the instance; the result is shared, and is
+        a tuple, so no caller can change it.
+
+        >>> QPoly((1, 2, 3, 4, 5)).fold(2)
+        (9, 6)
+        """
+        folds = self._folds
+        if folds is None:
+            folds = self.__dict__["_folds"] = {}
+        r = folds.get(m)
+        if r is None:
+            cs = self.coeffs
+            r = folds[m] = tuple(sum(cs[t::m]) for t in range(m))
+        return r
 
     def pretty(self) -> str:
         """Human-readable form, ascending powers: '1 + q^2 + q^4'."""
@@ -187,13 +212,39 @@ def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
     return [(a, 1) for a in ups] + [(1, b) for b in downs]
 
 
+def _cost(size: int, passes) -> int:
+    """The coefficients that passes touch, run from a polynomial of size
+    coefficients: a pass (a, b) from length L writes L + a entries and
+    leaves L + a - b (_ratio_q_int), so the cost is the sum of L + a over
+    the passes, read from the passes alone."""
+    touched = 0
+    for a, b in passes:
+        touched += size + a
+        size = max(size + a - b, 0)
+    return touched
+
+
 # (n, k) -> f(n, k), in order of last use. Bounded, since n <= 100 allows
 # 5050 keys whose polynomials run to thousands of large coefficients; 128
 # holds every key a sweep reuses (poly-large: 30 keys, csp-sweep: 55). A
-# full table drops its least recently used entry. Keys are only ever
+# full table drops its least recently used entry. A cell stepped through
+# on the way to another is cached too, as if asked for. Keys are only ever
 # checked pairs of ints, so (2.0, 1) or (True, 1) never reach an entry.
 _FOREST_POLYS: dict[tuple[int, int], QPoly] = {}
 _FOREST_POLYS_MAX = 128
+
+
+def _build(n: int, k: int, start: QPoly, j: int | None) -> QPoly:
+    """f(n, k) from start, which is f(n, j) or, for j None,
+    [n choose k-1]_q, by the passes of _forest_passes: checked
+    nonnegative, then cached as the most recently used entry."""
+    f = QPoly(_run(start.coeffs, _forest_passes(n, k, j)))
+    if min(f.coeffs, default=0) < 0:
+        raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
+    if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:
+        del _FOREST_POLYS[next(iter(_FOREST_POLYS))]
+    _FOREST_POLYS[n, k] = f
+    return f
 
 
 def forest_count_poly(n: int, k: int) -> QPoly:
@@ -201,28 +252,40 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     [n choose k-1]_q [3n-2k-1 choose n-k]_q divided exactly by [2n-k]_q.
 
     A cell whose neighbour f(n, k+1) or f(n, k-1) is cached starts from
-    it and takes six passes of one q-integer each; any other cell starts
-    from [n choose k-1]_q and takes a ladder of about n passes
-    (_forest_passes). Both give the same polynomial, through one run. The
-    division is checked exact pass by pass, and nonnegativity of the
-    coefficients, a theorem about this quotient, is checked on the result,
-    so any arithmetic regression surfaces as a hard error.
-    forest_count_poly.cache_clear() empties the cache.
+    it and takes six passes of one q-integer each. Any other cell starts
+    from the nearest cached f(n, j), stepping six passes per cell to k, or
+    from [n choose k-1]_q with a ladder of about n passes (_forest_passes),
+    whichever touches fewer coefficients (_cost); with no f(n, j) cached,
+    the ladder. Every cell stepped through is built as if asked for:
+    checked and cached. All starts give the same polynomial. The division
+    is checked exact pass by pass, and nonnegativity of the coefficients,
+    a theorem about this quotient, is checked on each result, so any
+    arithmetic regression surfaces as a hard error. The polynomial keeps
+    its folds (QPoly.fold), so a cached one is folded once per modulus.
+    forest_count_poly.cache_clear() empties the cache, folds and all.
 
     >>> forest_count_poly(3, 1).coeffs
     (1, 0, 1, 0, 1)
     """
     check_n(n, k)
     f = _FOREST_POLYS.pop((n, k), None)
-    if f is None:
-        j = next((j for j in (k + 1, k - 1) if (n, j) in _FOREST_POLYS), None)
-        start = q_binomial(n, k - 1) if j is None else _FOREST_POLYS[n, j]
-        f = QPoly(_run(start.coeffs, _forest_passes(n, k, j)))
-        if min(f.coeffs, default=0) < 0:
-            raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
-        if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:
-            del _FOREST_POLYS[next(iter(_FOREST_POLYS))]
-    _FOREST_POLYS[n, k] = f
+    if f is not None:
+        _FOREST_POLYS[n, k] = f
+        return f
+    j = next((j for t in range(1, n) for j in (k + t, k - t)
+              if (n, j) in _FOREST_POLYS), None)
+    if j is None:
+        return _build(n, k, q_binomial(n, k - 1), None)
+    f = _FOREST_POLYS[n, j]
+    step = 1 if k > j else -1
+    cells = range(j + step, k + step, step)
+    if len(cells) > 1:
+        steps = [p for i in cells for p in _forest_passes(n, i, i - step)]
+        ladder = _binomial_passes(n, k - 1) + _forest_passes(n, k, None)
+        if _cost(len(f.coeffs), steps) >= _cost(1, ladder):
+            return _build(n, k, q_binomial(n, k - 1), None)
+    for i in cells:
+        f = _build(n, i, f, i - step)
     return f
 
 

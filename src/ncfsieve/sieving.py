@@ -13,7 +13,9 @@ counted five ways:
 * closed: a product formula with a case split on how d meets k,
 * poly: evaluate the count q-polynomial at a primitive d-th root of unity,
   from its coefficients folded modulo q^d - 1 and a Moebius sum over the
-  divisors of d, in integers only.
+  divisors of d, in integers only. The fold modulo q^d - 1 is read off
+  the polynomial's fold modulo q^n - 1, summed once per polynomial and
+  kept on it, so each f(n, k; q) is folded once for all d.
 
 ROUTES is the one table of them: for each route its count of one cell, its
 stream of fixed forests when it has one, and its bound on n. check_bound
@@ -94,18 +96,21 @@ def poly_eval(n: int, k: int, d: int) -> int:
     of unity w, in integers only.
 
     Folded modulo q^d - 1, the polynomial leaves b_s for s = 1 .. d: the
-    sum of its coefficients at the exponents congruent to s mod d. Its
-    value at every root of order dividing d is an integer exactly when b_s
-    depends only on gcd(s, d) (Reiner, Stanton and White 2004, Prop. 2.1);
-    this is checked, and the first s that breaks it is named. Then the
-    powers w^s with gcd(s, d) = g sum to the Ramanujan sum mu(d/g), so
-    f(w) is the sum of mu(d/g) b_g over the divisors g of d. No polynomial
-    is divided.
+    sum of its coefficients at the exponents congruent to s mod d. They
+    are read from its fold modulo q^n - 1 (QPoly.fold(n)), which the
+    polynomial keeps, so every divisor d of n sums n entries, not the
+    whole coefficient list: since d divides n, b_s is the sum of the
+    fold's entries at the residues congruent to s mod d. Its value at
+    every root of order dividing d is an integer exactly when b_s depends
+    only on gcd(s, d) (Reiner, Stanton and White 2004, Prop. 2.1); this is
+    checked, and the first s that breaks it is named. Then the powers w^s
+    with gcd(s, d) = g sum to the Ramanujan sum mu(d/g), so f(w) is the
+    sum of mu(d/g) b_g over the divisors g of d. No polynomial is divided.
     """
     check_n(n, k)
     check_d(d, n)
-    cs = forest_count_poly(n, k).coeffs
-    b = {s: sum(cs[s % d::d]) for s in range(1, d + 1)}
+    r = forest_count_poly(n, k).fold(n)
+    b = {s: sum(r[s % d::d]) for s in range(1, d + 1)}
     for s, c in b.items():
         g = gcd(s, d)
         if c != b[g]:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import weakref
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd
@@ -160,6 +161,15 @@ def test_zero_and_trim():
     with pytest.raises(AttributeError):
         del p.coeffs
     assert p.coeffs == (1, 2)
+    # fold(m) sums the coefficients by exponent mod m; it is kept on the
+    # instance, once per m, and is no field: ==, hash and repr ignore it
+    q, fresh = QPoly(range(-3, 10)), QPoly(range(-3, 10))
+    for m in (1, 2, 3, 5, 12, 13, 20):
+        assert q.fold(m) == tuple(sum(q.coeffs[t::m]) for t in range(m)), m
+        assert q.fold(m) is q.fold(m)
+    assert sorted(q._folds) == [1, 2, 3, 5, 12, 13, 20] and fresh._folds is None
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert QPoly(()).fold(3) == (0, 0, 0)
 
 
 # what `qpoly --pretty` prints: signs, unit coefficients and skipped zero
@@ -443,6 +453,47 @@ def test_forest_sweep_takes_one_step_per_cell(monkeypatch):
     assert len(calls) == 40 + 6 * 39
 
 
+def _ladder(n, k):
+    """f(n, k) by its ladder from [n choose k-1]_q, with no cache, as
+    test_forest_step_matches_the_ladder pins it."""
+    return QPoly(qp._run(q_binomial(n, k - 1).coeffs, qp._forest_passes(n, k, None)))
+
+
+def _forest_from(monkeypatch, n, k, cached):
+    """forest_count_poly(n, k) with only the cells f(n, j), j in cached, in
+    the cache, and the kernel passes it takes."""
+    forest_count_poly.cache_clear()
+    for j in cached:
+        qp._FOREST_POLYS[n, j] = _ladder(n, j)
+    calls = _recording_step(monkeypatch)
+    return forest_count_poly(n, k), calls
+
+
+def test_forest_count_poly_starts_from_the_cheapest_cached_cell(monkeypatch):
+    # counts of kernel passes, not timings. From f(40, 1), f(40, 3) is two
+    # steps of six passes, which touch fewer coefficients than its ladder
+    # of 40 ([40 choose 2]_q, then 38); f(40, 2) is built on the way, and
+    # stays cached
+    f, calls = _forest_from(monkeypatch, 40, 3, [1])
+    assert calls == qp._forest_passes(40, 2, 1) + qp._forest_passes(40, 3, 2)
+    assert f == _ladder(40, 3)
+    assert len(qp._binomial_passes(40, 2) + qp._forest_passes(40, 3, None)) == 40
+    assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 2), (40, 3)]
+    assert qp._FOREST_POLYS[40, 2] == _ladder(40, 2)
+    # the nearest cached cell is the start, whichever side it is on
+    f, calls = _forest_from(monkeypatch, 40, 4, [1, 6])
+    assert calls == qp._forest_passes(40, 5, 6) + qp._forest_passes(40, 4, 5)
+    assert f == _ladder(40, 4)
+    assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 4), (40, 5), (40, 6)]
+    # from f(100, 1), f(100, 60) would be 59 steps over long polynomials:
+    # its ladder of 82 passes touches fewer, and caches nothing on the way
+    f, calls = _forest_from(monkeypatch, 100, 60, [1])
+    assert calls == qp._binomial_passes(100, 59) + qp._forest_passes(100, 60, None)
+    assert len(calls) == 82
+    assert sorted(qp._FOREST_POLYS) == [(100, 1), (100, 60)]
+    assert f == _ladder(100, 60)
+
+
 def test_forest_count_poly_checks_before_the_cache():
     forest_count_poly(2, 1)
     forest_count_poly(1, 1)
@@ -599,6 +650,24 @@ def test_poly_eval_is_the_reference_remainder():
                     assert QPoly((sieving.poly_eval(n, k, d),)) == _ref_residue(f, d), (n, k, d)
                     cells += 1
     assert cells == 1949
+
+
+def test_poly_eval_folds_the_polynomial_it_is_given():
+    # the fold lives on the polynomial, not in a table keyed by (n, k): a
+    # warm cell's fold does not answer for a patched polynomial of the
+    # same cell, and emptying the cache drops the folds with it
+    forest_count_poly.cache_clear()
+    assert sieving.poly_eval(6, 2, 3) == 0
+    p = forest_count_poly(6, 2)
+    assert p._folds == {6: p.fold(6)}
+    with patch.object(sieving, "forest_count_poly", lambda n, k: QPoly((5,))):
+        assert sieving.poly_eval(6, 2, 3) == 5
+    assert sieving.poly_eval(6, 2, 3) == 0
+    gone = weakref.ref(p)
+    del p
+    forest_count_poly.cache_clear()
+    assert gone() is None
+    assert forest_count_poly(6, 2)._folds is None
 
 
 def test_eval_at_root_rejects_d_below_1():

@@ -111,13 +111,16 @@ ARGVS = (
 )
 
 # The library calls that perfbench/worker.py makes beside cli.main: the
-# poly-large cell pair, the roundtrip stream, and each fixed forest's round
-# trip through both maps and its tree extents.
+# poly-large cell pair, twice, since its shuffled order also asks for a cell
+# of the same n with no cached neighbour; the roundtrip stream; and each
+# fixed forest's round trip through both maps and its tree extents.
 _GLUED_SOURCE = bijections.decompose_periodic(FOREST_FILES["GLUED"], 3)
 _FOLDED_SOURCE = bijections.decompose_diameter(FOREST_FILES["FOLDED"])
 BENCH_CALLS = (
     (sieving.poly_eval, 6, 2, 3),
     (sieving.closed_form_eval, 6, 2, 3),
+    (sieving.poly_eval, 6, 5, 3),
+    (sieving.closed_form_eval, 6, 5, 3),
     (enumeration.enumerate_invariant, 6, 2, 2),
     (bijections.decompose_periodic, FOREST_FILES["GLUED"], 3),
     (bijections.construct_periodic, *_GLUED_SOURCE, 3),
