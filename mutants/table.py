@@ -59,17 +59,24 @@ MUTANTS = (
     ),
     Mutant(
         "rotation-state-not-restored", "enumeration.py",
-        "v, u, star[u], top[u], tops, rsp = undo.pop()",
-        "v, u, star[u], top[u], tops, _ = undo.pop()",
+        "v, u, star[u], rsp = undo.pop()",
+        "v, u, star[u], _ = undo.pop()",
         (f"{ENUM}::test_fixed_stream_is_the_per_forest_filter",
          f"{ENUM}::test_filter_counts_past_ten_match_closed_form"),
         "r(prefix) not restored on the undo pop",
+    ),
+    Mutant(
+        "filter-root-not-largest", "enumeration.py",
+        "            if u < v:\n                u, v = v, u\n",
+        "            if u > v:\n                u, v = v, u\n",
+        (f"{ENUM}::test_counts_match_formula",),
+        "the filter walk's link test flipped to `if u > v:`",
     ),
     # the orbit walk and its stream
     Mutant(
         "leaf-not-taken-back", "enumeration.py",
         "                    yield chosen, ends[j]\n"
-        "                    undo_joins(parent, size, undo, sz)\n",
+        "                    undo_joins(parent, undo, sz)\n",
         "                    yield chosen, ends[j]\n",
         (f"{ENUM}::test_orbit_stream_order_is_pinned",
          f"{ENUM}::test_random_cell_against_filter"),
@@ -116,6 +123,13 @@ MUTANTS = (
         "crossing of orbits read against the other orbit's least chord alone",
     ),
     # forests
+    Mutant(
+        "labels-root-not-largest", "forest.py",
+        "        if u < v:\n            u, v = v, u\n",
+        "        if u > v:\n            u, v = v, u\n",
+        ("tests/test_forest.py::test_component_labels_are_the_largest_vertex_of_each_tree",),
+        "`union_edges`' link test flipped to `if u > v:`",
+    ),
     Mutant(
         "region-count-lt", "forest.py",
         "if len(regions) <= len(edges):",

@@ -33,7 +33,7 @@ NonCrossingForest constructor, which also orders each chord.
 
 tree_extents, the orbit structure behind both regimes, reads one component
 label per vertex and finds where every tree hands off to its rotated image
-in one sweep around the circle.
+in one walk around the tree and its image.
 
 enumerate_images is the bijection count route: it builds every fixed forest
 of one cell from the small side and decomposes each back to its own source,
@@ -124,11 +124,12 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     back one step, is first(T), the entry into T from its preimage. Trees
     mapped to themselves get first = last = None.
 
-    Each vertex carries its tree's label from component_labels, the root
+    Each vertex carries its tree's label from component_labels, the largest
     vertex of its tree, so every table is a list indexed by label. One pass
     over the labels against the labels s steps on checks that the rotation
-    maps every tree onto one tree; then one sweep over 1..n, started from
-    the last vertex of each tree and its image, meets every handoff.
+    maps every tree onto one tree. Then the vertices of each tree not
+    mapped to itself are sorted together with its image's, and one walk
+    around that list counts the steps from the tree into the image.
 
     Raises BijectionError if the chords close a cycle, if a tree overlaps
     its image without being equal to it, if a tree meets its image other
@@ -144,11 +145,9 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
         raise BijectionError(f"forest is not invariant under rotation of order {d}")
     s = n // d
     labs = forest.component_labels()
-    # img[c] is the tree that the vertices of tree c rotate into, top[c]
-    # the largest vertex of c, and trees lists the roots in the order of
-    # the trees' least vertices.
+    # img[c] is the tree that the vertices of tree c rotate into, and trees
+    # lists the labels in the order of the trees' least vertices.
     img = [0] * (n + 1)
-    top = [0] * (n + 1)
     members: list[list[int] | None] = [None] * (n + 1)
     trees = []
     for x, c, b in zip(range(1, n + 1), labs[1:], labs[s + 1:] + labs[1:s + 1]):
@@ -161,35 +160,11 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
             raise BijectionError(f"a tree partially overlaps its rotation by {s}")
         else:
             tree.append(x)
-        top[c] = x
     # Rotation permutes the vertices, so once every vertex of a tree lands
     # in one tree, each tree lands onto a tree of its own.
     k = len(trees)
     if k != n - len(forest.edges):
         raise BijectionError("the chords close a cycle; not a forest")
-    pre = [0] * (n + 1)
-    # tail[c] is the vertex last met of tree c and its image: +x for x in
-    # c, -x for x in the image. The sweep starts after each pair's last
-    # vertex, so the wrap from n back to 1 is met like any other step.
-    tail = [0] * (n + 1)
-    for c in trees:
-        b = img[c]
-        pre[b] = c
-        tail[c] = top[c] if top[c] > top[b] else -top[b]
-    # step[c] is the handoff (last vertex of c, first of its image) met
-    # last, and steps[c] how many there are
-    step: list[tuple[int, int] | None] = [None] * (n + 1)
-    steps = [0] * (n + 1)
-    for x in range(1, n + 1):
-        c = labs[x]
-        tail[c] = x
-        p = pre[c]
-        if p != c:
-            u = tail[p]
-            if u > 0:
-                step[p] = (u, x)
-                steps[p] += 1
-            tail[p] = -x
     extents = []
     self_mapped_count = 0
     for c in trees:
@@ -198,12 +173,17 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
             self_mapped_count += 1
             extents.append(TreeExtent(tree, None, None, True))
             continue
-        if steps[c] != 1:
+        # the tree and its image in circular order, each vertex beside the
+        # next one, the wrap from the last back to the first included
+        ring = sorted(members[c] + members[img[c]])
+        steps = [(x, w) for x, w in zip(ring, ring[1:] + ring[:1])
+                 if labs[x] == c != labs[w]]
+        if len(steps) != 1:
             raise BijectionError(
-                f"tree {tree} has {steps[c]} handoffs to its image in "
+                f"tree {tree} has {len(steps)} handoffs to its image in "
                 "circular order, expected one"
             )
-        last, w = step[c]
+        [(last, w)] = steps
         extents.append(TreeExtent(tree, (w - 1 - s) % n + 1, last, False))
     if self_mapped_count == 0:
         if k % d:

@@ -14,9 +14,10 @@ i removes from the candidates the chords that cross it and, as i merges
 components A and B, the chords with one end in each: star[A] & star[B],
 where star[r] is the OR of the chords incident to the vertices of the
 component rooted at r. A union-find with an undo stack finds those two
-roots, once per candidate tried, and keeps the largest vertex of each
-component. Three cuts keep the walk off dead ends; each drops only
-subtrees that hold no forest asked for, so the walk still meets every one:
+roots, once per candidate tried. It links the smaller root under the
+larger, so the root of each component is its largest vertex. Three
+cuts keep the walk off dead ends; each drops only subtrees that hold no
+forest asked for, so the walk still meets every one:
 
 * count: the loop's condition, no fewer candidates than chords to choose;
 * floor: every chord after (u, v) in the order has both ends at u or
@@ -148,6 +149,13 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
       when j completes S and r(j) is the one chord of S outside r(S);
     * otherwise none is, and the test stops at the second missing chord.
 
+    The union-find links the smaller root under the larger, so its roots
+    are the largest vertices of the components, and tops is the mask of the
+    roots. The floor cut counts the roots below the floor. Each join pushes
+    (child, root, star of the root, r(prefix)) on the undo stack, and the
+    pop restores the root's star and r(prefix) from it and makes the child
+    a root again.
+
     One candidate loop runs per frame, with the count cut as its condition,
     exact at the last level too: the chord tried needs one more after it. A
     candidate i meets the floor cut, which leaves the node, then the root
@@ -162,7 +170,7 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
     candidates of the node below: chords after the last one chosen that
     cross no chord of S and join no two vertices S connects. At the last
     level it is the test above, and the r(prefix) carried down, one mask on
-    the undo stack beside tops, makes that test one OR per candidate. Groups
+    the undo stack, makes that test one OR per candidate. Groups
     come in lexicographic order of prefix, so expanding each mask low bit
     first lists the forests in lexicographic order.
     """
@@ -191,11 +199,9 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
         star[u] |= 1 << i
         star[v] |= 1 << i
     parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    top = list(range(n + 1))  # largest vertex of each root's component
-    tops = (1 << (n + 1)) - 2  # bit w: w is the top of its component
+    tops = (1 << (n + 1)) - 2  # bit w: w is a root, its component's largest vertex
     below = [(1 << u) - 1 for u in range(n + 1)]  # the vertices below u
-    undo: list[tuple[int, int, int, int, int, int]] = []
+    undo: list[tuple[int, int, int, int]] = []
     stack = [full]  # candidate mask per depth
     sp = 0  # the prefix as a mask
     rsp = rs = 0  # r(prefix), and r of the prefix with one chord more
@@ -238,19 +244,14 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
                 continue
             if rot and (miss & ~nxt or miss.bit_count() > want - 1):
                 continue  # the rotation cut
-            if size[u] < size[v]:
+            if u < v:
                 u, v = v, u
             stack[-1] = cand
             stack.append(nxt)
-            undo.append((v, u, star[u], top[u], tops, rsp))
+            undo.append((v, u, star[u], rsp))
             parent[v] = u
-            size[u] += size[v]
             star[u] |= star[v]
-            if top[v] < top[u]:
-                tops ^= 1 << top[v]
-            else:
-                tops ^= 1 << top[u]
-                top[u] = top[v]
+            tops ^= 1 << v
             prefix.append(i)
             sp |= low
             rsp = rs
@@ -258,9 +259,9 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
         else:
             stack.pop()
             if undo:
-                v, u, star[u], top[u], tops, rsp = undo.pop()
+                v, u, star[u], rsp = undo.pop()
                 parent[v] = v
-                size[u] -= size[v]
+                tops ^= 1 << v
                 sp ^= 1 << prefix.pop()
     if tally:
         counts[0] += total
@@ -382,8 +383,7 @@ def _orbit_walk(n: int, k: int, d: int):
         return
     sizes, crossing, ends, fits = _orbit_table(n, d)
     parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    undo: list[tuple[int, int]] = []
+    undo: list[int] = []
     stack = [fits[need]]  # candidate orbits per depth
     taken: list[int] = []  # the orbit chosen at each depth below the first
     chosen: list[Chord] = []  # the chords of the taken orbits
@@ -397,14 +397,14 @@ def _orbit_walk(n: int, k: int, d: int):
             sz = sizes[j]
             rest = left - sz
             if not rest:  # a leaf orbit
-                if union_edges(parent, size, undo, ends[j]) == sz:
+                if union_edges(parent, undo, ends[j]) == sz:
                     yield chosen, ends[j]
-                    undo_joins(parent, size, undo, sz)
+                    undo_joins(parent, undo, sz)
                 continue
             nxt = cand & ~crossing[j] & fits[rest]
             if d * nxt.bit_count() < rest:
                 continue  # the count cut, before any join
-            if union_edges(parent, size, undo, ends[j]) < sz:
+            if union_edges(parent, undo, ends[j]) < sz:
                 continue  # the orbit closes a cycle, and nothing was joined
             stack[-1] = cand
             stack.append(nxt)
@@ -417,7 +417,7 @@ def _orbit_walk(n: int, k: int, d: int):
             if taken:
                 j = taken.pop()
                 sz = sizes[j]
-                undo_joins(parent, size, undo, sz)
+                undo_joins(parent, undo, sz)
                 left += sz
                 del chosen[-sz:]
 

@@ -61,11 +61,11 @@ def read_only(self, name: str, value=None):
     raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
 
 
-def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
-                edges) -> int:
-    """Join the ends of each edge in turn in a union-find kept as parent and
-    size lists, the smaller tree under the larger, pushing (child, root) on
-    undo per join, and return len(edges). At the first edge whose ends
+def union_edges(parent: list[int], undo: list[int], edges) -> int:
+    """Join the ends of each edge in turn in a union-find kept as a parent
+    list, the root with the smaller label under the one with the larger, so
+    every root is the largest vertex of its tree. Push the child of each
+    join on undo and return len(edges). At the first edge whose ends
     already share a root, take back this call's joins instead and return
     that edge's index.
 
@@ -78,24 +78,21 @@ def union_edges(parent: list[int], size: list[int], undo: list[tuple[int, int]],
         while parent[v] != v:
             v = parent[v]
         if u == v:
-            undo_joins(parent, size, undo, made)
+            undo_joins(parent, undo, made)
             break
-        if size[u] < size[v]:
+        if u < v:
             u, v = v, u
         parent[v] = u
-        size[u] += size[v]
-        undo.append((v, u))
+        undo.append(v)
         made += 1
     return made
 
 
-def undo_joins(parent: list[int], size: list[int], undo: list[tuple[int, int]],
-               joins: int) -> None:
+def undo_joins(parent: list[int], undo: list[int], joins: int) -> None:
     """Take back the last joins pushed on undo by union_edges: pop each
-    (child, root), shrink the root's size and make the child a root again."""
+    child and make it a root again."""
     for _ in range(joins):
-        child, root = undo.pop()
-        size[root] -= size[child]
+        child = undo.pop()
         parent[child] = child
 
 
@@ -239,21 +236,21 @@ class NonCrossingForest:
         return inner
 
     def component_labels(self) -> list[int]:
-        """Entry x, for each vertex x in 1..n, is the root vertex of x's
-        component in a union-find over the edges; entry 0 is 0. Two
-        vertices share a tree exactly when their entries are equal.
+        """Entry x, for each vertex x in 1..n, is the largest vertex of x's
+        tree, the root union_edges gives it; entry 0 is 0. Two vertices
+        share a tree exactly when their entries are equal, and no entry
+        depends on the order of the edges.
 
         The edges must form a forest, as the constructor guarantees: on a
         cycle union_edges takes its joins back.
         """
         n = self.n
         parent = list(range(n + 1))
-        union_edges(parent, [1] * (n + 1), [], self.edges)
-        for x in range(1, n + 1):
-            root = parent[x]
-            while parent[root] != root:
-                root = parent[root]
-            parent[x] = root  # later finds through x stop at the root
+        union_edges(parent, [], self.edges)
+        # every parent is above its child, so from n down each parent
+        # already holds its root
+        for x in range(n, 0, -1):
+            parent[x] = parent[parent[x]]
         return parent
 
     def component_count(self) -> int:

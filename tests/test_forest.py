@@ -19,6 +19,8 @@ from ncfsieve.forest import (
     crosses,
     innermost_chords,
     rotate_label,
+    undo_joins,
+    union_edges,
 )
 from window_oracle import components, rotate
 
@@ -338,6 +340,44 @@ def test_components_by_least_label():
 def test_component_count_is_n_minus_edges():
     f = NonCrossingForest(8, [(3, 4), (5, 8), (6, 8), (2, 8)])
     assert f.component_count() == 8 - len(f.edges) == 4
+
+
+def test_component_labels_are_the_largest_vertex_of_each_tree():
+    # entry x is the largest vertex of x's tree as networkx finds it, on
+    # every forest with n <= 8
+    forests = 0
+    for n in range(1, 9):
+        graph = nx.empty_graph(range(1, n + 1))
+        for k in range(1, n + 1):
+            for f in enumerate_forests(n, k):
+                graph.add_edges_from(f.edges)
+                want = [0] * (n + 1)
+                for tree in nx.connected_components(graph):
+                    top = max(tree)
+                    for x in tree:
+                        want[x] = top
+                assert f.component_labels() == want, f
+                graph.remove_edges_from(f.edges)
+                forests += 1
+    assert forests == 53272
+    f = NonCrossingForest(12, [(1, 2), (1, 8), (3, 7), (4, 7), (9, 11)])
+    assert f.component_labels() == [0, 8, 8, 7, 7, 5, 6, 7, 8, 11, 10, 11, 12]
+
+
+def test_union_edges_and_undo_joins_take_back_exactly():
+    n = 6
+    parent = list(range(n + 1))
+    undo: list[int] = []
+    assert union_edges(parent, undo, [(5, 6)]) == 1
+    assert (parent, undo) == ([0, 1, 2, 3, 4, 6, 6], [5])
+    # the third edge closes a cycle: the call takes back its own two joins
+    assert union_edges(parent, undo, [(1, 2), (2, 3), (1, 3)]) == 2
+    assert (parent, undo) == ([0, 1, 2, 3, 4, 6, 6], [5])
+    # each root is the larger of the two it joins
+    assert union_edges(parent, undo, [(1, 2), (2, 3), (3, 4), (1, 6)]) == 4
+    assert parent == [0, 2, 3, 4, 6, 6, 6]
+    undo_joins(parent, undo, len(undo))
+    assert (parent, undo) == (list(range(n + 1)), [])
 
 
 # ------------------------------------------------------------------ rotation
