@@ -277,18 +277,18 @@ MUTANTS = (
     ),
     Mutant(
         "cache-before-check", "qpoly.py",
-        "    check_n(n, k)\n    f = _FOREST_POLYS.pop((n, k), None)\n    if f is not None:\n",
-        "    f = _FOREST_POLYS.pop((n, k), None)\n    if f is None:\n        check_n(n, k)\n"
+        "    check_n(n, k)\n    f = _FOREST_POLYS.get((n, k))\n    if f is not None:\n",
+        "    f = _FOREST_POLYS.get((n, k))\n    if f is None:\n        check_n(n, k)\n"
         "    if f is not None:\n",
         (f"{QP}::test_forest_count_poly_checks_before_the_cache",),
         "`check_n` only on a cache miss",
     ),
     Mutant(
-        "cache-one-over", "qpoly.py",
-        "if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:",
-        "if len(_FOREST_POLYS) > _FOREST_POLYS_MAX:",
+        "table-keeps-old-n", "qpoly.py",
+        "        _FOREST_POLYS.clear()\n",
+        "        pass\n",
         (f"{QP}::test_forest_count_poly_cache_is_bounded",),
-        "cache eviction at `>` in place of `>=`",
+        "the table kept the cells of an earlier n",
     ),
     Mutant(
         "start-cost-flipped", "qpoly.py",
@@ -311,7 +311,7 @@ MUTANTS = (
         "b = {s: sum(r[s % d::d]) for s in range(1, d + 1)}",
         "b = {s: sum(r[s::d]) for s in range(1, d + 1)}",
         (f"{QP}::test_poly_eval_is_the_reference_remainder",
-         f"{QP}::test_eval_at_root_frozen"),
+         f"{QP}::test_poly_eval_frozen"),
         "the d-fold read from the wrong residues of the n-fold",
     ),
     # q-polynomials and their printing

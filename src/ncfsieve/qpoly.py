@@ -23,7 +23,10 @@ q-integers, three multiplied in, then three divided out, from the identity
 that ties neighbouring cells. A cell with no cached neighbour but some
 cached f(n, j) steps from the nearest such j, cell by cell, when those
 steps touch fewer coefficients than the ladder (_cost). These checked
-passes are the only arithmetic on polynomials in this module.
+passes are the only arithmetic on polynomials in this module. The cache
+holds the cells of one n, the last asked: the first cell cached for
+another n empties it, since every caller asks for the cells of one n
+together.
 """
 
 from __future__ import annotations
@@ -224,25 +227,23 @@ def _cost(size: int, passes) -> int:
     return touched
 
 
-# (n, k) -> f(n, k), in order of last use. Bounded, since n <= 100 allows
-# 5050 keys whose polynomials run to thousands of large coefficients; 128
-# holds every key a sweep reuses (poly-large: 30 keys, csp-sweep: 55). A
-# full table drops its least recently used entry. A cell stepped through
+# (n, k) -> f(n, k) for the last n asked, at most n entries: _build
+# empties it before it caches a cell of another n. A cell stepped through
 # on the way to another is cached too, as if asked for. Keys are only ever
 # checked pairs of ints, so (2.0, 1) or (True, 1) never reach an entry.
 _FOREST_POLYS: dict[tuple[int, int], QPoly] = {}
-_FOREST_POLYS_MAX = 128
 
 
 def _build(n: int, k: int, start: QPoly, j: int | None) -> QPoly:
     """f(n, k) from start, which is f(n, j) or, for j None,
     [n choose k-1]_q, by the passes of _forest_passes: checked
-    nonnegative, then cached as the most recently used entry."""
+    nonnegative, then cached, the cache emptied first if it holds
+    another n."""
     f = QPoly(_run(start.coeffs, _forest_passes(n, k, j)))
     if min(f.coeffs, default=0) < 0:
         raise ArithmeticError(f"negative coefficient in forest polynomial n={n}, k={k}")
-    if len(_FOREST_POLYS) >= _FOREST_POLYS_MAX:
-        del _FOREST_POLYS[next(iter(_FOREST_POLYS))]
+    if _FOREST_POLYS and next(iter(_FOREST_POLYS))[0] != n:
+        _FOREST_POLYS.clear()
     _FOREST_POLYS[n, k] = f
     return f
 
@@ -262,15 +263,18 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     a theorem about this quotient, is checked on each result, so any
     arithmetic regression surfaces as a hard error. The polynomial keeps
     its folds (QPoly.fold), so a cached one is folded once per modulus.
+    The cache holds only the cells of the last n asked: the first cell
+    built for another n empties it, so cells asked in (n, k) order, or in
+    any order within each n, reuse their neighbours, and a random order
+    across n rebuilds each cell from its ladder.
     forest_count_poly.cache_clear() empties the cache, folds and all.
 
     >>> forest_count_poly(3, 1).coeffs
     (1, 0, 1, 0, 1)
     """
     check_n(n, k)
-    f = _FOREST_POLYS.pop((n, k), None)
+    f = _FOREST_POLYS.get((n, k))
     if f is not None:
-        _FOREST_POLYS[n, k] = f
         return f
     j = next((j for t in range(1, n) for j in (k + t, k - t)
               if (n, j) in _FOREST_POLYS), None)

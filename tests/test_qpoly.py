@@ -495,19 +495,26 @@ def test_forest_count_poly_starts_from_the_cheapest_cached_cell(monkeypatch):
 
 
 def test_forest_count_poly_checks_before_the_cache():
-    forest_count_poly(2, 1)
-    forest_count_poly(1, 1)
-    for bad in ((2.0, 1), (True, 1), (2, True)):
-        with pytest.raises(ValueError):
-            forest_count_poly(*bad)
+    # each bad pair equals the key of a cached cell, so only the check
+    # refuses it
+    for cell, bads in (((2, 1), [(2.0, 1), (2, True)]), ((1, 1), [(True, 1)])):
+        forest_count_poly(*cell)
+        assert cell in qp._FOREST_POLYS
+        for bad in bads:
+            with pytest.raises(ValueError):
+                forest_count_poly(*bad)
 
 
 def test_forest_count_poly_cache_is_bounded():
+    # the table holds the cells of the last n asked, and the first cell
+    # built for another n empties it
     forest_count_poly.cache_clear()
     for n in range(1, 21):
         for k in range(1, n + 1):
             forest_count_poly(n, k)
-    assert len(qp._FOREST_POLYS) == 128
+    assert sorted(qp._FOREST_POLYS) == [(20, k) for k in range(1, 21)]
+    forest_count_poly(21, 5)
+    assert list(qp._FOREST_POLYS) == [(21, 5)]
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[int]:
@@ -670,14 +677,14 @@ def test_poly_eval_folds_the_polynomial_it_is_given():
     assert forest_count_poly(6, 2)._folds is None
 
 
-def test_eval_at_root_rejects_d_below_1():
+def test_poly_eval_rejects_d_below_1():
     # checked before the fold, which would divide by d
     for d in (0, -4):
         with pytest.raises(ValueError, match="must be a divisor"):
             sieving.poly_eval(4, 2, d)
 
 
-def test_eval_at_root_frozen():
+def test_poly_eval_frozen():
     assert sieving.poly_eval(3, 1, 3) == 0
     assert _poly_eval_of(q_binomial(4, 2), 2) == 2
     # d = 1 means q = 1, i.e. plain counting
@@ -687,7 +694,7 @@ def test_eval_at_root_frozen():
 # ----------------------------------------------------------------- q-Lucas
 
 
-def test_q_lucas_frozen():
+def test_ref_residue_of_q_binomial_is_q_lucas():
     # [a choose b]_q at a primitive d-th root: C(a//d, b//d) times
     # [a mod d choose b mod d]_q there
     assert _ref_residue(q_binomial(4, 2), 2) == QPoly((2,))
@@ -695,7 +702,7 @@ def test_q_lucas_frozen():
     assert _ref_residue(q_binomial(7, 3), 3) == QPoly((2,))
 
 
-def test_q_lucas_matches_direct_evaluation_small():
+def test_poly_eval_of_q_binomial_is_q_lucas():
     # [a choose b]_q is a sieving polynomial for the b-subsets of Z/a, so
     # at every d dividing a the poly route evaluates it, and q-Lucas gives
     # C(a/d, b/d) when d divides b, else 0 ([0 choose b mod d]_q = 0)
@@ -772,16 +779,20 @@ def test_forest_count_poly_matches_the_frozen_digest():
 
 
 def test_forest_count_poly_matches_the_digest_in_any_order():
-    # shuffled, a cell meets its neighbours cached from above, from below
-    # or not at all, and every path must give the frozen polynomials
-    forest_count_poly.cache_clear()
-    order = FOREST_POLY_CELLS[:]
-    random.Random(22).shuffle(order)
-    got = {cell: forest_count_poly(*cell).coeffs for cell in order}
-    h = hashlib.sha256()
-    for n, k in FOREST_POLY_CELLS:
-        h.update(f"{n} {k} {got[n, k]}\n".encode())
-    assert h.hexdigest() == FOREST_POLY_DIGEST
+    # shuffled across n, nearly every cell starts from its ladder, since
+    # the table keeps one n; shuffled within each n, a cell meets its
+    # neighbours cached from above, from below or not at all. Every path
+    # must give the frozen polynomials
+    rng = random.Random(22)
+    across = rng.sample(FOREST_POLY_CELLS, len(FOREST_POLY_CELLS))
+    within = sorted(FOREST_POLY_CELLS, key=lambda cell: (cell[0], rng.random()))
+    for order in (across, within):
+        forest_count_poly.cache_clear()
+        got = {cell: forest_count_poly(*cell).coeffs for cell in order}
+        h = hashlib.sha256()
+        for n, k in FOREST_POLY_CELLS:
+            h.update(f"{n} {k} {got[n, k]}\n".encode())
+        assert h.hexdigest() == FOREST_POLY_DIGEST, order[:3]
 
 
 def test_forest_count_poly_specializes():

@@ -9,10 +9,11 @@ shows in a reviewed diff; an entry no pair shares any more fails too. The
 same trace shows that the function OWN names for each route is reached by
 that route alone.
 
-The routes, the command line on ARGVS and the library calls of
-BENCH_CALLS must between them reach every function of the package; one
-that none of them reaches must be in UNREACHED with a reason, so code
-that nothing runs shows in a reviewed diff.
+The routes, the command lines of ARGVS and the benchmark's workloads
+(perfbench/worker.py, imported as it stands, at its smoke size) must
+between them reach every function of the package; one that none of them
+reaches must be in UNREACHED with a reason, so code that nothing runs
+shows in a reviewed diff.
 """
 
 import argparse
@@ -20,14 +21,22 @@ import inspect
 import json
 import sys
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
+from pathlib import Path
 
+import ncfsieve
 from ncfsieve import bijections, cli, enumeration, forest, qpoly, sieving
 from ncfsieve.bijections import Mark
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.sieving import ROUTES
 from test_cli import OPTIONS
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, PERFBENCH)  # worker imports its sibling speed.py
+import worker  # noqa: E402
+
+sys.path.remove(PERFBENCH)
 
 MODULES = (forest, enumeration, qpoly, bijections, sieving, cli)
 
@@ -110,27 +119,8 @@ ARGVS = (
     ("verify", "--max-n", "3", "--workers", "1"),
 )
 
-# The library calls that perfbench/worker.py makes beside cli.main: the
-# poly-large cell pair, twice, since its shuffled order also asks for a cell
-# of the same n with no cached neighbour; the roundtrip stream; and each
-# fixed forest's round trip through both maps and its tree extents.
-_GLUED_SOURCE = bijections.decompose_periodic(FOREST_FILES["GLUED"], 3)
-_FOLDED_SOURCE = bijections.decompose_diameter(FOREST_FILES["FOLDED"])
-BENCH_CALLS = (
-    (sieving.poly_eval, 6, 2, 3),
-    (sieving.closed_form_eval, 6, 2, 3),
-    (sieving.poly_eval, 6, 5, 3),
-    (sieving.closed_form_eval, 6, 5, 3),
-    (enumeration.enumerate_invariant, 6, 2, 2),
-    (bijections.decompose_periodic, FOREST_FILES["GLUED"], 3),
-    (bijections.construct_periodic, *_GLUED_SOURCE, 3),
-    (bijections.decompose_diameter, FOREST_FILES["FOLDED"]),
-    (bijections.construct_diameter, *_FOLDED_SOURCE),
-    (bijections.tree_extents, FOREST_FILES["GLUED"], 3),
-)
-
-# Functions that no route, no command line of ARGVS and no call of
-# BENCH_CALLS reaches.
+# Functions that no route, no command line of ARGVS and no workload of
+# the benchmark reaches.
 UNREACHED = {
     "forest.NonCrossingForest.__repr__": (
         "only the messages of a BijectionError format a forest"),
@@ -204,6 +194,15 @@ def _trace(names: dict, run) -> set[str]:
     finally:
         sys.setprofile(None)
     return seen
+
+
+def _run_workload(name: str) -> None:
+    """One of the benchmark's workloads at its smoke size, seed 1, with
+    every one of its checks passing."""
+    make_inputs, run = worker.WORKLOADS[name]
+    checks = worker.Checks()
+    run(ncfsieve, make_inputs(worker.SIZES["smoke"][name], 1), checks)
+    assert checks.failed == 0, (name, checks.notes)
 
 
 def _reached(name: str, names: dict) -> set[str]:
@@ -283,11 +282,36 @@ def test_every_function_is_reached(capsys, tmp_path):
             except SystemExit as exc:  # --version
                 code = exc.code
             assert code == 0, argv
-        for fn, *args in BENCH_CALLS:
-            _drain(fn(*args))
+        for workload in worker.WORKLOADS:
+            _run_workload(workload)
 
     seen = set().union(*_route_reach().values(), _trace(names, run))
     capsys.readouterr()
     unreached = set(names.values()) - seen
     assert sorted(unreached - UNREACHED.keys()) == []
     assert sorted(UNREACHED.keys() - unreached) == [], "stale UNREACHED entries"
+
+
+def test_poly_cells_come_one_n_at_a_time(capsys):
+    # forest_count_poly keeps the cells of the last n asked alone, so the
+    # benchmark's workloads and verify must ask for them n by n
+    code = qpoly.forest_count_poly.__code__
+    runs = {name: partial(_run_workload, name) for name in worker.WORKLOADS}
+    runs["verify"] = partial(cli.main, ["verify", "--max-n", "8", "--workers", "1"])
+    asked = {}
+    for name, run in runs.items():
+        ns = asked[name] = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                ns.append(frame.f_locals["n"])
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        assert ns == sorted(ns), name
+    capsys.readouterr()
+    assert [name for name, ns in asked.items() if ns] == [
+        "csp-sweep", "poly-large", "verify"]

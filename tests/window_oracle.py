@@ -5,9 +5,12 @@ The library reads which gaps share a region off one chord sweep. The
 functions here derive the same facts another way, so the tests can play the
 two against each other: the window start from which gaps share the
 center's region, and the good vertices from the set of chords enclosing
-each gap. tree_extents reads every tree's handoff off one labelled sweep;
-sets_tree_extents finds the trees by a graph search and each handoff by a
-sorted merge of one tree with its image. rotate builds a forest's rotation
+each gap. tree_extents finds the trees by their union-find labels
+(component_labels) and sorts each tree's vertices together with its
+image's; sets_tree_extents finds the trees by a graph search, rotates each
+as a set and merges it with its image. Both walk a sorted merge for the
+handoff, so the oracle's independence rests on its graph search for the
+trees. rotate builds a forest's rotation
 whole, the oracle for NonCrossingForest.is_d_invariant, and components
 groups the vertices by NonCrossingForest.component_labels.
 orbit_table_by_pairs builds the orbit walk's table from the filter walk's
