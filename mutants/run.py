@@ -2,13 +2,14 @@
 
     python3 mutants/run.py [NAME ...]
 
-With no names every row runs. For each row the runner copies src/, tests/
-and pyproject.toml to a temporary directory, checks that the snippet
-occurs exactly once in its file, applies the replacement and runs the
-row's tests there with Tier-1's pytest settings (pyproject.toml), with
--x so the first failure ends the run. The mutant is killed when they
-fail. Before any mutant, the tests of the rows to run must pass on the
-unchanged copy, or no kill would mean anything.
+With no names every row runs. For each row the runner copies src/, tests/,
+perfbench/ (which tests/test_route_ledger.py imports) and pyproject.toml
+to a temporary directory, checks that the snippet occurs exactly once in
+its file, applies the replacement and runs the row's tests there with
+Tier-1's pytest settings (pyproject.toml), with -x so the first failure
+ends the run. The mutant is killed when they fail. Before any mutant, the
+tests of the rows to run must pass on the unchanged copy, or no kill
+would mean anything.
 
 It prints one line per mutant with the time taken, and exits 1 when a
 mutant survives or a row is stale: its snippet is not found exactly once,
@@ -33,8 +34,8 @@ TIMEOUT_S = 120  # a mutant that hangs its tests counts as killed
 
 
 def copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

@@ -291,11 +291,11 @@ MUTANTS = (
         "the table kept the cells of an earlier n",
     ),
     Mutant(
-        "start-cost-flipped", "qpoly.py",
-        "if _cost(len(f.coeffs), steps) >= _cost(1, ladder):",
-        "if _cost(len(f.coeffs), steps) < _cost(1, ladder):",
-        (f"{QP}::test_forest_count_poly_starts_from_the_cheapest_cached_cell",),
-        "the cost comparison of the cached start flipped",
+        "nearest-search-one-side", "qpoly.py",
+        "for j in (k + t, k - t)",
+        "for j in (k + t,)",
+        ("tests/test_route_ledger.py::test_poly_large_takes_one_ladder_per_n",),
+        "the nearest-cell search reading the cells above k alone",
     ),
     # the poly route's evaluation at a root of unity
     Mutant(

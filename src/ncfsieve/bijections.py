@@ -31,9 +31,11 @@ chords, with no forest built), computes labels by inline arithmetic, and
 builds every forest it returns, image or phi, through the validating
 NonCrossingForest constructor, which also orders each chord.
 
-tree_extents, the orbit structure behind both regimes, reads one component
-label per vertex and finds where every tree hands off to its rotated image
-in one walk around the tree and its image.
+tree_extents describes the orbit structure behind both regimes: it reads
+one component label per vertex and finds where every tree hands off to its
+rotated image in one walk around the tree and its image. No map and no
+route calls it; the benchmark's roundtrip workload and the tests check it
+on the forests the maps build.
 
 enumerate_images is the bijection count route: it builds every fixed forest
 of one cell from the small side and decomposes each back to its own source,

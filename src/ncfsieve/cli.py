@@ -13,8 +13,9 @@ is that route's max_n: n <= 12 for the routes that enumerate, n <= 100 for
 the q-polynomial and n <= 2000 for the closed form. sieving.check_bound
 refuses an n over it before a single route runs. verify runs, on each
 cell, the routes that admit n, and refuses, through
-sieving.check_verify_bound, an n that fewer than two routes admit. A forest that construct or decompose
-reads, or that construct builds, has at most MAX_FOREST_N vertices.
+sieving.check_verify_bound, an n that fewer than two routes admit. A
+forest that construct or decompose reads, or that construct builds, has
+at most MAX_FOREST_N vertices.
 """
 
 from __future__ import annotations

@@ -17,16 +17,15 @@ coefficients. A q-polynomial is a start polynomial and a list of passes
 the primitive. A q-binomial is a ladder of passes, one per factor
 [a-b+i]_q / [i]_q. The forest polynomial starts from its first q-binomial
 and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
-two dense polynomials are ever multiplied; or, when its neighbour
-f(n, k +- 1) is cached, it starts from that and takes six passes by single
-q-integers, three multiplied in, then three divided out, from the identity
-that ties neighbouring cells. A cell with no cached neighbour but some
-cached f(n, j) steps from the nearest such j, cell by cell, when those
-steps touch fewer coefficients than the ladder (_cost). These checked
-passes are the only arithmetic on polynomials in this module. The cache
-holds the cells of one n, the last asked: the first cell cached for
-another n empties it, since every caller asks for the cells of one n
-together.
+two dense polynomials are ever multiplied. That start is taken only when
+no cell of n is cached; otherwise the cell steps from the nearest cached
+f(n, j), one cell at a time, and each step is six passes by single
+q-integers, three multiplied in, then three divided out, from the
+identity that ties neighbouring cells. These checked passes are the only
+arithmetic on polynomials in this module. The cache holds the cells of
+one n, the last asked, and they are always one run of consecutive k: the
+first cell cached for another n empties it, since every caller asks for
+the cells of one n together.
 """
 
 from __future__ import annotations
@@ -215,22 +214,11 @@ def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
     return [(a, 1) for a in ups] + [(1, b) for b in downs]
 
 
-def _cost(size: int, passes) -> int:
-    """The coefficients that passes touch, run from a polynomial of size
-    coefficients: a pass (a, b) from length L writes L + a entries and
-    leaves L + a - b (_ratio_q_int), so the cost is the sum of L + a over
-    the passes, read from the passes alone."""
-    touched = 0
-    for a, b in passes:
-        touched += size + a
-        size = max(size + a - b, 0)
-    return touched
-
-
-# (n, k) -> f(n, k) for the last n asked, at most n entries: _build
-# empties it before it caches a cell of another n. A cell stepped through
-# on the way to another is cached too, as if asked for. Keys are only ever
-# checked pairs of ints, so (2.0, 1) or (True, 1) never reach an entry.
+# (n, k) -> f(n, k) for the last n asked, one run of consecutive k: _build
+# empties it before it caches a cell of another n, and a cell of the same
+# n is built by stepping from the run's nearer end, each cell stepped
+# through cached as if asked for. Keys are only ever checked pairs of
+# ints, so (2.0, 1) or (True, 1) never reach an entry.
 _FOREST_POLYS: dict[tuple[int, int], QPoly] = {}
 
 
@@ -252,21 +240,24 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     """q-analogue of the forest count: the q-binomial product
     [n choose k-1]_q [3n-2k-1 choose n-k]_q divided exactly by [2n-k]_q.
 
-    A cell whose neighbour f(n, k+1) or f(n, k-1) is cached starts from
-    it and takes six passes of one q-integer each. Any other cell starts
-    from the nearest cached f(n, j), stepping six passes per cell to k, or
-    from [n choose k-1]_q with a ladder of about n passes (_forest_passes),
-    whichever touches fewer coefficients (_cost); with no f(n, j) cached,
-    the ladder. Every cell stepped through is built as if asked for:
-    checked and cached. All starts give the same polynomial. The division
-    is checked exact pass by pass, and nonnegativity of the coefficients,
-    a theorem about this quotient, is checked on each result, so any
-    arithmetic regression surfaces as a hard error. The polynomial keeps
-    its folds (QPoly.fold), so a cached one is folded once per modulus.
-    The cache holds only the cells of the last n asked: the first cell
-    built for another n empties it, so cells asked in (n, k) order, or in
-    any order within each n, reuse their neighbours, and a random order
-    across n rebuilds each cell from its ladder.
+    With no cell of n cached, f(n, k) starts from [n choose k-1]_q and
+    takes a ladder of about n passes (_forest_passes). Any other cell
+    starts from the nearest cached f(n, j) and steps to k one cell at a
+    time, six passes of one q-integer per cell, each cell stepped through
+    built as if asked for: checked and cached. So the cached cells of n
+    are always one run of consecutive k, and a cell next to the run costs
+    six passes. A far jump pays for every cell in between: f(100, 60)
+    right after f(100, 1) takes 59 steps, 354 passes that touch 18 times
+    the coefficients of its 82-pass ladder. All starts give the same
+    polynomial. The division is checked exact pass by pass, and
+    nonnegativity of the coefficients, a theorem about this quotient, is
+    checked on each result, so any arithmetic regression surfaces as a
+    hard error. The polynomial keeps its folds (QPoly.fold), so a cached
+    one is folded once per modulus. The cache holds only the cells of the
+    last n asked: the first cell built for another n empties it, so cells
+    asked in (n, k) order, or in any order within each n, reuse their
+    neighbours, and a random order across n rebuilds each cell from its
+    ladder.
     forest_count_poly.cache_clear() empties the cache, folds and all.
 
     >>> forest_count_poly(3, 1).coeffs
@@ -282,13 +273,7 @@ def forest_count_poly(n: int, k: int) -> QPoly:
         return _build(n, k, q_binomial(n, k - 1), None)
     f = _FOREST_POLYS[n, j]
     step = 1 if k > j else -1
-    cells = range(j + step, k + step, step)
-    if len(cells) > 1:
-        steps = [p for i in cells for p in _forest_passes(n, i, i - step)]
-        ladder = _binomial_passes(n, k - 1) + _forest_passes(n, k, None)
-        if _cost(len(f.coeffs), steps) >= _cost(1, ladder):
-            return _build(n, k, q_binomial(n, k - 1), None)
-    for i in cells:
+    for i in range(j + step, k + step, step):
         f = _build(n, i, f, i - step)
     return f
 

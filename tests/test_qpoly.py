@@ -469,11 +469,10 @@ def _forest_from(monkeypatch, n, k, cached):
     return forest_count_poly(n, k), calls
 
 
-def test_forest_count_poly_starts_from_the_cheapest_cached_cell(monkeypatch):
+def test_forest_count_poly_steps_from_the_nearest_cached_cell(monkeypatch):
     # counts of kernel passes, not timings. From f(40, 1), f(40, 3) is two
-    # steps of six passes, which touch fewer coefficients than its ladder
-    # of 40 ([40 choose 2]_q, then 38); f(40, 2) is built on the way, and
-    # stays cached
+    # steps of six passes, not its ladder of 40 ([40 choose 2]_q, then 38);
+    # f(40, 2) is built on the way, and stays cached
     f, calls = _forest_from(monkeypatch, 40, 3, [1])
     assert calls == qp._forest_passes(40, 2, 1) + qp._forest_passes(40, 3, 2)
     assert f == _ladder(40, 3)
@@ -485,12 +484,13 @@ def test_forest_count_poly_starts_from_the_cheapest_cached_cell(monkeypatch):
     assert calls == qp._forest_passes(40, 5, 6) + qp._forest_passes(40, 4, 5)
     assert f == _ladder(40, 4)
     assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 4), (40, 5), (40, 6)]
-    # from f(100, 1), f(100, 60) would be 59 steps over long polynomials:
-    # its ladder of 82 passes touches fewer, and caches nothing on the way
+    # however far: from f(100, 1), f(100, 60) is 59 steps, though its ladder
+    # of 82 passes would touch fewer coefficients, and every cell between
+    # is cached
     f, calls = _forest_from(monkeypatch, 100, 60, [1])
-    assert calls == qp._binomial_passes(100, 59) + qp._forest_passes(100, 60, None)
-    assert len(calls) == 82
-    assert sorted(qp._FOREST_POLYS) == [(100, 1), (100, 60)]
+    assert calls == [p for i in range(2, 61) for p in qp._forest_passes(100, i, i - 1)]
+    assert len(calls) == 6 * 59
+    assert sorted(qp._FOREST_POLYS) == [(100, k) for k in range(1, 61)]
     assert f == _ladder(100, 60)
 
 

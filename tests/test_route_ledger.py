@@ -25,6 +25,8 @@ from functools import cache, partial
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import ncfsieve
 from ncfsieve import bijections, cli, enumeration, forest, qpoly, sieving
 from ncfsieve.bijections import Mark
@@ -315,3 +317,37 @@ def test_poly_cells_come_one_n_at_a_time(capsys):
     capsys.readouterr()
     assert [name for name, ns in asked.items() if ns] == [
         "csp-sweep", "poly-large", "verify"]
+
+
+@pytest.mark.parametrize("size", sorted(worker.SIZES))
+def test_poly_large_takes_one_ladder_per_n(monkeypatch, size):
+    # poly-large asks for each k of one n once per divisor d, in a shuffled
+    # order: the first cell takes the ladder from q_binomial, and every
+    # later one steps from the nearest cached cell, so the cached k of n
+    # stay one run
+    ask = qpoly.forest_count_poly
+    ladders, runs = [], []
+
+    def q_binomial(a, b, real=qpoly.q_binomial):
+        ladders.append(a)
+        return real(a, b)
+
+    def forest_count_poly(n, k):
+        f = ask(n, k)
+        ks = sorted(j for m, j in qpoly._FOREST_POLYS if m == n)
+        runs.append(ks == list(range(ks[0], ks[-1] + 1)))
+        return f
+
+    monkeypatch.setattr(qpoly, "q_binomial", q_binomial)
+    monkeypatch.setattr(sieving, "forest_count_poly", forest_count_poly)
+    make_inputs, run = worker.WORKLOADS["poly-large"]
+    for seed in range(1, 11):
+        ask.cache_clear()
+        ladders.clear()
+        runs.clear()
+        inputs = make_inputs(worker.SIZES[size]["poly-large"], seed)
+        checks = worker.Checks()
+        run(ncfsieve, inputs, checks)
+        assert checks.failed == 0, (seed, checks.notes)
+        assert ladders == [inputs["n"]], seed
+        assert len(runs) == inputs["pinned"] and all(runs), seed
