@@ -232,6 +232,23 @@ MUTANTS = (
         (f"{BIJ}::test_route_refuses_a_map_that_collapses_sources",),
         "diameter image check dropped",
     ),
+    # the half-turn maps' placement and folding rules
+    Mutant(
+        "split-strictly-past", "bijections.py",
+        "if pa * pb == 0 and pa + pb >= split_at:",
+        "if pa * pb == 0 and pa + pb > split_at:",
+        (f"{BIJ}::test_golden_diameter_construct",
+         f"{BIJ}::test_half_turn_maps_match_the_frozen_outputs_to_twelve"),
+        "only the neighbors strictly past the split sent to v's lower copy",
+    ),
+    Mutant(
+        "lower-end-skipped", "bijections.py",
+        "if qc > np_ or qa == 0 and qc == np_:",
+        "if qc >= np_:",
+        (f"{BIJ}::test_golden_diameter_decompose",
+         f"{BIJ}::test_half_turn_maps_match_the_frozen_outputs_to_twelve"),
+        "the edges into the lower end skipped",
+    ),
     # the poly route's passes, their runner and its cache
     Mutant(
         "step-factor-off-by-one", "qpoly.py",

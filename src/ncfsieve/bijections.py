@@ -23,13 +23,18 @@ d = 2, component count odd
     diameter endpoints: either a bare vertex (everything on one side) or an
     incident edge naming where the split starts.
 
-The decompositions rederive every canonical choice from scratch and raise
-BijectionError when the input is not actually in the image. Round trips
-through both directions are checked exhaustively by the test suite. Each
-map tests invariance in place (is_d_invariant compares sorted rotated
-chords, with no forest built), computes labels by inline arithmetic, and
-builds every forest it returns, image or phi, through the validating
-NonCrossingForest constructor, which also orders each chord.
+Each map checks its input and the canonical choices the theory makes, and
+raises BijectionError when one fails: the constructions, the vertex, the
+fold or the mark and that the cut vertex is good; the decompositions, the
+forest's invariance (is_d_invariant compares sorted rotated chords, with no
+forest built) and regime, the unique diameter or edge-closed window and the
+count of the edges they fold, and they rederive the cut vertex or the mark
+from scratch. The constructions do not test their image again: each places
+every chord of phi at all its rotated positions, so the image is invariant
+whatever the input. Round trips through both directions are checked
+exhaustively by the test suite. Each map computes labels by inline
+arithmetic and builds every forest it returns, image or phi, through the
+validating NonCrossingForest constructor, which also orders each chord.
 
 tree_extents describes the orbit structure behind both regimes: it reads
 one component label per vertex and finds where every tree hands off to its
@@ -98,10 +103,6 @@ def classify_vertices(phi: NonCrossingForest) -> frozenset[int]:
     first: dict[Chord | None, int] = {}
     for v in (1, *range(phi.n, 1, -1)):
         first.setdefault(inner[v - 1], v)
-    if len(first) != len(phi.edges) + 1:
-        raise BijectionError(
-            f"expected {len(phi.edges) + 1} vertex regions, found {len(first)}"
-        )
     return frozenset(first.values())
 
 
@@ -139,7 +140,8 @@ def tree_extents(forest: NonCrossingForest, d: int) -> tuple[TreeExtent, ...]:
     theory (at most one, only when d = 2 and the component count is odd).
     Once the forest is invariant no tree can partly overlap its image, and
     a tree disjoint from its image has at least one handoff; those checks
-    stay as guards.
+    stay as guards. Unlike the image checks the constructions no longer
+    make, tests reach them, with is_d_invariant patched to pass.
     """
     n = forest.n
     check_d(d, n, least=2)
@@ -233,10 +235,7 @@ def construct_periodic(phi: NonCrossingForest, v: int, d: int) -> NonCrossingFor
         raise BijectionError(
             f"vertex {v} is bad for this forest; good vertices: {sorted(good)}"
         )
-    image = _periodic_image(phi, v, d)
-    if not image.is_d_invariant(d):
-        raise BijectionError("glued image lost rotation invariance")
-    return image
+    return _periodic_image(phi, v, d)
 
 
 def decompose_periodic(forest: NonCrossingForest, d: int) -> tuple[NonCrossingForest, int]:
@@ -288,7 +287,7 @@ def construct_diameter(phi: NonCrossingForest, mark: Mark) -> NonCrossingForest:
     np_ = phi.n
     check_vertex(mark.vertex, np_)
     v = mark.vertex
-    split_at = None
+    split_at = np_  # past every neighbor of v: a bare vertex splits none off
     if mark.edge is not None:
         e = chord(*mark.edge)
         if e not in phi.edges:
@@ -300,23 +299,18 @@ def construct_diameter(phi: NonCrossingForest, mark: Mark) -> NonCrossingForest:
     n = 2 * np_
     qb = (1 - v) % np_
     # Position p, counted clockwise from the upper copy of v, gets label
-    # (p - qb) % n + 1; the constructor orders each pair.
+    # (p - qb) % n + 1, and phi's vertex a sits at position (a - v) % np_,
+    # save that v's end of an edge to a neighbor at or past split_at sits at
+    # v's lower copy, position np_. The constructor orders each pair.
     edges = [((n - qb) % n + 1, (np_ - qb) % n + 1)]
     for a, b in phi.edges:
-        if a == v or b == v:
-            pw = ((b if a == v else a) - v) % np_
-            anchor = 0 if split_at is None or pw < split_at else np_
-            edges.append(((anchor - qb) % n + 1, (pw - qb) % n + 1))
-            edges.append(((anchor + np_ - qb) % n + 1, (pw + np_ - qb) % n + 1))
-        else:
-            pa = (a - v) % np_ - qb
-            pb = (b - v) % np_ - qb
-            edges.append((pa % n + 1, pb % n + 1))
-            edges.append(((pa + np_) % n + 1, (pb + np_) % n + 1))
-    image = NonCrossingForest(n, edges)
-    if not image.is_d_invariant(2):
-        raise BijectionError("folded image lost half-turn invariance")
-    return image
+        pa = (a - v) % np_
+        pb = (b - v) % np_
+        if pa * pb == 0 and pa + pb >= split_at:
+            pa, pb = pa or np_, pb or np_
+        edges.append(((pa - qb) % n + 1, (pb - qb) % n + 1))
+        edges.append(((pa + np_ - qb) % n + 1, (pb + np_ - qb) % n + 1))
+    return NonCrossingForest(n, edges)
 
 
 def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Mark]:
@@ -344,8 +338,9 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
     x, y = diameters[0]
     upper = x if (1 - x) % n < np_ else y
     v = (upper - 1) % np_ + 1
-    # offset q clockwise from the upper end folds onto phi's vertex
-    # (v - 1 + q) % np_ + 1; the constructor orders each pair
+    # each label a folds onto phi's vertex (a - 1) % np_ + 1, both ends of
+    # the diameter onto v; offsets q run clockwise from the upper end, the
+    # right half with the lower end at q = np_. The constructor orders each pair.
     edges = []
     lower_offsets = []
     for a, b in forest.edges:
@@ -353,22 +348,14 @@ def decompose_diameter(forest: NonCrossingForest) -> tuple[NonCrossingForest, Ma
         qc = (b - upper) % n
         if qa > qc:
             qa, qc = qc, qa
-        if qc < np_:  # within the right half; offset 0 is v
-            edges.append(((v - 1 + qa) % np_ + 1, (v - 1 + qc) % np_ + 1))
-        elif qc == np_:  # from the right half to the lower end
-            if qa == 0:  # the diameter itself
-                continue
-            edges.append((v, (v - 1 + qa) % np_ + 1))
+        if qc > np_ or qa == 0 and qc == np_:  # the left half, or the diameter
+            continue
+        edges.append(((a - 1) % np_ + 1, (b - 1) % np_ + 1))
+        if qc == np_:  # into the lower end
             lower_offsets.append(qa)
-        elif 0 < qa < np_:  # from the right half to the left one
-            raise BijectionError(
-                f"edge {(a, b)} joins the halves away from the diameter"
-            )
     if 2 * len(edges) + 1 != len(forest.edges):
         raise BijectionError("folded edge count does not match")
     phi = NonCrossingForest(np_, edges)
-    if phi.component_count() != (k + 1) // 2:
-        raise BijectionError("folded component count does not match")
     if lower_offsets:
         mark = Mark(v, chord(v, (v - 1 + min(lower_offsets)) % np_ + 1))
     else:

@@ -265,7 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--k", type=int)
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes, at most one per core and per cell")
+                   help="worker processes, at most one per core and per cell; "
+                        "speeds up the enumerating routes' cells (n <= 12), "
+                        "not the cells past 12")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

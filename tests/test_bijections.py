@@ -419,6 +419,29 @@ def test_maps_match_the_frozen_outputs():
     assert (len(lines), digest) == (LINES, DIGEST)
 
 
+def test_half_turn_maps_match_the_frozen_outputs_to_twelve():
+    # every decomposition of a half-turn fixed forest with odd k and n <= 12,
+    # and every image of a marked forest on up to 6 vertices, hashed; the
+    # digest was taken before the decomposition folded labels mod n/2 and
+    # the construction placed every edge by one rule
+    lines = []
+    for n in range(2, 13, 2):
+        for k in range(1, n + 1, 2):
+            for big in enumerate_invariant(n, k, 2):
+                phi, mark = decompose_diameter(big)
+                lines.append(f"D {big.edges} {phi.edges} {mark.vertex} {mark.edge}")
+    assert len(lines) == 16993
+    for np_ in range(1, 7):
+        for kp in range(1, np_ + 1):
+            for phi in enumerate_forests(np_, kp):
+                for mark in all_marks(phi):
+                    big = construct_diameter(phi, mark)
+                    lines.append(f"d {phi.edges} {mark.vertex} {mark.edge} {big.edges}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        33986, "db168279277989fa0af64ed9390526c1942cf24f4630a707567d789ed7f18acb")
+
+
 # ------------------------------------------------------- structural lemmas
 
 
