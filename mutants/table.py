@@ -251,6 +251,24 @@ MUTANTS = (
     ),
     # the poly route's passes, their runner and its cache
     Mutant(
+        "remainder-check-dropped", "qpoly.py",
+        "    if any(out[size:]):\n        raise ExactDivisionError(\n"
+        '            f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"\n'
+        "        )\n",
+        "",
+        (f"{QP}::test_every_step_is_a_checked_kernel_pass",
+         f"{QP}::test_division_by_one_minus_q_to_the_b_matches_long_division"),
+        "the remainder check of `_ratio_q_int` deleted",
+    ),
+    Mutant(
+        "remainder-check-skips-first", "qpoly.py",
+        "if any(out[size:]):",
+        "if any(out[size + 1:]):",
+        (f"{QP}::test_ratio_q_int_edges",
+         f"{QP}::test_every_step_is_a_checked_kernel_pass"),
+        "the remainder check reading `out[size + 1:]`",
+    ),
+    Mutant(
         "step-factor-off-by-one", "qpoly.py",
         "3 * n - 2 * m - 2)",
         "3 * n - 2 * m - 3)",

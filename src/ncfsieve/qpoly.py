@@ -10,22 +10,24 @@ gives a polynomial's coefficients summed by exponent mod m, once per m
 and kept on the instance, and the poly route (sieving.poly_eval) sums the
 fold modulo q^n - 1 in integers.
 
-Every q-polynomial is built from one primitive: multiply by the ratio
-[a]_q / [b]_q of two q-integers, in one checked pass over the
-coefficients. A q-polynomial is a start polynomial and a list of passes
+Every q-polynomial is built from one primitive: multiply by
+(1 - q^a) / (1 - q^b), one checked sweep over the coefficients per side,
+either side possibly absent; with both it is the ratio [a]_q / [b]_q of
+two q-integers. A q-polynomial is a start polynomial and a list of passes
 (a, b), and one runner, _run, applies them in order; no other code calls
 the primitive. A q-binomial is a ladder of passes, one per factor
 [a-b+i]_q / [i]_q. The forest polynomial starts from its first q-binomial
 and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
 two dense polynomials are ever multiplied. That start is taken only when
 no cell of n is cached; otherwise the cell steps from the nearest cached
-f(n, j), one cell at a time, and each step is six passes by single
-q-integers, three multiplied in, then three divided out, from the
-identity that ties neighbouring cells. These checked passes are the only
-arithmetic on polynomials in this module. The cache holds the cells of
-one n, the last asked, and they are always one run of consecutive k: the
-first cell cached for another n empties it, since every caller asks for
-the cells of one n together.
+f(n, j), one cell at a time, by the identity that ties neighbouring cells
+through three q-integers on each side. Their (1 - q) factors cancel, so a
+step is six sweeps: three multiplications by 1 - q^a, then three checked
+divisions by 1 - q^b. These checked passes are the only arithmetic on
+polynomials in this module. The cache holds the cells of one n, the last
+asked, and they are always one run of consecutive k: the first cell
+cached for another n empties it, since every caller asks for the cells of
+one n together.
 """
 
 from __future__ import annotations
@@ -41,28 +43,32 @@ class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
 
 
-def _ratio_q_int(cs, a: int, b: int) -> list[int]:
-    """Coefficients of P(q) * [a]_q / [b]_q, where P has coefficients cs,
-    in one pass, insisting on a zero remainder.
+def _ratio_q_int(cs, a: int | None, b: int | None) -> list[int]:
+    """Coefficients of P(q) * (1 - q^a) / (1 - q^b), where P has
+    coefficients cs, insisting on a zero remainder; a or b None means no
+    factor on that side. With both, this is P * [a]_q / [b]_q.
 
-    From [m]_q = (1 - q^m) / (1 - q) the result R obeys
-    (1 - q^b) R = (1 - q^a) P, so R_j = P_j - P_(j-a) + R_(j-b): each
-    residue class of j mod b is a running sum of the a-step differences of
-    P. Run over every j up to deg P + a, the recurrence must close: the
-    entries past deg R = deg P + a - b are the remainder terms, and any
+    Each side is one sweep over the coefficients. The product R' =
+    (1 - q^a) P has R'_j = P_j - P_(j-a); the quotient R = R' / (1 - q^b)
+    has R_j = R'_j + R_(j-b), so each residue class of j mod b is a running
+    sum. Run over every j up to deg R', the recurrence must close: the
+    entries past deg R = deg R' - b are the remainder terms, and any
     nonzero one raises ExactDivisionError.
     """
-    if b < 1:
+    if b is not None and b < 1:
         raise ZeroDivisionError("division by [0]_q")
-    cs = list(cs)
-    pad = [0] * a
-    out = list(map(sub, cs + pad, pad + cs))
+    out = list(cs)
+    if a is not None:
+        pad = [0] * a
+        out = list(map(sub, out + pad, pad + out))
+    if b is None:
+        return out
     for r in range(b):
         out[r::b] = accumulate(out[r::b])
-    size = max(len(cs) + a - b, 0)
+    size = max(len(out) - b, 0)
     if any(out[size:]):
         raise ExactDivisionError(
-            f"degree-{len(cs) - 1} polynomial times [{a}]_q is not divisible by [{b}]_q"
+            f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"
         )
     del out[size:]
     return out
@@ -143,9 +149,9 @@ class QPoly:
 
 
 def _run(cs, passes) -> list[int]:
-    """Coefficients of P(q) times [a]_q / [b]_q for each pass (a, b) in
-    turn, where P has coefficients cs: one pass of _ratio_q_int each, every
-    one checked to leave no remainder, not assumed to."""
+    """Coefficients of P(q) times (1 - q^a) / (1 - q^b) for each pass
+    (a, b) in turn, where P has coefficients cs: one pass of _ratio_q_int
+    each, every division checked to leave no remainder, not assumed to."""
     for a, b in passes:
         cs = _ratio_q_int(cs, a, b)
     return cs
@@ -189,7 +195,7 @@ def forest_count(n: int, k: int) -> int:
     return q
 
 
-def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
+def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int | None, int | None]]:
     """The passes that give f(n, k) from its neighbour f(n, j), j = k +- 1,
     or, for j None, from [n choose k-1]_q.
 
@@ -199,11 +205,15 @@ def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
 
     From a neighbour, the product formula gives, for 1 <= m < n,
     f(n, m) [n-m+1]_q [n-m]_q [2n-m]_q = f(n, m+1) [m]_q [3n-2m-1]_q [3n-2m-2]_q,
-    with m = min(k, j): low is f(n, m)'s side and high f(n, m+1)'s. The
-    neighbour's side is multiplied in by three q-integers, then f(n, k)'s
-    side divided out by three. Every partial quotient is f(n, k) times the
-    q-integers still to divide, a polynomial, so each division must leave
-    no remainder.
+    with m = min(k, j): low is f(n, m)'s side and high f(n, m+1)'s. Each
+    side has three q-integers, so their (1 - q) factors cancel: the
+    neighbour's side is multiplied in as 1 - q^a for its three a, then
+    f(n, k)'s side divided out as 1 - q^b for its three b, one sweep each.
+    Every partial quotient is f(n, k) times the 1 - q^b still to divide, a
+    polynomial, so each division must leave no remainder. The check is as
+    strict as a division by [b]_q: [b]_q is prime to 1 - q, since
+    [b]_1 = b, so 1 - q^b divides the partial product exactly when [b]_q
+    divides it with its (1 - q) factors taken out.
     """
     if j is None:
         return _binomial_passes(3 * n - 2 * k - 1, n - k) + [(1, 2 * n - k)]
@@ -211,7 +221,7 @@ def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int, int]]:
     low = (n - m + 1, n - m, 2 * n - m)
     high = (m, 3 * n - 2 * m - 1, 3 * n - 2 * m - 2)
     ups, downs = (high, low) if j > k else (low, high)
-    return [(a, 1) for a in ups] + [(1, b) for b in downs]
+    return [(a, None) for a in ups] + [(None, b) for b in downs]
 
 
 # (n, k) -> f(n, k) for the last n asked, one run of consecutive k: _build
@@ -243,12 +253,12 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     With no cell of n cached, f(n, k) starts from [n choose k-1]_q and
     takes a ladder of about n passes (_forest_passes). Any other cell
     starts from the nearest cached f(n, j) and steps to k one cell at a
-    time, six passes of one q-integer per cell, each cell stepped through
-    built as if asked for: checked and cached. So the cached cells of n
-    are always one run of consecutive k, and a cell next to the run costs
-    six passes. A far jump pays for every cell in between: f(100, 60)
-    right after f(100, 1) takes 59 steps, 354 passes that touch 18 times
-    the coefficients of its 82-pass ladder. All starts give the same
+    time, six sweeps per cell, each cell stepped through built as if asked
+    for: checked and cached. So the cached cells of n are always one run
+    of consecutive k, and a cell next to the run costs six sweeps. A far
+    jump pays for every cell in between: f(100, 60) right after f(100, 1)
+    takes 59 steps, 354 sweeps that write 9 times the coefficients of its
+    82-pass ladder, whose passes sweep twice each. All starts give the same
     polynomial. The division is checked exact pass by pass, and
     nonnegativity of the coefficients, a theorem about this quotient, is
     checked on each result, so any arithmetic regression surfaces as a

@@ -249,6 +249,34 @@ def test_ratio_q_int_edges():
         qp._ratio_q_int([1], 2, 4)  # degree 1 times [2]_q, still below [4]_q
     with pytest.raises(ZeroDivisionError):
         qp._ratio_q_int([1], 1, 0)
+    # a side that is None is no factor: one sweep, or none
+    assert qp._ratio_q_int([1, 1], 2, None) == [1, 1, -1, -1]
+    assert qp._ratio_q_int([1, 1, -1, -1], None, 2) == [1, 1]
+    assert qp._ratio_q_int((3, 0, -2), None, None) == [3, 0, -2]
+    with pytest.raises(ExactDivisionError):
+        qp._ratio_q_int([1, 1], None, 1)  # 1 + q is not a multiple of 1 - q
+    with pytest.raises(ZeroDivisionError):
+        qp._ratio_q_int([1], None, 0)
+
+
+@given(wide_lists, st.booleans(), st.integers(1, 3), st.integers(1, 25))
+def test_division_by_one_minus_q_to_the_b_matches_long_division(a, exact, t, b):
+    # a neighbour step divides P (1 - q)^t by 1 - q^b, t = 3, 2, 1, since the
+    # q-integers it multiplies in keep their (1 - q) factors. [b]_q is prime
+    # to 1 - q, so that is exact exactly when [b]_q divides P, and the
+    # quotient is (1 - q)^(t-1) times P / [b]_q
+    p = _schoolbook_mul(a, (1,) * b) if exact else QPoly(tuple(a))
+    x = p
+    for _ in range(t):
+        x = _schoolbook_mul(x.coeffs, (1, -1))
+    quot, rem = _ref_divmod(p, QPoly((1,) * b))
+    if rem.coeffs:
+        with pytest.raises(ExactDivisionError):
+            qp._ratio_q_int(x.coeffs, None, b)
+        return
+    for _ in range(t - 1):
+        quot = _schoolbook_mul(quot.coeffs, (1, -1))
+    assert QPoly(qp._ratio_q_int(x.coeffs, None, b)) == quot
 
 
 @given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12),
@@ -330,14 +358,16 @@ _RATIO_Q_INT = qp._ratio_q_int
 
 def _recording_step(monkeypatch, at=None):
     """Patch _ratio_q_int with a stand-in for the real kernel that records
-    each (a, b) it is called with and adds 1 to the constant term of the
-    input of call number at."""
+    each (a, b) it is called with and, in call number at, adds 1 to the
+    constant term of the input of the division sweep: the product by
+    1 - q^a, or the call's input when a is None."""
     calls = []
 
     def step(cs, a, b):
         calls.append((a, b))
         if len(calls) - 1 == at:
-            cs = [cs[0] + 1, *cs[1:]]
+            cs = _RATIO_Q_INT(cs, a, None)
+            cs, a = [cs[0] + 1, *cs[1:]], None
         return _RATIO_Q_INT(cs, a, b)
 
     monkeypatch.setattr(qp, "_ratio_q_int", step)
@@ -355,12 +385,13 @@ def _forest_6(k, near=None):
 
 # every pass each kernel call takes, in order. f(6, 2) from nothing: the
 # ladders of [6 choose 1]_q and [13 choose 4]_q, then the pass by
-# [1]_q / [10]_q. f(6, 2) from f(6, 3) and f(6, 3) from f(6, 2): three
-# q-integers multiplied in, then three divided out
+# [1]_q / [10]_q, two sweeps each. f(6, 2) from f(6, 3) and f(6, 3) from
+# f(6, 2): three q-integers multiplied in as 1 - q^a, then three divided
+# out as 1 - q^b, one sweep each, the (1 - q) factors cancelling
 KERNEL_STEPS = {
     "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
-    "forest-down": [(2, 1), (13, 1), (12, 1), (1, 5), (1, 4), (1, 10)],
-    "forest-up": [(5, 1), (4, 1), (10, 1), (1, 2), (1, 13), (1, 12)],
+    "forest-down": [(2, None), (13, None), (12, None), (None, 5), (None, 4), (None, 10)],
+    "forest-up": [(5, None), (4, None), (10, None), (None, 2), (None, 13), (None, 12)],
 }
 KERNEL_CALLS = {
     "forest": lambda: _forest_6(2),
@@ -380,11 +411,11 @@ def test_every_step_is_a_checked_kernel_pass(monkeypatch, what):
     calls = _recording_step(monkeypatch)
     KERNEL_CALLS[what]()
     assert calls == KERNEL_STEPS[what]
-    # a unit added to the input of a step by [a]_q / [b]_q with b not
-    # dividing a leaves a remainder, which that very step reports and the
-    # caller lets surface
+    # the input of every division sweep is a multiple of 1 - q, so with a
+    # unit added it is 1 at q = 1, where 1 - q^b is 0: it leaves a
+    # remainder, which that very pass reports and the caller lets surface
     for at, (a, b) in enumerate(KERNEL_STEPS[what]):
-        if a % b:
+        if b is not None:
             calls = _recording_step(monkeypatch, at)
             with pytest.raises(ExactDivisionError):
                 KERNEL_CALLS[what]()
@@ -441,16 +472,24 @@ def test_forest_step_matches_the_ladder(n):
             assert qp._run(ladder[k - 1], qp._forest_passes(n, k, k - 1)) == ladder[k], k
 
 
+def _sweeps(calls):
+    """The coefficient sweeps of the kernel passes in calls: one per side
+    that is not None."""
+    return sum((a is not None) + (b is not None) for a, b in calls)
+
+
 def test_forest_sweep_takes_one_step_per_cell(monkeypatch):
-    # a count of kernel passes, not a timing: the ladder's 40 at k = 1,
-    # then six per step (a fresh ladder per cell would take 1220)
+    # a count of kernel passes and sweeps, not a timing: the ladder's 40
+    # passes of two sweeps at k = 1, then six passes of one sweep per step
+    # (a fresh ladder per cell would take 1220 passes)
     forest_count_poly.cache_clear()
     calls = _recording_step(monkeypatch)
     forest_count_poly(40, 1)
-    assert len(calls) == 40
+    assert len(calls) == 40 and _sweeps(calls) == 80
     for k in range(2, 41):
         forest_count_poly(40, k)
     assert len(calls) == 40 + 6 * 39
+    assert _sweeps(calls) == 80 + 6 * 39
 
 
 def _ladder(n, k):
@@ -470,11 +509,13 @@ def _forest_from(monkeypatch, n, k, cached):
 
 
 def test_forest_count_poly_steps_from_the_nearest_cached_cell(monkeypatch):
-    # counts of kernel passes, not timings. From f(40, 1), f(40, 3) is two
-    # steps of six passes, not its ladder of 40 ([40 choose 2]_q, then 38);
-    # f(40, 2) is built on the way, and stays cached
+    # counts of kernel passes and sweeps, not timings. From f(40, 1),
+    # f(40, 3) is two steps of six sweeps, not its ladder of 40 passes
+    # ([40 choose 2]_q, then 38) and 80 sweeps; f(40, 2) is built on the
+    # way, and stays cached
     f, calls = _forest_from(monkeypatch, 40, 3, [1])
     assert calls == qp._forest_passes(40, 2, 1) + qp._forest_passes(40, 3, 2)
+    assert _sweeps(calls) == 12
     assert f == _ladder(40, 3)
     assert len(qp._binomial_passes(40, 2) + qp._forest_passes(40, 3, None)) == 40
     assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 2), (40, 3)]
@@ -484,12 +525,12 @@ def test_forest_count_poly_steps_from_the_nearest_cached_cell(monkeypatch):
     assert calls == qp._forest_passes(40, 5, 6) + qp._forest_passes(40, 4, 5)
     assert f == _ladder(40, 4)
     assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 4), (40, 5), (40, 6)]
-    # however far: from f(100, 1), f(100, 60) is 59 steps, though its ladder
-    # of 82 passes would touch fewer coefficients, and every cell between
-    # is cached
+    # however far: from f(100, 1), f(100, 60) is 59 steps, 354 sweeps,
+    # though its ladder of 82 passes would write fewer coefficients, and
+    # every cell between is cached
     f, calls = _forest_from(monkeypatch, 100, 60, [1])
     assert calls == [p for i in range(2, 61) for p in qp._forest_passes(100, i, i - 1)]
-    assert len(calls) == 6 * 59
+    assert len(calls) == 6 * 59 and _sweeps(calls) == 354
     assert sorted(qp._FOREST_POLYS) == [(100, k) for k in range(1, 61)]
     assert f == _ladder(100, 60)
 
