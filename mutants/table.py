@@ -249,16 +249,16 @@ MUTANTS = (
          f"{BIJ}::test_half_turn_maps_match_the_frozen_outputs_to_twelve"),
         "the edges into the lower end skipped",
     ),
-    # the poly route's passes, their runner and its cache
+    # the poly route's sweeps, their runner and its cache
     Mutant(
         "remainder-check-dropped", "qpoly.py",
-        "    if any(out[size:]):\n        raise ExactDivisionError(\n"
-        '            f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"\n'
-        "        )\n",
+        "        if any(out[size:]):\n            raise ExactDivisionError(\n"
+        '                f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"\n'
+        "            )\n",
         "",
         (f"{QP}::test_every_step_is_a_checked_kernel_pass",
          f"{QP}::test_division_by_one_minus_q_to_the_b_matches_long_division"),
-        "the remainder check of `_ratio_q_int` deleted",
+        "the remainder check of `_run` deleted",
     ),
     Mutant(
         "remainder-check-skips-first", "qpoly.py",
@@ -296,19 +296,26 @@ MUTANTS = (
     ),
     Mutant(
         "binomial-pass-dropped", "qpoly.py",
-        "for i in range(1, b + 1)]",
-        "for i in range(1, b)]",
+        "for i in range(1, b + 1) for s in",
+        "for i in range(1, b) for s in",
         (f"{QP}::test_q_binomial_counts_partitions_in_box",
          f"{QP}::test_times_q_binomial_matches_product"),
         "the binomial ladder's last pass dropped",
     ),
     Mutant(
+        "ladder-multiplies-first", "qpoly.py",
+        "    return [s for i in range(1, b + 1) for s in (a - b + i, -i)]\n",
+        "    return [a - b + i for i in range(1, b + 1)] + [-i for i in range(1, b + 1)]\n",
+        (f"{QP}::test_binomial_ladder_interleaves_its_sweeps",),
+        "the ladder's multiplications all before its divisions",
+    ),
+    Mutant(
         "runner-skips-last-pass", "qpoly.py",
-        "    for a, b in passes:\n        cs = _ratio_q_int(cs, a, b)\n",
-        "    for a, b in passes[:-1]:\n        cs = _ratio_q_int(cs, a, b)\n",
+        "    for s in sweeps:\n",
+        "    for s in sweeps[:-1]:\n",
         (f"{QP}::test_q_binomial_edge_cases",
          f"{QP}::test_every_step_is_a_checked_kernel_pass"),
-        "`_run` skipping the last pass",
+        "`_run` skipping the last sweep",
     ),
     Mutant(
         "cache-before-check", "qpoly.py",

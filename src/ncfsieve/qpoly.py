@@ -10,24 +10,23 @@ gives a polynomial's coefficients summed by exponent mod m, once per m
 and kept on the instance, and the poly route (sieving.poly_eval) sums the
 fold modulo q^n - 1 in integers.
 
-Every q-polynomial is built from one primitive: multiply by
-(1 - q^a) / (1 - q^b), one checked sweep over the coefficients per side,
-either side possibly absent; with both it is the ratio [a]_q / [b]_q of
-two q-integers. A q-polynomial is a start polynomial and a list of passes
-(a, b), and one runner, _run, applies them in order; no other code calls
-the primitive. A q-binomial is a ladder of passes, one per factor
+Every q-polynomial is a start polynomial and a list of sweeps, ints that
+one runner, _run, applies in order, each one pass over the coefficients:
+s >= 0 multiplies by 1 - q^s, and s < 0 divides by 1 - q^(-s), checked
+to leave no remainder. The ratio [a]_q / [b]_q of two q-integers is the
+two sweeps a, -b. A q-binomial is a ladder of such ratios, one per factor
 [a-b+i]_q / [i]_q. The forest polynomial starts from its first q-binomial
-and carries the second's ladder, then one pass by [1]_q / [2n-k]_q, so no
-two dense polynomials are ever multiplied. That start is taken only when
-no cell of n is cached; otherwise the cell steps from the nearest cached
-f(n, j), one cell at a time, by the identity that ties neighbouring cells
-through three q-integers on each side. Their (1 - q) factors cancel, so a
-step is six sweeps: three multiplications by 1 - q^a, then three checked
-divisions by 1 - q^b. These checked passes are the only arithmetic on
-polynomials in this module. The cache holds the cells of one n, the last
-asked, and they are always one run of consecutive k: the first cell
-cached for another n empties it, since every caller asks for the cells of
-one n together.
+and carries the second's ladder, then [2n-k]_q divided out as 1, -(2n-k),
+so no two dense polynomials are ever multiplied. That start is taken only
+when no cell of n is cached; otherwise the cell steps from the nearest
+cached f(n, j), one cell at a time, by the identity that ties
+neighbouring cells through three q-integers on each side. Their (1 - q)
+factors cancel, so a step is six sweeps: three multiplications by
+1 - q^a, then three checked divisions by 1 - q^b. These sweeps are the
+only arithmetic on polynomials in this module. The cache holds the cells
+of one n, the last asked, and they are always one run of consecutive k:
+the first cell cached for another n empties it, since every caller asks
+for the cells of one n together.
 """
 
 from __future__ import annotations
@@ -41,37 +40,6 @@ from .forest import check_n, is_int, read_only
 
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
-
-
-def _ratio_q_int(cs, a: int | None, b: int | None) -> list[int]:
-    """Coefficients of P(q) * (1 - q^a) / (1 - q^b), where P has
-    coefficients cs, insisting on a zero remainder; a or b None means no
-    factor on that side. With both, this is P * [a]_q / [b]_q.
-
-    Each side is one sweep over the coefficients. The product R' =
-    (1 - q^a) P has R'_j = P_j - P_(j-a); the quotient R = R' / (1 - q^b)
-    has R_j = R'_j + R_(j-b), so each residue class of j mod b is a running
-    sum. Run over every j up to deg R', the recurrence must close: the
-    entries past deg R = deg R' - b are the remainder terms, and any
-    nonzero one raises ExactDivisionError.
-    """
-    if b is not None and b < 1:
-        raise ZeroDivisionError("division by [0]_q")
-    out = list(cs)
-    if a is not None:
-        pad = [0] * a
-        out = list(map(sub, out + pad, pad + out))
-    if b is None:
-        return out
-    for r in range(b):
-        out[r::b] = accumulate(out[r::b])
-    size = max(len(out) - b, 0)
-    if any(out[size:]):
-        raise ExactDivisionError(
-            f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"
-        )
-    del out[size:]
-    return out
 
 
 class QPoly:
@@ -148,29 +116,51 @@ class QPoly:
         return " ".join(parts)
 
 
-def _run(cs, passes) -> list[int]:
-    """Coefficients of P(q) times (1 - q^a) / (1 - q^b) for each pass
-    (a, b) in turn, where P has coefficients cs: one pass of _ratio_q_int
-    each, every division checked to leave no remainder, not assumed to."""
-    for a, b in passes:
-        cs = _ratio_q_int(cs, a, b)
-    return cs
+def _run(cs, sweeps) -> list[int]:
+    """Coefficients of P(q), where P has coefficients cs, after each sweep
+    s in turn: s >= 0 multiplies by 1 - q^s (s = 0 by zero, which is
+    [0]_q), and s < 0 divides by 1 - q^b, b = -s, insisting on a zero
+    remainder.
+
+    The product (1 - q^s) P has coefficients P_j - P_(j-s); the quotient
+    R = P / (1 - q^b) has R_j = P_j + R_(j-b), so each residue class of
+    j mod b is a running sum. Run over every j up to deg P, the
+    recurrence must close: the entries past deg R = deg P - b are the
+    remainder terms, and any nonzero one raises ExactDivisionError.
+    """
+    out = list(cs)
+    for s in sweeps:
+        if s >= 0:
+            pad = [0] * s
+            out = list(map(sub, out + pad, pad + out))
+            continue
+        b = -s
+        for r in range(b):
+            out[r::b] = accumulate(out[r::b])
+        size = max(len(out) - b, 0)
+        if any(out[size:]):
+            raise ExactDivisionError(
+                f"degree-{len(out) - 1} polynomial is not divisible by 1 - q^{b}"
+            )
+        del out[size:]
+    return out
 
 
-def _binomial_passes(a: int, b: int) -> list[tuple[int, int]]:
-    """The passes that multiply by [a choose b]_q, which is zero outside
-    0 <= b <= a: there, one pass by [0]_q.
+def _binomial_passes(a: int, b: int) -> list[int]:
+    """The sweeps that multiply by [a choose b]_q, which is zero outside
+    0 <= b <= a: there, the one sweep 0, by [0]_q.
 
     The ratio recurrence
     [a-b+i choose i]_q = [a-b+i-1 choose i-1]_q * [a-b+i]_q / [i]_q for
-    i = 1 .. b, with b replaced by min(b, a - b). Every partial product is
-    the start times a q-binomial, so coefficients stay as small as the
-    answer's.
+    i = 1 .. b, with b replaced by min(b, a - b), as the interleaved sweeps
+    a-b+1, -1, a-b+2, -2, ...: the (1 - q) factors of [a-b+i]_q and [i]_q
+    cancel. After the i-th division the start is times
+    [a-b+i choose i]_q, so coefficients stay as small as the answer's.
     """
     if b < 0 or b > a:
-        return [(0, 1)]
+        return [0]
     b = min(b, a - b)
-    return [(a - b + i, i) for i in range(1, b + 1)]
+    return [s for i in range(1, b + 1) for s in (a - b + i, -i)]
 
 
 def q_binomial(a: int, b: int) -> QPoly:
@@ -195,13 +185,14 @@ def forest_count(n: int, k: int) -> int:
     return q
 
 
-def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int | None, int | None]]:
-    """The passes that give f(n, k) from its neighbour f(n, j), j = k +- 1,
+def _forest_passes(n: int, k: int, j: int | None) -> list[int]:
+    """The sweeps that give f(n, k) from its neighbour f(n, j), j = k +- 1,
     or, for j None, from [n choose k-1]_q.
 
     From [n choose k-1]_q, [3n-2k-1 choose n-k]_q is multiplied in by its
-    ladder, never built on its own, then one pass by [1]_q / [2n-k]_q.
-    Starting from the small factor keeps every pass's polynomial short.
+    ladder, never built on its own, then [2n-k]_q divided out by the
+    sweeps 1, -(2n-k). Starting from the small factor keeps every sweep's
+    polynomial short.
 
     From a neighbour, the product formula gives, for 1 <= m < n,
     f(n, m) [n-m+1]_q [n-m]_q [2n-m]_q = f(n, m+1) [m]_q [3n-2m-1]_q [3n-2m-2]_q,
@@ -216,12 +207,12 @@ def _forest_passes(n: int, k: int, j: int | None) -> list[tuple[int | None, int 
     divides it with its (1 - q) factors taken out.
     """
     if j is None:
-        return _binomial_passes(3 * n - 2 * k - 1, n - k) + [(1, 2 * n - k)]
+        return _binomial_passes(3 * n - 2 * k - 1, n - k) + [1, -(2 * n - k)]
     m = min(k, j)
     low = (n - m + 1, n - m, 2 * n - m)
     high = (m, 3 * n - 2 * m - 1, 3 * n - 2 * m - 2)
     ups, downs = (high, low) if j > k else (low, high)
-    return [(a, None) for a in ups] + [(None, b) for b in downs]
+    return [*ups, *(-b for b in downs)]
 
 
 # (n, k) -> f(n, k) for the last n asked, one run of consecutive k: _build
@@ -234,7 +225,7 @@ _FOREST_POLYS: dict[tuple[int, int], QPoly] = {}
 
 def _build(n: int, k: int, start: QPoly, j: int | None) -> QPoly:
     """f(n, k) from start, which is f(n, j) or, for j None,
-    [n choose k-1]_q, by the passes of _forest_passes: checked
+    [n choose k-1]_q, by the sweeps of _forest_passes: checked
     nonnegative, then cached, the cache emptied first if it holds
     another n."""
     f = QPoly(_run(start.coeffs, _forest_passes(n, k, j)))
@@ -251,18 +242,17 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     [n choose k-1]_q [3n-2k-1 choose n-k]_q divided exactly by [2n-k]_q.
 
     With no cell of n cached, f(n, k) starts from [n choose k-1]_q and
-    takes a ladder of about n passes (_forest_passes). Any other cell
+    takes a ladder of about 2n sweeps (_forest_passes). Any other cell
     starts from the nearest cached f(n, j) and steps to k one cell at a
     time, six sweeps per cell, each cell stepped through built as if asked
     for: checked and cached. So the cached cells of n are always one run
     of consecutive k, and a cell next to the run costs six sweeps. A far
     jump pays for every cell in between: f(100, 60) right after f(100, 1)
     takes 59 steps, 354 sweeps that write 9 times the coefficients of its
-    82-pass ladder, whose passes sweep twice each. All starts give the same
-    polynomial. The division is checked exact pass by pass, and
-    nonnegativity of the coefficients, a theorem about this quotient, is
-    checked on each result, so any arithmetic regression surfaces as a
-    hard error. The polynomial keeps its folds (QPoly.fold), so a cached
+    164-sweep ladder. All starts give the same polynomial. The division
+    is checked exact sweep by sweep, and nonnegativity of the
+    coefficients, a theorem about this quotient, is checked on each
+    result, so any arithmetic regression surfaces as a hard error. The polynomial keeps its folds (QPoly.fold), so a cached
     one is folded once per modulus. The cache holds only the cells of the
     last n asked: the first cell built for another n empties it, so cells
     asked in (n, k) order, or in any order within each n, reuse their

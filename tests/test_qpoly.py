@@ -198,65 +198,79 @@ wide_lists = st.lists(wide_coeffs, min_size=0, max_size=40)
 
 @given(wide_lists, st.integers(1, 25))
 def test_ratio_q_int_divides_what_it_multiplies(a, m):
+    # the ratio [a]_q / [b]_q of two q-integers is the two sweeps a, -b
     p = QPoly(tuple(a))
-    prod = qp._ratio_q_int(p.coeffs, m, 1)
+    prod = qp._run(p.coeffs, [m, -1])
     assert QPoly(prod) == _schoolbook_mul(p.coeffs, (1,) * m)
-    assert QPoly(qp._ratio_q_int(prod, 1, m)) == p
+    assert QPoly(qp._run(prod, [1, -m])) == p
 
 
 @given(wide_lists, st.integers(0, 25), st.integers(1, 25))
 def test_ratio_q_int_matches_product(a, top, b):
-    # one fused step on P [b]_q gives the schoolbook product P [top]_q
+    # the sweeps top, -b on P [b]_q give the schoolbook product P [top]_q
     pb = _schoolbook_mul(a, (1,) * b)
-    assert QPoly(qp._ratio_q_int(pb.coeffs, top, b)) == _schoolbook_mul(a, (1,) * top)
+    assert QPoly(qp._run(pb.coeffs, [top, -b])) == _schoolbook_mul(a, (1,) * top)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=20), st.integers(2, 25),
        st.integers(0, 50), st.integers(-5, 5).filter(bool), st.integers(0, 30))
 def test_ratio_q_int_rejects_perturbation(a, m, pos, delta, top):
-    prod = qp._ratio_q_int(a, m, 1)
+    prod = qp._run(a, [m, -1])
     prod += [0] * (pos + 1 - len(prod))
     prod[pos] += delta
     with pytest.raises(ExactDivisionError):
-        qp._ratio_q_int(prod, 1, m)
+        qp._run(prod, [1, -m])
     # P [top]_q / [m]_q is exact whenever m divides top, since [m]_q then
     # divides [top]_q; otherwise the perturbation leaves a remainder
     if top % m:
         with pytest.raises(ExactDivisionError):
-            qp._ratio_q_int(prod, top, m)
+            qp._run(prod, [top, -m])
     else:
         ratio = _ref_exact_div(QPoly((1,) * top), QPoly((1,) * m))
-        assert QPoly(qp._ratio_q_int(prod, top, m)) == _schoolbook_mul(prod, ratio.coeffs)
+        assert QPoly(qp._run(prod, [top, -m])) == _schoolbook_mul(prod, ratio.coeffs)
 
 
 @given(wide_lists, st.integers(0, 14), st.integers(-2, 16))
 def test_times_q_binomial_matches_product(a, top, b):
-    # any start polynomial, not only [1]: the binomial's passes must divide
+    # any start polynomial, not only [1]: the binomial's sweeps must divide
     # exactly whatever they are run from, and give zero outside 0 <= b <= top
     p = QPoly(tuple(a))
     assert QPoly(qp._run(p.coeffs, qp._binomial_passes(top, b))) == _schoolbook_mul(
         p.coeffs, _ref_q_binomial(top, b).coeffs)
 
 
+def test_binomial_ladder_interleaves_its_sweeps():
+    # each division by [i]_q follows the multiplication by [a-b+i]_q, so
+    # the i-th division leaves [a-b+i choose i]_q, no larger than the
+    # answer; all multiplications first would give the same answer through
+    # larger partial products
+    for a in range(25):
+        for b in range(a + 1):
+            low = min(b, a - b)
+            cs, i = [1], 0
+            for s in qp._binomial_passes(a, b):
+                cs = qp._run(cs, [s])
+                if s < 0:
+                    i += 1
+                    assert QPoly(cs) == _ref_q_binomial(a - low + i, i), (a, b, i)
+            assert i == low and QPoly(cs) == _ref_q_binomial(a, b), (a, b)
+
+
 def test_ratio_q_int_edges():
-    assert qp._ratio_q_int([], 1, 4) == []
-    assert QPoly(qp._ratio_q_int([], 5, 2)) == QPoly(())
-    assert qp._ratio_q_int([3, 0, -2], 1, 1) == [3, 0, -2]
-    assert qp._ratio_q_int([1, 1], 2, 2) == [1, 1]
+    assert qp._run([], [1, -4]) == []
+    assert QPoly(qp._run([], [5, -2])) == QPoly(())
+    assert qp._run([3, 0, -2], [1, -1]) == [3, 0, -2]
+    assert qp._run([1, 1], [2, -2]) == [1, 1]
     with pytest.raises(ExactDivisionError):
-        qp._ratio_q_int([1, 1], 1, 3)  # nonzero and of degree below that of [3]_q
+        qp._run([1, 1], [1, -3])  # nonzero and of degree below that of [3]_q
     with pytest.raises(ExactDivisionError):
-        qp._ratio_q_int([1], 2, 4)  # degree 1 times [2]_q, still below [4]_q
-    with pytest.raises(ZeroDivisionError):
-        qp._ratio_q_int([1], 1, 0)
-    # a side that is None is no factor: one sweep, or none
-    assert qp._ratio_q_int([1, 1], 2, None) == [1, 1, -1, -1]
-    assert qp._ratio_q_int([1, 1, -1, -1], None, 2) == [1, 1]
-    assert qp._ratio_q_int((3, 0, -2), None, None) == [3, 0, -2]
+        qp._run([1], [2, -4])  # degree 1 times [2]_q, still below [4]_q
+    # one sweep alone, or none
+    assert qp._run([1, 1], [2]) == [1, 1, -1, -1]
+    assert qp._run([1, 1, -1, -1], [-2]) == [1, 1]
+    assert qp._run((3, 0, -2), []) == [3, 0, -2]
     with pytest.raises(ExactDivisionError):
-        qp._ratio_q_int([1, 1], None, 1)  # 1 + q is not a multiple of 1 - q
-    with pytest.raises(ZeroDivisionError):
-        qp._ratio_q_int([1], None, 0)
+        qp._run([1, 1], [-1])  # 1 + q is not a multiple of 1 - q
 
 
 @given(wide_lists, st.booleans(), st.integers(1, 3), st.integers(1, 25))
@@ -272,11 +286,11 @@ def test_division_by_one_minus_q_to_the_b_matches_long_division(a, exact, t, b):
     quot, rem = _ref_divmod(p, QPoly((1,) * b))
     if rem.coeffs:
         with pytest.raises(ExactDivisionError):
-            qp._ratio_q_int(x.coeffs, None, b)
+            qp._run(x.coeffs, [-b])
         return
     for _ in range(t - 1):
         quot = _schoolbook_mul(quot.coeffs, (1, -1))
-    assert QPoly(qp._ratio_q_int(x.coeffs, None, b)) == quot
+    assert QPoly(qp._run(x.coeffs, [-b])) == quot
 
 
 @given(st.lists(st.integers(-(10**6), 10**6), max_size=60), st.integers(1, 12),
@@ -337,40 +351,42 @@ def test_exact_div_rejects_remainder():
 
 
 def test_q_int_values():
-    # [a]_q is one _ratio_q_int step from 1; [0]_q is zero
-    assert QPoly(qp._ratio_q_int([1], 0, 1)) == QPoly(())
-    assert qp._ratio_q_int([1], 1, 1) == [1]
-    assert qp._ratio_q_int([1], 4, 1) == [1, 1, 1, 1]
-    assert qp._ratio_q_int(qp._ratio_q_int([1], 3, 1), 2, 1) == [1, 2, 2, 1]
-    assert qp._ratio_q_int([1], 6, 3) == [1, 0, 0, 1]  # [6]_q / [3]_q = 1 + q^3
+    # [a]_q is the two sweeps a, -1 from 1; [0]_q is the one sweep 0
+    assert QPoly(qp._run([1], [0])) == QPoly(())
+    assert qp._run([1], [1, -1]) == [1]
+    assert qp._run([1], [4, -1]) == [1, 1, 1, 1]
+    assert qp._run([1], [3, -1, 2, -1]) == [1, 2, 2, 1]
+    assert qp._run([1], [6, -3]) == [1, 0, 0, 1]  # [6]_q / [3]_q = 1 + q^3
 
 
 def test_q_int_telescopes():
     # (q - 1) [a]_q == q^a - 1
     for a in range(1, 15):
-        lhs = QPoly(qp._ratio_q_int([-1, 1], a, 1))
+        lhs = QPoly(qp._run([-1, 1], [a, -1]))
         rhs = QPoly(tuple([-1] + [0] * (a - 1) + [1]))
         assert lhs == rhs
 
 
-_RATIO_Q_INT = qp._ratio_q_int
+_RUN = qp._run
 
 
 def _recording_step(monkeypatch, at=None):
-    """Patch _ratio_q_int with a stand-in for the real kernel that records
-    each (a, b) it is called with and, in call number at, adds 1 to the
-    constant term of the input of the division sweep: the product by
-    1 - q^a, or the call's input when a is None."""
+    """Patch _run with a stand-in for the real runner that records each
+    sweep list it is handed. For sweep number at, counted over all the
+    lists in turn, it runs the sweeps before it, adds 1 to the constant
+    term, and runs that sweep alone, which must raise."""
     calls = []
 
-    def step(cs, a, b):
-        calls.append((a, b))
-        if len(calls) - 1 == at:
-            cs = _RATIO_Q_INT(cs, a, None)
-            cs, a = [cs[0] + 1, *cs[1:]], None
-        return _RATIO_Q_INT(cs, a, b)
+    def run(cs, sweeps):
+        i = -1 if at is None else at - sum(map(len, calls))
+        calls.append(list(sweeps))
+        if not 0 <= i < len(sweeps):
+            return _RUN(cs, sweeps)
+        cs = _RUN(cs, sweeps[:i])
+        _RUN([cs[0] + 1, *cs[1:]], sweeps[i:i + 1])
+        raise AssertionError(f"sweep {at}, {sweeps[i]}, took a perturbed input")
 
-    monkeypatch.setattr(qp, "_ratio_q_int", step)
+    monkeypatch.setattr(qp, "_run", run)
     return calls
 
 
@@ -383,15 +399,16 @@ def _forest_6(k, near=None):
     return forest_count_poly(6, k)
 
 
-# every pass each kernel call takes, in order. f(6, 2) from nothing: the
-# ladders of [6 choose 1]_q and [13 choose 4]_q, then the pass by
-# [1]_q / [10]_q, two sweeps each. f(6, 2) from f(6, 3) and f(6, 3) from
-# f(6, 2): three q-integers multiplied in as 1 - q^a, then three divided
-# out as 1 - q^b, one sweep each, the (1 - q) factors cancelling
+# every sweep of the runs each start takes, in order. f(6, 2) from nothing:
+# the ladder of [6 choose 1]_q, then that of [13 choose 4]_q and [10]_q
+# divided out as 1, -10, each ratio of q-integers two sweeps. f(6, 2) from
+# f(6, 3) and f(6, 3) from f(6, 2): three q-integers multiplied in as
+# 1 - q^a, then three divided out as 1 - q^b, the (1 - q) factors
+# cancelling
 KERNEL_STEPS = {
-    "forest": [(6, 1), (10, 1), (11, 2), (12, 3), (13, 4), (1, 10)],
-    "forest-down": [(2, None), (13, None), (12, None), (None, 5), (None, 4), (None, 10)],
-    "forest-up": [(5, None), (4, None), (10, None), (None, 2), (None, 13), (None, 12)],
+    "forest": [6, -1, 10, -1, 11, -2, 12, -3, 13, -4, 1, -10],
+    "forest-down": [2, 13, 12, -5, -4, -10],
+    "forest-up": [5, 4, 10, -2, -13, -12],
 }
 KERNEL_CALLS = {
     "forest": lambda: _forest_6(2),
@@ -403,35 +420,38 @@ KERNEL_CALLS = {
 def test_forest_passes_are_the_kernel_steps():
     assert qp._forest_passes(6, 2, 3) == KERNEL_STEPS["forest-down"]
     assert qp._forest_passes(6, 3, 2) == KERNEL_STEPS["forest-up"]
-    assert qp._forest_passes(6, 2, None) == KERNEL_STEPS["forest"][1:]
+    assert qp._forest_passes(6, 2, None) == KERNEL_STEPS["forest"][2:]
 
 
 @pytest.mark.parametrize("what", sorted(KERNEL_STEPS))
 def test_every_step_is_a_checked_kernel_pass(monkeypatch, what):
     calls = _recording_step(monkeypatch)
     KERNEL_CALLS[what]()
-    assert calls == KERNEL_STEPS[what]
+    assert [s for run in calls for s in run] == KERNEL_STEPS[what]
+    assert len(calls) == (2 if what == "forest" else 1)
     # the input of every division sweep is a multiple of 1 - q, so with a
     # unit added it is 1 at q = 1, where 1 - q^b is 0: it leaves a
-    # remainder, which that very pass reports and the caller lets surface
-    for at, (a, b) in enumerate(KERNEL_STEPS[what]):
-        if b is not None:
-            calls = _recording_step(monkeypatch, at)
-            with pytest.raises(ExactDivisionError):
-                KERNEL_CALLS[what]()
-            assert len(calls) == at + 1, (what, a, b)
+    # remainder, which that very sweep reports and the caller lets surface.
+    # Every division is probed: six in the cold start's two runs, three in
+    # a step's one
+    divisions = [at for at, s in enumerate(KERNEL_STEPS[what]) if s < 0]
+    assert len(divisions) == (6 if what == "forest" else 3)
+    for at in divisions:
+        _recording_step(monkeypatch, at)
+        with pytest.raises(ExactDivisionError):
+            KERNEL_CALLS[what]()
 
 
 def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
     # nothing is cached, so forest_count_poly(6, 2) starts from
-    # [6 choose 1]_q, and its last pass is negated here
-    def negated_last_step(cs, a, b):
-        out = _RATIO_Q_INT(cs, a, b)
-        if (a, b) == (1, 10):
+    # [6 choose 1]_q, and the result of its ladder is negated here
+    def negated_ladder(cs, sweeps):
+        out = _RUN(cs, sweeps)
+        if sweeps[-2:] == [1, -10]:
             out[0] = -out[0]
         return out
 
-    monkeypatch.setattr(qp, "_ratio_q_int", negated_last_step)
+    monkeypatch.setattr(qp, "_run", negated_ladder)
     with pytest.raises(ArithmeticError, match="negative coefficient"):
         _forest_6(2)
     assert (6, 2) not in qp._FOREST_POLYS
@@ -440,29 +460,28 @@ def test_forest_count_poly_rejects_a_negative_coefficient(monkeypatch):
 @pytest.mark.parametrize("k, near", [(2, 3), (3, 2)])
 def test_forest_step_rejects_a_negative_coefficient(monkeypatch, k, near):
     # the neighbour is cached, so forest_count_poly(6, k) starts from it,
-    # and its sixth and last pass is negated here
+    # and the result of its one run of six sweeps is negated here
     forest_count_poly.cache_clear()
     forest_count_poly(6, near)
     calls = []
 
-    def negated_sixth_pass(cs, a, b):
-        calls.append((a, b))
-        out = _RATIO_Q_INT(cs, a, b)
-        if len(calls) == 6:
-            out[0] = -out[0]
+    def negated_step(cs, sweeps):
+        calls.append(list(sweeps))
+        out = _RUN(cs, sweeps)
+        out[0] = -out[0]
         return out
 
-    monkeypatch.setattr(qp, "_ratio_q_int", negated_sixth_pass)
+    monkeypatch.setattr(qp, "_run", negated_step)
     with pytest.raises(ArithmeticError, match="negative coefficient"):
         forest_count_poly(6, k)
-    assert calls == KERNEL_STEPS["forest-down" if near > k else "forest-up"]
+    assert calls == [KERNEL_STEPS["forest-down" if near > k else "forest-up"]]
     assert (6, k) not in qp._FOREST_POLYS
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_forest_step_matches_the_ladder(n):
     # both starts of every cell: [n choose k-1]_q with the ladder, and each
-    # neighbour with its six passes
+    # neighbour with its six sweeps
     ladder = [None] + [qp._run(q_binomial(n, k - 1).coeffs, qp._forest_passes(n, k, None))
                        for k in range(1, n + 1)]
     for k in range(1, n + 1):
@@ -473,22 +492,21 @@ def test_forest_step_matches_the_ladder(n):
 
 
 def _sweeps(calls):
-    """The coefficient sweeps of the kernel passes in calls: one per side
-    that is not None."""
-    return sum((a is not None) + (b is not None) for a, b in calls)
+    """The number of coefficient sweeps in the sweep lists of calls."""
+    return sum(map(len, calls))
 
 
 def test_forest_sweep_takes_one_step_per_cell(monkeypatch):
-    # a count of kernel passes and sweeps, not a timing: the ladder's 40
-    # passes of two sweeps at k = 1, then six passes of one sweep per step
-    # (a fresh ladder per cell would take 1220 passes)
+    # a count of runs and sweeps, not a timing: the ladder's 80 sweeps at
+    # k = 1, [40 choose 0]_q taking none, then one run of six sweeps per
+    # step (a fresh ladder per cell would take 2440 sweeps)
     forest_count_poly.cache_clear()
     calls = _recording_step(monkeypatch)
     forest_count_poly(40, 1)
-    assert len(calls) == 40 and _sweeps(calls) == 80
+    assert len(calls) == 2 and _sweeps(calls) == 80
     for k in range(2, 41):
         forest_count_poly(40, k)
-    assert len(calls) == 40 + 6 * 39
+    assert calls[2:] == [qp._forest_passes(40, k, k - 1) for k in range(2, 41)]
     assert _sweeps(calls) == 80 + 6 * 39
 
 
@@ -500,7 +518,7 @@ def _ladder(n, k):
 
 def _forest_from(monkeypatch, n, k, cached):
     """forest_count_poly(n, k) with only the cells f(n, j), j in cached, in
-    the cache, and the kernel passes it takes."""
+    the cache, and the sweep lists it runs."""
     forest_count_poly.cache_clear()
     for j in cached:
         qp._FOREST_POLYS[n, j] = _ladder(n, j)
@@ -509,28 +527,27 @@ def _forest_from(monkeypatch, n, k, cached):
 
 
 def test_forest_count_poly_steps_from_the_nearest_cached_cell(monkeypatch):
-    # counts of kernel passes and sweeps, not timings. From f(40, 1),
-    # f(40, 3) is two steps of six sweeps, not its ladder of 40 passes
-    # ([40 choose 2]_q, then 38) and 80 sweeps; f(40, 2) is built on the
-    # way, and stays cached
+    # counts of runs and sweeps, not timings. From f(40, 1), f(40, 3) is
+    # two steps of six sweeps, not its ladder of 80 sweeps ([40 choose 2]_q,
+    # then 76); f(40, 2) is built on the way, and stays cached
     f, calls = _forest_from(monkeypatch, 40, 3, [1])
-    assert calls == qp._forest_passes(40, 2, 1) + qp._forest_passes(40, 3, 2)
+    assert calls == [qp._forest_passes(40, 2, 1), qp._forest_passes(40, 3, 2)]
     assert _sweeps(calls) == 12
     assert f == _ladder(40, 3)
-    assert len(qp._binomial_passes(40, 2) + qp._forest_passes(40, 3, None)) == 40
+    assert len(qp._binomial_passes(40, 2) + qp._forest_passes(40, 3, None)) == 80
     assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 2), (40, 3)]
     assert qp._FOREST_POLYS[40, 2] == _ladder(40, 2)
     # the nearest cached cell is the start, whichever side it is on
     f, calls = _forest_from(monkeypatch, 40, 4, [1, 6])
-    assert calls == qp._forest_passes(40, 5, 6) + qp._forest_passes(40, 4, 5)
+    assert calls == [qp._forest_passes(40, 5, 6), qp._forest_passes(40, 4, 5)]
     assert f == _ladder(40, 4)
     assert sorted(qp._FOREST_POLYS) == [(40, 1), (40, 4), (40, 5), (40, 6)]
     # however far: from f(100, 1), f(100, 60) is 59 steps, 354 sweeps,
-    # though its ladder of 82 passes would write fewer coefficients, and
+    # though its ladder of 164 sweeps would write fewer coefficients, and
     # every cell between is cached
     f, calls = _forest_from(monkeypatch, 100, 60, [1])
-    assert calls == [p for i in range(2, 61) for p in qp._forest_passes(100, i, i - 1)]
-    assert len(calls) == 6 * 59 and _sweeps(calls) == 354
+    assert calls == [qp._forest_passes(100, i, i - 1) for i in range(2, 61)]
+    assert len(calls) == 59 and _sweeps(calls) == 354
     assert sorted(qp._FOREST_POLYS) == [(100, k) for k in range(1, 61)]
     assert f == _ladder(100, 60)
 
