@@ -22,6 +22,8 @@ ENUM = "tests/test_enumeration.py"
 BIJ = "tests/test_bijections.py"
 CLI = "tests/test_cli.py"
 QP = "tests/test_qpoly.py"
+# the poly table's state machine, which alone kills each row that names it
+TABLE = "test_poly_table_under_any_call_order"
 
 MUTANTS = (
     # the filter walk
@@ -59,8 +61,8 @@ MUTANTS = (
     ),
     Mutant(
         "rotation-state-not-restored", "enumeration.py",
-        "v, u, star[u], rsp = undo.pop()",
-        "v, u, star[u], _ = undo.pop()",
+        "v, u, star[u], sp, rsp = undo.pop()",
+        "v, u, star[u], sp, _ = undo.pop()",
         (f"{ENUM}::test_fixed_stream_is_the_per_forest_filter",
          f"{ENUM}::test_filter_counts_past_ten_match_closed_form"),
         "r(prefix) not restored on the undo pop",
@@ -190,6 +192,20 @@ MUTANTS = (
         "`check_verify_bound` admitting an n that one route admits",
     ),
     Mutant(
+        "main-lets-value-error-escape", "cli.py",
+        "except (ValueError, OSError, ArithmeticError) as exc:",
+        "except (OSError, ArithmeticError) as exc:",
+        (f"{CLI}::test_exit_contract",),
+        "`ValueError` dropped from the `except` tuple of `cli.main`",
+    ),
+    Mutant(
+        "construct-guard-takes-fold-2", "cli.py",
+        "_forest_guard((args.d if periodic else 2) * phi.n)",
+        "_forest_guard((args.d or 2) * phi.n)",
+        (f"{CLI}::test_construct_forest_bound",),
+        "`construct`'s size guard reading a fold of 0 as 2",
+    ),
+    Mutant(
         "verify-n-plain-int", "cli.py",
         'scope.add_argument("n", type=_positive_int, nargs="?")',
         'scope.add_argument("n", type=int, nargs="?")',
@@ -264,7 +280,7 @@ MUTANTS = (
         "remainder-check-skips-first", "qpoly.py",
         "if any(out[size:]):",
         "if any(out[size + 1:]):",
-        (f"{QP}::test_ratio_q_int_edges",
+        (f"{QP}::test_run_edges",
          f"{QP}::test_every_step_is_a_checked_kernel_pass"),
         "the remainder check reading `out[size + 1:]`",
     ),
@@ -329,14 +345,15 @@ MUTANTS = (
         "table-keeps-old-n", "qpoly.py",
         "        _FOREST_POLYS.clear()\n",
         "        pass\n",
-        (f"{QP}::test_forest_count_poly_cache_is_bounded",),
+        (f"{QP}::test_forest_count_poly_cache_is_bounded", f"{QP}::{TABLE}"),
         "the table kept the cells of an earlier n",
     ),
     Mutant(
         "nearest-search-one-side", "qpoly.py",
         "for j in (k + t, k - t)",
         "for j in (k + t,)",
-        ("tests/test_route_ledger.py::test_poly_large_takes_one_ladder_per_n",),
+        ("tests/test_route_ledger.py::test_poly_large_takes_one_ladder_per_n",
+         f"{QP}::{TABLE}"),
         "the nearest-cell search reading the cells above k alone",
     ),
     # the poly route's evaluation at a root of unity

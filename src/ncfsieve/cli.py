@@ -58,13 +58,15 @@ def _read_forest(path: str) -> NonCrossingForest:
     return NonCrossingForest.from_json(data)
 
 
+def _emit(args, plain, **fields) -> None:
+    """Print fields as one JSON object under --json, else plain."""
+    print(json.dumps(fields) if args.json else plain)
+
+
 def _cmd_count(args) -> int:
     check_bound("closed", args.n)
     count = ROUTES["closed"].count(args.n, args.k, 1)
-    if args.json:
-        print(json.dumps({"n": args.n, "k": args.k, "count": count}))
-    else:
-        print(count)
+    _emit(args, count, n=args.n, k=args.k, count=count)
     return 0
 
 
@@ -92,35 +94,28 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_fixed(args) -> int:
-    n, k, d = args.n, args.k, args.d
-    check_bound(args.method, n)
-    count = ROUTES[args.method].count(n, k, d)
-    if args.json:
-        print(json.dumps(
-            {"n": n, "k": k, "d": d, "method": args.method, "count": count}
-        ))
-    else:
-        print(count)
+    check_bound(args.method, args.n)
+    count = ROUTES[args.method].count(args.n, args.k, args.d)
+    _emit(args, count, n=args.n, k=args.k, d=args.d, method=args.method, count=count)
     return 0
 
 
 def _cmd_construct(args) -> int:
     phi = _read_forest(args.forest)
-    if args.vertex is not None:
-        if args.d is None:
-            raise ValueError("--vertex needs --d (the fold multiplicity)")
-        if args.mark_edge is not None:
-            raise ValueError("--mark-edge needs --mark, not --vertex")
-        _forest_guard(args.d * phi.n)
+    periodic = args.vertex is not None
+    if periodic and args.d is None:
+        raise ValueError("--vertex needs --d (the fold multiplicity)")
+    if periodic and args.mark_edge is not None:
+        raise ValueError("--mark-edge needs --mark, not --vertex")
+    if not periodic and args.d not in (None, 2):
+        raise ValueError("--mark implies d = 2")
+    # the fold as given, even below 2, which the gluing refuses by name
+    _forest_guard((args.d if periodic else 2) * phi.n)
+    if periodic:
         image = bijections.construct_periodic(phi, args.vertex, args.d)
     else:
-        if args.d not in (None, 2):
-            raise ValueError("--mark implies d = 2")
-        _forest_guard(2 * phi.n)
-        edge = None
-        if args.mark_edge is not None:
-            edge = (args.mark_edge[0], args.mark_edge[1])
-        image = bijections.construct_diameter(phi, bijections.Mark(args.mark, edge))
+        mark = bijections.Mark(args.mark, args.mark_edge and tuple(args.mark_edge))
+        image = bijections.construct_diameter(phi, mark)
     print(json.dumps(image.to_json()))
     return 0
 
@@ -131,15 +126,8 @@ def _cmd_decompose(args) -> int:
     k = forest.component_count()
     if d == 2 and k % 2 == 1:
         phi, mark = bijections.decompose_diameter(forest)
-        out = {
-            "kind": "diameter",
-            "d": 2,
-            "forest": phi.to_json(),
-            "mark": {
-                "vertex": mark.vertex,
-                "edge": list(mark.edge) if mark.edge is not None else None,
-            },
-        }
+        out = {"kind": "diameter", "d": 2, "forest": phi.to_json(),
+               "mark": mark._asdict()}
     else:
         phi, v = bijections.decompose_periodic(forest, d)
         out = {"kind": "periodic", "d": d, "forest": phi.to_json(), "vertex": v}
@@ -158,11 +146,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("--k needs an explicit n")
     top = args.n if args.n is not None else args.max_n
     check_verify_bound(top)
-    if args.k is not None:
-        cells = [(args.n, args.k)]
-    else:
-        ns = [args.n] if args.n is not None else range(1, top + 1)
-        cells = [(n, k) for n in ns for k in range(1, n + 1)]
+    ns = [args.n] if args.n is not None else range(1, top + 1)
+    cells = [(n, k) for n in ns for k in (
+        range(1, n + 1) if args.k is None else range(args.k, args.k + 1))]
     ns, ks = zip(*cells)
     # Never more processes than cores or cells, whatever was asked for.
     workers = min(args.workers, os.cpu_count() or 1, len(cells))
@@ -174,7 +160,8 @@ def _cmd_verify(args) -> int:
     else:
         per_cell = list(map(sieving.verify_csp, ns, ks))
     rows = [row for cell_rows in per_cell for row in cell_rows]
-    ok = all(row.agree for row in rows)
+    bad = sum(not row.agree for row in rows)
+    ok = not bad
     if args.json:
         print(json.dumps(
             {"rows": [row.to_json_dict() for row in rows], "all_agree": ok},
@@ -183,7 +170,6 @@ def _cmd_verify(args) -> int:
     else:
         for row in rows:
             print(_row_line(row))
-        bad = sum(1 for row in rows if not row.agree)
         verdict = "all routes agree" if ok else f"{bad} MISMATCHES"
         print(f"{len(rows)} cells checked: {verdict}")
     return 0 if ok else 1
@@ -203,24 +189,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    cell = argparse.ArgumentParser(add_help=False)  # the n k of four commands
+    cell.add_argument("n", type=int)
+    cell.add_argument("k", type=int)
 
-    p = sub.add_parser("count", help="number of non-crossing forests")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("count", parents=[cell], help="number of non-crossing forests")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("qpoly", help="coefficients of the count q-polynomial")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("qpoly", parents=[cell],
+                       help="coefficients of the count q-polynomial")
     form = p.add_mutually_exclusive_group()
     form.add_argument("--pretty", action="store_true", help="print as a polynomial")
     form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_qpoly)
 
-    p = sub.add_parser("enumerate", help="stream forests as JSON lines")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("enumerate", parents=[cell], help="stream forests as JSON lines")
     p.add_argument("--invariant", type=int, metavar="D", default=1,
                    help="only forests fixed by the rotation of order D (default 1: all)")
     p.add_argument("--method", default="orbit", help="route that streams the forests",
@@ -228,9 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="Graphviz output instead of JSON")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("fixed", help="count forests fixed by a rotation")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p = sub.add_parser("fixed", parents=[cell], help="count forests fixed by a rotation")
     p.add_argument("d", type=int)
     p.add_argument("--method", choices=list(ROUTES), default="orbit")
     p.add_argument("--json", action="store_true")

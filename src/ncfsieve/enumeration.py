@@ -138,11 +138,11 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
     raised by the number of forests in F(n, k) that the rotation of order
     d fixes.
 
-    prefix is the increasing list of chosen chord indices (one list, reused:
-    copy it to keep it) and fixed the mask of chords j after prefix[-1] such
-    that prefix + [j] is a forest of F(n, k) that the rotation r of order d
-    maps onto itself. At d = 1 every completion counts and no rotation is
-    tested. For d >= 2 let S be the prefix; since |r(S)| = |S|:
+    prefix is the mask of the chosen chord indices and fixed the mask of
+    chords j above prefix's highest such that prefix + {j} is a forest of
+    F(n, k) that the rotation r of order d maps onto itself. At d = 1 every
+    completion counts and no rotation is tested. For d >= 2 let S be the
+    prefix; since |r(S)| = |S|:
 
     * r(S) = S: the fixed forests are those whose j is fixed by r itself;
     * r(S) minus S is one chord j: only S + {j} can be fixed, and it is
@@ -152,9 +152,9 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
     The union-find links the smaller root under the larger, so its roots
     are the largest vertices of the components, and tops is the mask of the
     roots. The floor cut counts the roots below the floor. Each join pushes
-    (child, root, star of the root, r(prefix)) on the undo stack, and the
-    pop restores the root's star and r(prefix) from it and makes the child
-    a root again.
+    (child, root, star of the root, prefix, r(prefix)) on the undo stack,
+    and the pop restores the root's star, the prefix and r(prefix) from it
+    and makes the child a root again.
 
     One candidate loop runs per frame, with the count cut as its condition,
     exact at the last level too: the chord tried needs one more after it. A
@@ -186,13 +186,12 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
         fixed = sum(1 << i for i in range(m) if perm[i] == i)
     else:
         fixed = full
-    prefix: list[int] = []
     tally = counts is not None
     if need == 1:
         if tally:
             counts[0] += fixed.bit_count()
         elif fixed:
-            yield prefix, fixed
+            yield 0, fixed
         return
     star = [0] * (n + 1)
     for i, (u, v) in enumerate(chords):
@@ -201,7 +200,7 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
     parent = list(range(n + 1))
     tops = (1 << (n + 1)) - 2  # bit w: w is a root, its component's largest vertex
     below = [(1 << u) - 1 for u in range(n + 1)]  # the vertices below u
-    undo: list[tuple[int, int, int, int]] = []
+    undo: list[tuple[int, int, int, int, int]] = []
     stack = [full]  # candidate mask per depth
     sp = 0  # the prefix as a mask
     rsp = rs = 0  # r(prefix), and r of the prefix with one chord more
@@ -238,9 +237,7 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
                 if tally:
                     total += nxt.bit_count()
                 elif nxt:
-                    prefix.append(i)
-                    yield prefix, nxt
-                    prefix.pop()
+                    yield sp | low, nxt
                 continue
             if rot and (miss & ~nxt or miss.bit_count() > want - 1):
                 continue  # the rotation cut
@@ -248,21 +245,19 @@ def _leaf_groups(n: int, k: int, d: int = 1, counts: list[int] | None = None):
                 u, v = v, u
             stack[-1] = cand
             stack.append(nxt)
-            undo.append((v, u, star[u], rsp))
+            undo.append((v, u, star[u], sp, rsp))
             parent[v] = u
             star[u] |= star[v]
             tops ^= 1 << v
-            prefix.append(i)
             sp |= low
             rsp = rs
             break
         else:
             stack.pop()
             if undo:
-                v, u, star[u], rsp = undo.pop()
+                v, u, star[u], sp, rsp = undo.pop()
                 parent[v] = v
                 tops ^= 1 << v
-                sp ^= 1 << prefix.pop()
     if tally:
         counts[0] += total
 
@@ -285,7 +280,11 @@ def enumerate_forests(n: int, k: int, d: int = 1):
         return
     chords = chord_table(n)
     for prefix, fixed in _leaf_groups(n, k, d):
-        head = tuple(chords[i] for i in prefix)
+        head = ()
+        while prefix:
+            low = prefix & -prefix
+            prefix ^= low
+            head += (chords[low.bit_length() - 1],)
         while fixed:
             low = fixed & -fixed
             fixed ^= low

@@ -142,8 +142,8 @@ class Route(NamedTuple):
 # time, so whatever is bound to that name (a tracer's wrapper, say) is what
 # runs. Order is the column order of the report. The orbit route walks its
 # own orbits at d = 1 too, but there every orbit is one chord and its walk
-# over every k of one n takes 5-6.5x what the filter route's walks take
-# (n = 9 and 10), so verify_csp reports it from d = 2.
+# over every k of one n takes 6-7x what the filter route's walks take
+# (5.9-7.2x at n = 9 and 10), so verify_csp reports it from d = 2.
 ROUTES: dict[str, Route] = {
     "filter": Route(
         lambda n, k, d: enumeration.count_forests(n, k, d),

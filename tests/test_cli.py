@@ -1,18 +1,24 @@
 """Drive the CLI through main(argv) and check wiring, exit codes, and JSON."""
 
 import argparse
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ncfsieve import bijections, enumeration, qpoly, sieving
+from ncfsieve import __version__, bijections, enumeration, qpoly, sieving
 from ncfsieve.cli import MAX_FOREST_N, _build_parser, main
 from ncfsieve.forest import NonCrossingForest
 from ncfsieve.qpoly import ExactDivisionError, QPoly, forest_count, forest_count_poly
@@ -320,6 +326,12 @@ def test_construct_forest_bound(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "construct", "--mark", "1", str(src))
     assert code == 2 and out == "" and str(MAX_FOREST_N) in err
     monkeypatch.undo()
+
+    # the guard multiplies by the fold given, so a fold below 2 on a forest
+    # of more than half the bound is the gluing's to refuse
+    src.write_text(json.dumps({"n": half + 500, "edges": []}))
+    code, out, err = run(capsys, "construct", "--vertex", "1", "--d", "0", str(src))
+    assert (code, out) == (2, "") and err.startswith("error: fold d = 0 must be")
 
     # exactly at the bound both maps still run
     src.write_text(json.dumps({"n": half, "edges": [[1, 2]]}))
@@ -630,6 +642,184 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ------------------------------------------------------ the exit contract
+
+_VERIFY_MAX_N = sorted(r.max_n for r in ROUTES.values())[-2]
+# The values of every option and positional: the edges of each range, each
+# route's bound and the n past it, a huge int, and tokens that int()
+# refuses. Small cells, from 1 and 2, are drawn half the time; the cost
+# rule of _cheap skips the large ones.
+INTS = ("-1", "0", "1", "2", str(10 ** 40),
+        *(str(b + e) for b in sorted({r.max_n for r in ROUTES.values()})
+          for e in (0, 1)))
+JUNK = ("True", "1.5", "x", "", "-")
+VALUES = ("1", "2") * 8 + INTS + JUNK
+# The one --workers value that argparse takes here is 1, so no example
+# starts a worker pool.
+WORKERS = ("1", "0", "-1", str(-10 ** 40), "True", "1.5", "x", "")
+# Forest files: all but "good" are refused by every command that reads them.
+FOREST_DOCS = {
+    "not-json": "{not json",
+    "empty": "",
+    "list": "[]",
+    "no-edges": '{"n": 4}',
+    "crossing": '{"n": 4, "edges": [[1, 3], [2, 4]]}',
+    "label": '{"n": 4, "edges": [["a", 3]]}',
+    "over": json.dumps({"n": MAX_FOREST_N + 1, "edges": []}),
+    "deep": "[" * 100000,
+    "good": '{"n": 4, "edges": [[1, 2], [3, 4]]}',
+}
+
+
+@pytest.fixture(scope="module")
+def forest_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("forests")
+    for name, text in FOREST_DOCS.items():
+        (folder / f"{name}.json").write_text(text)
+    return folder
+
+
+@functools.cache
+def contract_argvs(forest_dir):
+    """argvs of one command each (or of none), built from OPTIONS: each of
+    the command's options taken or not, positionals nearly always, in any
+    order, each value drawn from the alphabet its option reads."""
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    files = ["-", "x", *(str(forest_dir / f"{name}.json")
+                         for name in (*FOREST_DOCS, *["good"] * 8))]
+
+    def group(command, name):
+        p = parser if command == "" else sub.choices[command]
+        (action,) = (a for a in p._actions
+                     if name in a.option_strings or name == a.dest)
+        flag = [name] if action.option_strings else []
+        if action.nargs == 0:
+            return st.just(flag)
+        alphabet = {"--workers": WORKERS, "--method": (*ROUTES, "x"),
+                    "forest": files}.get(name, VALUES)
+        count = action.nargs if isinstance(action.nargs, int) else 1
+        return st.lists(st.sampled_from(alphabet), min_size=count,
+                        max_size=count).map(lambda values: flag + values)
+
+    def taken(command, name):
+        # an option half the time, a positional nine times in ten
+        odds = 2 if name.startswith("-") else 10
+        return st.integers(0, odds - 1).flatmap(
+            lambda i: group(command, name) if i else st.just([]))
+
+    def command_argvs(command):
+        groups = [taken(command, o) for c, o in sorted(OPTIONS) if c == command]
+        head = [command] if command else []
+        return st.tuples(*groups).flatmap(st.permutations).map(
+            lambda groups: head + [tok for g in groups for tok in g])
+
+    return st.sampled_from(sorted({c for c, _ in OPTIONS})).flatmap(command_argvs)
+
+
+def run_captured(argv):
+    """main(argv) with stdin empty: its exit code, stdout and stderr. An
+    argparse exit is the code of its SystemExit; any other exception
+    escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), patch("sys.stdin", io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parsed(argv):
+    """The namespace argparse makes of argv, or None when it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser().parse_args(list(argv))
+        except SystemExit:
+            return None
+
+
+def _bound(args):
+    """The bound on n of the route that the command runs, and its n; None
+    for the forest commands."""
+    if args.command == "verify":
+        return _VERIFY_MAX_N, args.n if args.n is not None else args.max_n
+    name = {"count": "closed", "qpoly": "poly"}.get(args.command,
+                                                     getattr(args, "method", None))
+    return None if name is None else (ROUTES[name].max_n, args.n)
+
+
+def _cheap(args):
+    """Whether the cells that the command runs are small: a cell weighs the
+    forests it holds up to n = 12, and n * n past that, where the
+    q-polynomial counts it; together they weigh at most 3000. The closed
+    form, the forest commands and an n that the route refuses weigh
+    nothing."""
+    bound = _bound(args)
+    if (bound is None or bound[1] > bound[0] or args.command == "count"
+            or getattr(args, "method", None) == "closed"):
+        return True
+
+    def weight(n, k):
+        if n > MAX_ENUM_N:
+            return n * n
+        return forest_count(n, k) if 1 <= k <= n else 0
+
+    if args.command != "verify" or args.k is not None:
+        cells = [(args.n, args.k)] if args.n is not None else []
+    else:
+        ns = [args.n] if args.n is not None else range(1, args.max_n + 1)
+        cells = [(n, k) for n in ns for k in range(1, n + 1)]
+    return sum(weight(n, k) for n, k in cells) <= 3000
+
+
+def _printed_as_allowed(args, out):
+    """Whether stdout is in the format of the command that printed it."""
+    lines = out.splitlines()
+    if args.command in ("count", "fixed") and not args.json:
+        return re.fullmatch(r"\d+\n", out)
+    if args.command == "qpoly" and not args.json:
+        return len(lines) == 1 and (args.pretty or re.fullmatch(r"\d+( \d+)*", lines[0]))
+    if args.command == "enumerate" and args.dot:
+        return out == "" or out.startswith("graph ")
+    if args.command == "verify" and not args.json:
+        return (all(ln.startswith("n=") for ln in lines[:-1]) and re.fullmatch(
+            r"\d+ cells checked: (all routes agree|\d+ MISMATCHES)", lines[-1]))
+    keys = {"count": {"n", "k", "count"}, "qpoly": {"n", "k", "coeffs"},
+            "fixed": {"n", "k", "d", "method", "count"}, "verify": {"rows", "all_agree"},
+            "enumerate": {"n", "edges"}, "construct": {"n", "edges"},
+            "decompose": {"kind", "d", "forest"}}[args.command]
+    docs = [json.loads(out)] if args.command == "verify" else list(map(json.loads, lines))
+    return all(keys <= set(doc) for doc in docs)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_exit_contract(forest_dir, data):
+    # exit 0, 1 or 2 and nothing escapes; a refusal prints one error line
+    # and no data; a success prints its command's format; an n past the
+    # bound of the route run, or a forest past MAX_FOREST_N, is refused
+    argv = data.draw(contract_argvs(forest_dir))
+    args = _parsed(argv)
+    assume(args is None or _cheap(args))
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in ln for ln in err.splitlines()) == 1, err
+        assert args is None or (err.startswith("error: ") and err.count("\n") == 1), err
+    elif args is None:
+        assert (code, out, err) == (0, f"ncfsieve {__version__}\n", "")
+    else:
+        assert err == "" and (code == 0 or args.command == "verify")
+        assert _printed_as_allowed(args, out), out
+    bound = args and _bound(args)
+    if bound and bound[1] > bound[0]:
+        assert code == 2
+    if any(tok.endswith("over.json") for tok in argv):
+        assert code == 2
 
 
 # ------------------------------------------------------ the real entry point

@@ -10,8 +10,14 @@ from math import comb, gcd
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 import ncfsieve.qpoly as qp
 from ncfsieve import sieving
@@ -197,7 +203,7 @@ wide_lists = st.lists(wide_coeffs, min_size=0, max_size=40)
 
 
 @given(wide_lists, st.integers(1, 25))
-def test_ratio_q_int_divides_what_it_multiplies(a, m):
+def test_run_divides_what_it_multiplies(a, m):
     # the ratio [a]_q / [b]_q of two q-integers is the two sweeps a, -b
     p = QPoly(tuple(a))
     prod = qp._run(p.coeffs, [m, -1])
@@ -206,7 +212,7 @@ def test_ratio_q_int_divides_what_it_multiplies(a, m):
 
 
 @given(wide_lists, st.integers(0, 25), st.integers(1, 25))
-def test_ratio_q_int_matches_product(a, top, b):
+def test_run_matches_product(a, top, b):
     # the sweeps top, -b on P [b]_q give the schoolbook product P [top]_q
     pb = _schoolbook_mul(a, (1,) * b)
     assert QPoly(qp._run(pb.coeffs, [top, -b])) == _schoolbook_mul(a, (1,) * top)
@@ -214,7 +220,7 @@ def test_ratio_q_int_matches_product(a, top, b):
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=20), st.integers(2, 25),
        st.integers(0, 50), st.integers(-5, 5).filter(bool), st.integers(0, 30))
-def test_ratio_q_int_rejects_perturbation(a, m, pos, delta, top):
+def test_run_rejects_perturbation(a, m, pos, delta, top):
     prod = qp._run(a, [m, -1])
     prod += [0] * (pos + 1 - len(prod))
     prod[pos] += delta
@@ -256,7 +262,7 @@ def test_binomial_ladder_interleaves_its_sweeps():
             assert i == low and QPoly(cs) == _ref_q_binomial(a, b), (a, b)
 
 
-def test_ratio_q_int_edges():
+def test_run_edges():
     assert qp._run([], [1, -4]) == []
     assert QPoly(qp._run([], [5, -2])) == QPoly(())
     assert qp._run([3, 0, -2], [1, -1]) == [3, 0, -2]
@@ -573,6 +579,89 @@ def test_forest_count_poly_cache_is_bounded():
     assert sorted(qp._FOREST_POLYS) == [(20, k) for k in range(1, 21)]
     forest_count_poly(21, 5)
     assert list(qp._FOREST_POLYS) == [(21, 5)]
+
+
+@lru_cache(maxsize=None)
+def _pascal_q_binomial(a: int, b: int) -> tuple[int, ...]:
+    """[a choose b]_q by the q-Pascal rule
+    [a choose b]_q = [a-1 choose b-1]_q + q^b [a-1 choose b]_q."""
+    if b < 0 or b > a:
+        return ()
+    if b in (0, a):
+        return (1,)
+    out = [*_pascal_q_binomial(a - 1, b - 1), *[0] * (a - b)]
+    for i, c in enumerate(_pascal_q_binomial(a - 1, b)):
+        out[i + b] += c
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pascal_forest_count_poly(n: int, k: int) -> QPoly:
+    """f(n, k) from the q-Pascal binomials, their schoolbook product and a
+    long division by [2n-k]_q: none of the package's sweeps."""
+    num = _schoolbook_mul(_pascal_q_binomial(n, k - 1),
+                          _pascal_q_binomial(3 * n - 2 * k - 1, n - k))
+    quot, rem = _ref_divmod(num, QPoly((1,) * (2 * n - k)))
+    assert not rem.coeffs
+    return quot
+
+
+TABLE_MAX_N = 40
+
+
+class PolyTable(RuleBasedStateMachine):
+    """forest_count_poly and cache_clear() in any order. After each call
+    the answer is the reference, the table holds one run of consecutive k
+    of one n with the k asked in it, and _build ran once for a cold n, or
+    else once per cell between k and the nearest cached cell."""
+
+    def __init__(self):
+        super().__init__()
+        forest_count_poly.cache_clear()
+        self.build = patch.object(qp, "_build", wraps=qp._build)
+        self.builds = self.build.start()
+        self.asked = None
+
+    def teardown(self):
+        self.build.stop()
+        forest_count_poly.cache_clear()
+
+    @rule(data=st.data())
+    def ask(self, data):
+        # the n of the table half the time, so that the start rule is met
+        ns = st.integers(1, TABLE_MAX_N)
+        if qp._FOREST_POLYS:
+            ns = st.sampled_from([next(iter(qp._FOREST_POLYS))[0]]) | ns
+        n = data.draw(ns, label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        cached = [j for m, j in qp._FOREST_POLYS if m == n]
+        steps = min((abs(k - j) for j in cached), default=1)
+        self.builds.reset_mock()
+        assert forest_count_poly(n, k) == _pascal_forest_count_poly(n, k)
+        assert self.builds.call_count == steps
+        self.asked = n, k
+
+    @rule()
+    def clear(self):
+        forest_count_poly.cache_clear()
+        self.asked = None
+
+    @invariant()
+    def one_run_of_one_n(self):
+        cells = sorted(qp._FOREST_POLYS)
+        if self.asked is None:
+            assert cells == []
+            return
+        n, k = self.asked
+        ks = [j for _, j in cells]
+        assert cells == [(n, j) for j in range(ks[0], ks[-1] + 1)]
+        assert k in ks
+
+
+def test_poly_table_under_any_call_order():
+    run_state_machine_as_test(PolyTable, settings=settings(
+        max_examples=12, stateful_step_count=12, derandomize=True, database=None,
+        deadline=None))
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[int]:
