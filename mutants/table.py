@@ -212,6 +212,14 @@ MUTANTS = (
         (f"{CLI}::test_verify_rejects_empty_sweep",),
         "`verify`'s `n` typed `int` in place of `_positive_int`",
     ),
+    Mutant(
+        "report-column-not-renamed", "cli.py",
+        '"brute" if name == "filter" else name',
+        "name",
+        (f"{CLI}::test_verify_report_bytes_are_pinned",
+         f"{CLI}::test_verify_text_report_bytes_are_pinned"),
+        "`cli._columns` leaving the filter route's column unrenamed",
+    ),
     # tree extents
     Mutant(
         "first-rotated-forward", "bijections.py",

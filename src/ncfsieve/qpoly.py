@@ -252,7 +252,8 @@ def forest_count_poly(n: int, k: int) -> QPoly:
     164-sweep ladder. All starts give the same polynomial. The division
     is checked exact sweep by sweep, and nonnegativity of the
     coefficients, a theorem about this quotient, is checked on each
-    result, so any arithmetic regression surfaces as a hard error. The polynomial keeps its folds (QPoly.fold), so a cached
+    result, so any arithmetic regression surfaces as a hard error. The
+    polynomial keeps its folds (QPoly.fold), so a cached
     one is folded once per modulus. The cache holds only the cells of the
     last n asked: the first cell built for another n empties it, so cells
     asked in (n, k) order, or in any order within each n, reuse their

@@ -142,8 +142,9 @@ class Route(NamedTuple):
 # time, so whatever is bound to that name (a tracer's wrapper, say) is what
 # runs. Order is the column order of the report. The orbit route walks its
 # own orbits at d = 1 too, but there every orbit is one chord and its walk
-# over every k of one n takes 6-7x what the filter route's walks take
-# (5.9-7.2x at n = 9 and 10), so verify_csp reports it from d = 2.
+# over every k of one n takes 5.5-6.6x what the filter route's walks take
+# (5.6-6.6x at n = 9, 5.5-6.4x at n = 10), so verify_csp reports it from
+# d = 2.
 ROUTES: dict[str, Route] = {
     "filter": Route(
         lambda n, k, d: enumeration.count_forests(n, k, d),
@@ -183,10 +184,6 @@ def check_verify_bound(n: int) -> None:
                          "past which fewer than two routes count a cell")
 
 
-# The report has always called the filter route's column "brute".
-_REPORT_KEYS = {"filter": "brute"}
-
-
 class CspRow(NamedTuple):
     """One (n, k, d) cell: the count of every route run on it, keyed by
     route name in ROUTES order."""
@@ -199,15 +196,6 @@ class CspRow(NamedTuple):
     @property
     def agree(self) -> bool:
         return len(set(self.counts.values())) == 1
-
-    @property
-    def columns(self) -> dict[str, int]:
-        """The counts under their report names."""
-        return {_REPORT_KEYS.get(name, name): c for name, c in self.counts.items()}
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "d": self.d, **self.columns,
-                "agree": self.agree}
 
 
 def verify_csp(n: int, k: int | None = None) -> tuple[CspRow, ...]:

@@ -434,6 +434,39 @@ def test_verify_report_bytes_are_pinned(capsys):
         "9f54509dcd9cf9b49e5eb26a2fd19cfeca4af6697bb45d83cf7c6151d06cea2c")
 
 
+def test_verify_text_report_bytes_are_pinned(capsys):
+    # the same cells as the text report: each row's columns and verdict, and
+    # the summary line, byte for byte
+    code, out, _ = run(capsys, "verify", "--max-n", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1289cd0e375bd1ae116a38f6a98f9c97b27c8f5a167ca9fdc5cb8b06797088f7")
+
+
+def test_readme_examples(capsys):
+    # every `$ ncfsieve ...` example of the README with no pipe and no
+    # elided output prints exactly the block shown under it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples, block = [], None
+    for line in readme.splitlines():
+        if line.startswith("    $ ncfsieve "):
+            block = [line.removeprefix("    $ ncfsieve ").split(), []]
+            examples.append(block)
+        elif block is not None and line.startswith("    "):
+            block[1].append(line.removeprefix("    "))
+        else:
+            block = None
+    examples = [(argv, out) for argv, out in examples
+                if "|" not in argv and "..." not in out]
+    assert [" ".join(argv) for argv, _ in examples] == [
+        "count 6 3", "qpoly 4 2 --pretty", "fixed 6 3 2", "fixed 6 3 2 --method poly",
+        "fixed 12 4 2 --method closed", "verify 6 --k 3", "verify 14 --k 2"]
+    for argv, shown in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == "".join(f"{line}\n" for line in shown), argv
+
+
 def test_verify_arg_conflicts(capsys):
     # argparse holds the rules on n and --max-n: exactly one of them
     required = "one of the arguments n --max-n is required"

@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from ncfsieve import cli
 from ncfsieve.bijections import decompose_periodic, enumerate_images, tree_extents
 from ncfsieve.enumeration import (
     count_forests,
@@ -180,8 +181,11 @@ def test_verify_csp_runs_each_route_up_to_its_bound(monkeypatch):
             verify_csp(n)
 
 
-def test_report_json_layout():
-    rows = [row.to_json_dict() for row in verify_csp(4, 2)]
+def test_report_json_layout(capsys):
+    assert cli.main(["verify", "4", "--k", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["rows", "all_agree"]
+    rows = doc["rows"]
     assert [r["d"] for r in rows] == [1, 2, 4]
     for r in rows:
         assert (r["n"], r["k"]) == (4, 2)
@@ -191,7 +195,6 @@ def test_report_json_layout():
         else:
             assert keys == ["n", "k", "d", "brute", "poly", "closed",
                             "bijection", "orbit", "agree"]
-    json.dumps(rows)  # must be serializable as-is
 
 
 def check_fixed_count_identity(np_: int, kp: int) -> bool:
