@@ -3,11 +3,12 @@
     python3 mutants/run.py [NAME ...]
 
 With no names every row runs. For each row the runner copies src/, tests/,
-perfbench/ (which tests/test_route_ledger.py imports) and pyproject.toml
-to a temporary directory, checks that the snippet occurs exactly once in
-its file, applies the replacement and runs the row's tests there with
-Tier-1's pytest settings (pyproject.toml), with -x so the first failure
-ends the run. The mutant is killed when they fail. Before any mutant, the
+perfbench/ (which tests/test_route_ledger.py imports), pyproject.toml and
+README.md (whose examples tests/test_cli.py runs) to a temporary
+directory, checks that the snippet occurs exactly once in its file,
+applies the replacement and runs the row's tests there with Tier-1's
+pytest settings (pyproject.toml), with -x so the first failure ends the
+run. The mutant is killed when they fail. Before any mutant, the
 tests of the rows to run must pass on the unchanged copy, or no kill
 would mean anything.
 
@@ -37,7 +38,8 @@ def copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
     for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def run_tests(tree: Path, tests) -> tuple[bool, str]:

@@ -220,6 +220,14 @@ MUTANTS = (
          f"{CLI}::test_verify_text_report_bytes_are_pinned"),
         "`cli._columns` leaving the filter route's column unrenamed",
     ),
+    Mutant(
+        "verify-drops-k", "cli.py",
+        "sieving.verify_csp(n, args.k)",
+        "sieving.verify_csp(n)",
+        (f"{CLI}::test_readme_examples",
+         f"{CLI}::test_verify_sweep_equals_its_cells"),
+        "`verify` dropping `--k` from its `verify_csp` call",
+    ),
     # tree extents
     Mutant(
         "first-rotated-forward", "bijections.py",

@@ -153,19 +153,7 @@ def _cmd_verify(args) -> int:
     top = args.n if args.n is not None else args.max_n
     check_verify_bound(top)
     ns = [args.n] if args.n is not None else range(1, top + 1)
-    cells = [(n, k) for n in ns for k in (
-        range(1, n + 1) if args.k is None else range(args.k, args.k + 1))]
-    ns, ks = zip(*cells)
-    # Never more processes than cores or cells, whatever was asked for.
-    workers = min(args.workers, os.cpu_count() or 1, len(cells))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(sieving.verify_csp, ns, ks))
-    else:
-        per_cell = list(map(sieving.verify_csp, ns, ks))
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+    rows = [row for n in ns for row in sieving.verify_csp(n, args.k)]
     bad = sum(not row.agree for row in rows)
     ok = not bad
     if args.json:
@@ -251,11 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--max-n", type=_positive_int,
                        help="sweep n = 1 .. MAX_N instead")
     p.add_argument("--k", type=int)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes, at most one per core and per cell; "
-                        "speeds up the enumerating routes' cells "
-                        f"(n <= {sieving.MAX_ENUM_N}), not the cells past "
-                        f"{sieving.MAX_ENUM_N}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

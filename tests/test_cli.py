@@ -60,8 +60,7 @@ OPTIONS = {
     ("construct", "--vertex"), ("construct", "--mark"), ("construct", "--d"),
     ("construct", "--mark-edge"), ("construct", "forest"),
     ("decompose", "--d"), ("decompose", "forest"),
-    ("verify", "n"), ("verify", "--max-n"), ("verify", "--k"), ("verify", "--workers"),
-    ("verify", "--json"),
+    ("verify", "n"), ("verify", "--max-n"), ("verify", "--k"), ("verify", "--json"),
 }
 
 
@@ -414,15 +413,22 @@ def test_verify_json(capsys):
     assert brute == {"1": 14, "2": 2, "4": 0} or brute == {1: 14, 2: 2, 4: 0}
 
 
-def test_verify_sweep_and_workers(capsys):
-    # at n = 30, each of two workers gets cells of one n with gaps between
-    # them, so the poly route steps over cells it was not asked for
-    for argv in (("--max-n", "5"), ("30",)):
-        code, out1, _ = run(capsys, "verify", *argv, "--json")
+def test_verify_sweep_equals_its_cells(capsys):
+    # `verify n --k k` per cell, each with a cold poly table as in a process
+    # of its own, gives the sweep's rows in (n, k) order; at n = 30 the poly
+    # route of the sweep steps from cell to cell, and each cell alone climbs
+    # its ladder
+    for argv, ns in ((("--max-n", "5"), range(1, 6)), (("30",), (30,))):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
         assert code == 0
-        code, out2, _ = run(capsys, "verify", *argv, "--workers", "2", "--json")
-        assert code == 0
-        assert json.loads(out1) == json.loads(out2), argv
+        rows = []
+        for n in ns:
+            for k in range(1, n + 1):
+                forest_count_poly.cache_clear()
+                code, cell, _ = run(capsys, "verify", str(n), "--k", str(k), "--json")
+                assert code == 0
+                rows += json.loads(cell)["rows"]
+        assert json.loads(out) == {"rows": rows, "all_agree": True}, argv
 
 
 def test_verify_report_bytes_are_pinned(capsys):
@@ -489,53 +495,6 @@ def test_verify_rejects_empty_sweep(capsys, argv):
     err = refused(capsys, "verify", *argv)
     name = "--max-n" if "--max-n" in argv else "n"
     assert f"ncfsieve verify: error: argument {name}: must be at least 1" in err
-
-
-@pytest.mark.parametrize("cpus, argv, pool_size", [
-    (4, ("--max-n", "5"), 4),     # 15 cells: capped by the cores
-    (64, ("3",), 3),              # 3 cells: capped by the cells
-    (None, ("--max-n", "4"), None),  # core count unknown: serial, no pool
-    (8, ("4", "--k", "2"), None),    # one cell: serial, no pool
-])
-def test_verify_workers_clamped(capsys, monkeypatch, cpus, argv, pool_size):
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        """Records max_workers and maps in this process, so no worker
-        process is ever started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    code, out, _ = run(capsys, "verify", *argv, "--workers", "100000", "--json")
-    assert code == 0
-    assert sizes == ([] if pool_size is None else [pool_size])
-    code, serial, _ = run(capsys, "verify", *argv, "--json")
-    assert json.loads(out) == json.loads(serial)
-
-
-@pytest.mark.parametrize("workers", ["0", "-5"])
-def test_verify_rejects_workers_below_1(capsys, monkeypatch, workers):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert "--workers" in refused(capsys, "verify", "3", "--workers", workers)
 
 
 def test_verify_has_no_bijection_switch(capsys):
@@ -689,9 +648,6 @@ INTS = ("-1", "0", "1", "2", str(10 ** 40),
           for e in (0, 1)))
 JUNK = ("True", "1.5", "x", "", "-")
 VALUES = ("1", "2") * 8 + INTS + JUNK
-# The one --workers value that argparse takes here is 1, so no example
-# starts a worker pool.
-WORKERS = ("1", "0", "-1", str(-10 ** 40), "True", "1.5", "x", "")
 # Forest files: all but "good" are refused by every command that reads them.
 FOREST_DOCS = {
     "not-json": "{not json",
@@ -731,8 +687,7 @@ def contract_argvs(forest_dir):
         flag = [name] if action.option_strings else []
         if action.nargs == 0:
             return st.just(flag)
-        alphabet = {"--workers": WORKERS, "--method": (*ROUTES, "x"),
-                    "forest": files}.get(name, VALUES)
+        alphabet = {"--method": (*ROUTES, "x"), "forest": files}.get(name, VALUES)
         count = action.nargs if isinstance(action.nargs, int) else 1
         return st.lists(st.sampled_from(alphabet), min_size=count,
                         max_size=count).map(lambda values: flag + values)

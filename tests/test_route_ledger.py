@@ -103,9 +103,7 @@ FOREST_FILES = {
     "FOLDED": bijections.construct_diameter(_PHI3, Mark(1, (1, 3))),
 }
 
-# Command lines that use every (command, option) pair of the parser, and
-# verify always with one worker, so the trace sees every call in this
-# process.
+# Command lines that use every (command, option) pair of the parser.
 ARGVS = (
     ("--version",),
     ("count", "6", "3", "--json"),
@@ -117,8 +115,8 @@ ARGVS = (
     ("construct", "--mark", "1", "--mark-edge", "1", "3", "PHI3"),
     ("decompose", "--d", "3", "GLUED"),
     ("decompose", "--d", "2", "FOLDED"),
-    ("verify", "4", "--k", "2", "--workers", "1", "--json"),
-    ("verify", "--max-n", "3", "--workers", "1"),
+    ("verify", "4", "--k", "2", "--json"),
+    ("verify", "--max-n", "3"),
 )
 
 # Functions that no route, no command line of ARGVS and no workload of
@@ -264,7 +262,6 @@ def test_argvs_use_every_option():
                     used.add((argv[0], max(a.option_strings, key=len)))
             elif getattr(args, a.dest, a.default) != a.default:
                 used.add((argv[0], a.dest))
-        assert "verify" not in argv or ("--workers", "1") in zip(argv, argv[1:]), argv
     # OPTIONS is every (command, option) pair, which test_option_inventory
     # pins to the parser
     assert sorted(OPTIONS - used) == []
@@ -299,7 +296,7 @@ def test_poly_cells_come_one_n_at_a_time(capsys):
     # benchmark's workloads and verify must ask for them n by n
     code = qpoly.forest_count_poly.__code__
     runs = {name: partial(_run_workload, name) for name in worker.WORKLOADS}
-    runs["verify"] = partial(cli.main, ["verify", "--max-n", "8", "--workers", "1"])
+    runs["verify"] = partial(cli.main, ["verify", "--max-n", "8"])
     asked = {}
     for name, run in runs.items():
         ns = asked[name] = []

@@ -2,7 +2,6 @@
 and the argument checks every public entry point shares."""
 
 import json
-import pickle
 import time
 from collections.abc import Iterator
 from math import comb
@@ -143,10 +142,9 @@ def test_verify_csp_row_shape():
         else:
             assert list(row.counts) == list(ROUTES)
         assert len(set(row.counts.values())) == 1
-        # immutable, and sent whole between the processes of verify --workers
+        # immutable: no caller can change a row that verify_csp returned
         with pytest.raises(AttributeError):
             row.d = 1
-        assert pickle.loads(pickle.dumps(row)) == row
 
 
 def test_verify_csp_reads_every_route_through_routes(monkeypatch):
