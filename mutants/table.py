@@ -52,12 +52,13 @@ MUTANTS = (
         "rotation cut at `> want - 2`",
     ),
     Mutant(
-        "tally-flush-dropped", "enumeration.py",
-        "    if tally:\n        counts[0] += total\n",
+        "tally-total-not-yielded", "enumeration.py",
+        "    if tally:\n        yield total\n",
         "",
         (f"{ENUM}::test_frozen_invariant_values",
-         f"{ENUM}::test_counts_match_formula"),
-        "the tally flush dropped",
+         f"{ENUM}::test_counts_match_formula",
+         f"{ENUM}::test_tally_walk_yields_its_count_once"),
+        "the walk's final tally not yielded",
     ),
     Mutant(
         "rotation-state-not-restored", "enumeration.py",

@@ -83,11 +83,9 @@ def test_count_plain(capsys):
     assert out.strip() == str(forest_count(6, 3))
 
 
-def test_count_brute_json(capsys):
-    # count is the closed form alone; verify N --k K is the cross-check that
-    # --brute was, with the filter walk ("brute") and every other route
-    assert "unrecognized arguments: --brute" in refused(
-        capsys, "count", "5", "2", "--brute", "--json")
+def test_count_json(capsys):
+    # count is the closed form alone; verify N --k K cross-checks it with
+    # the filter walk ("brute") and every other route
     code, out, _ = run(capsys, "count", "5", "2", "--json")
     assert code == 0 and json.loads(out) == {"n": 5, "k": 2, "count": 75}
     code, out, _ = run(capsys, "verify", "5", "--k", "2", "--json")
@@ -164,10 +162,8 @@ def test_enumerate_stream(capsys):
     assert len(seen) == len(lines)
 
 
-def test_enumerate_count_only(capsys):
-    # enumerate only streams; fixed prints one route's count of one cell
-    assert "unrecognized arguments: --count" in refused(
-        capsys, "enumerate", "6", "2", "--count")
+def test_fixed_prints_the_forest_count(capsys):
+    # fixed prints one route's count of one cell, at d = 1 |F(n, k)|
     code, out, _ = run(capsys, "fixed", "6", "2", "1")
     assert (code, out) == (0, f"{forest_count(6, 2)}\n")
 
@@ -497,21 +493,13 @@ def test_verify_rejects_empty_sweep(capsys, argv):
     assert f"ncfsieve verify: error: argument {name}: must be at least 1" in err
 
 
-def test_verify_has_no_bijection_switch(capsys):
-    # every verify run takes the bijection route; no flag skips it
-    assert "unrecognized arguments: --no-bijection" in refused(
-        capsys, "verify", "3", "--no-bijection")
-
-
 def test_size_guard(capsys, monkeypatch):
-    # the enumeration bound is a fixed constant, which no environment knob
-    # lifts; count takes the closed route and its bound, and verify runs
-    # past it without the walk
-    def unreachable(*args):
+    # the enumeration bound is a fixed constant; count takes the closed
+    # route and its bound, and verify runs past it without the walk
+    def unreachable(*args, **kwargs):
         raise AssertionError("the walk ran past the enumeration bound")
 
     monkeypatch.setattr(enumeration, "_leaf_groups", unreachable)
-    monkeypatch.setenv("NCF_SIEVE_MAX_N", "20")
     over = str(MAX_ENUM_N + 1)
     code, out, err = run(capsys, "enumerate", over, over, "--method", "filter")
     assert code == 2 and out == ""

@@ -247,13 +247,24 @@ def test_filter_count_walks_only_its_d(monkeypatch):
     # one cell's count tests one rotation, not every divisor of n
     seen = []
 
-    def recording(n, k, d=1, counts=None):
+    def recording(n, k, d=1, tally=False):
         seen.append(d)
-        return iter(())
+        return iter((0,))
 
     monkeypatch.setattr(enumeration, "_leaf_groups", recording)
     ROUTES["filter"].count(12, 6, 2)
     assert seen == [2]
+
+
+def test_tally_walk_yields_its_count_once():
+    # a tallying walk yields one int, the sum of the popcounts of the groups
+    # the streaming walk yields; k = n - 1 takes the walk's one-chord branch
+    for n in range(2, 10):
+        for k in range(1, n):
+            for d in divisors(n):
+                assert list(enumeration._leaf_groups(n, k, d, tally=True)) == [
+                    sum(f.bit_count() for _, f in enumeration._leaf_groups(n, k, d))
+                ], (n, k, d)
 
 
 def test_fixed_stream_is_the_per_forest_filter():
@@ -349,7 +360,7 @@ def test_orbit_route_at_d_1_reaches_no_filter_walk(monkeypatch, capsys):
     cells = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
     plain = {(n, k): [f.edges for f in enumerate_forests(n, k)] for n, k in cells}
 
-    def no_filter_walk(*args):
+    def no_filter_walk(*args, **kwargs):
         raise AssertionError("the orbit route reached the filter walk")
 
     monkeypatch.setattr(enumeration, "_leaf_groups", no_filter_walk)
